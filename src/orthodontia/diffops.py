@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .polyring import Monomial, Polynomial
+from .polyring import Polynomial
 
 
 def divided_difference(f: Polynomial, i: int) -> Polynomial:
@@ -22,32 +22,7 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
     """
     if not 1 <= i <= f.n - 1:
         raise IndexError(f"d_{i} out of range for n={f.n}")
-    terms: dict[Monomial, int] = {}
-
-    def bump(xe, ye, c):
-        mon = (xe, ye)
-        new = terms.get(mon, 0) + c
-        if new:
-            terms[mon] = new
-        else:
-            del terms[mon]
-
-    for (xe, ye), c in f.terms.items():
-        a, b = xe[i - 1], xe[i]
-        if a == b:
-            continue
-        base = list(xe)
-        if a > b:
-            for k in range(a - b):
-                base[i - 1], base[i] = b + k, a - 1 - k
-                bump(tuple(base), ye, c)
-        else:
-            for k in range(b - a):
-                base[i - 1], base[i] = a + k, b - 1 - k
-                bump(tuple(base), ye, -c)
-    out = Polynomial.zero(f.n, f.m)
-    out.terms = terms
-    return out
+    return f._divided_difference(i)
 
 
 def _one_minus_x(i: int, n: int, m: int) -> Polynomial:

@@ -61,9 +61,7 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
     for _ in range(cap + 1):
         if r.is_zero():
             return LascouxExpansion(n, coeffs, d0)
-        low = r.lowest_degree_part()
-        beta = min(xe for xe, _ in low.terms)
-        c = low.terms[(beta, ())]
+        (beta, _), c = r.lowest_term()
         coeffs[beta] = coeffs.get(beta, 0) + c
         if coeffs[beta] == 0:
             del coeffs[beta]

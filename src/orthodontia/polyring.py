@@ -1,51 +1,116 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
 A polynomial lives in Z[x_1..x_n, y_1..y_m] for a fixed ambient (n, m).
-Terms are stored as a dict mapping (xexp, yexp) exponent-tuple pairs to
-nonzero integer coefficients.  All operations return fresh values; nothing
-is mutated after construction.
+Terms are stored as a dict mapping packed monomial keys to nonzero integer
+coefficients.  All operations return fresh values; nothing is mutated
+after construction.
+
+A packed key is one int.  From the most significant end it holds the total
+degree (unbounded), then one EXP_BITS-wide field per variable: x_1..x_n,
+then y_1..y_m.  The top bit of every field is a guard bit, so exponents
+must lie in [0, EXP_LIMIT).  With that,
+
+* the product of two monomials is the sum of their keys (no field can
+  carry into its neighbour, and a result field that reaches EXP_LIMIT
+  shows in its guard bit);
+* integer order on keys is canonical order: total degree, then lex on
+  the x exponents (x_1 first), then lex on the y exponents.
+
+Only this module knows the format.  The tuple-keyed constructor,
+``to_dict``, ``canonical_terms`` and the JSON form are its boundary.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from typing import Iterable, Iterator
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+
+EXP_BITS = 16
+EXP_LIMIT = 1 << (EXP_BITS - 1)
+_FIELD_MASK = (1 << EXP_BITS) - 1
 
 
 class AmbientMismatch(ValueError):
     pass
 
 
-def _term_key(item: tuple[Monomial, int]):
-    (xe, ye), _ = item
-    return (sum(xe) + sum(ye), xe, ye)
+class ExponentRangeError(ValueError):
+    """An exponent is negative or at least EXP_LIMIT."""
+
+
+class _Layout:
+    """Field positions of the packed keys of one ambient (n, m)."""
+
+    __slots__ = ("n", "m", "shifts", "deg_shift", "deg_one", "guard", "low_mask", "nbytes",
+                 "unpack")
+
+    def __init__(self, n: int, m: int):
+        nvars = n + m
+        self.n, self.m = n, m
+        # variable k (x_1..x_n, then y_1..y_m) sits at shifts[k]
+        self.shifts = tuple(EXP_BITS * (nvars - 1 - k) for k in range(nvars))
+        self.deg_shift = EXP_BITS * nvars
+        self.deg_one = 1 << self.deg_shift
+        self.guard = sum(1 << (s + EXP_BITS - 1) for s in self.shifts)
+        self.low_mask = self.deg_one - 1
+        self.nbytes = 2 * nvars
+        self.unpack = struct.Struct(f">{nvars}H").unpack  # EXP_BITS == 16
+
+    def __reduce__(self):
+        # a Struct does not pickle; the unpickled polynomial gets the cached layout
+        return _layout, (self.n, self.m)
+
+
+def _encode(lay: _Layout, xe, ye) -> int:
+    if len(xe) != lay.n or len(ye) != lay.m:
+        raise ValueError(f"exponent vectors do not match ambient ({lay.n},{lay.m})")
+    key = 0
+    for e in (*xe, *ye):
+        if not 0 <= e < EXP_LIMIT:
+            raise ExponentRangeError(f"exponent {e} outside [0, {EXP_LIMIT})")
+        key = key << EXP_BITS | e
+    return key | (sum(xe) + sum(ye)) << lay.deg_shift
+
+
+def _decode(lay: _Layout, key: int) -> Monomial:
+    e = lay.unpack((key & lay.low_mask).to_bytes(lay.nbytes, "big"))
+    return e[: lay.n], e[lay.n :]
+
+
+@functools.cache
+def _layout(n: int, m: int) -> _Layout:
+    """The one layout of each ambient, built on first use."""
+    return _Layout(n, m)
+
+
+def _from_keys(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
+    """A polynomial on packed keys; the caller guarantees nonzero coefficients."""
+    out = object.__new__(Polynomial)
+    out.n, out.m, out._lay, out.terms = lay.n, lay.m, lay, terms
+    return out
 
 
 class Polynomial:
-    __slots__ = ("n", "m", "terms")
+    __slots__ = ("n", "m", "terms", "_lay")
 
     def __init__(self, n: int, m: int, terms: dict[Monomial, int] | None = None):
         self.n = n
         self.m = m
-        clean: dict[Monomial, int] = {}
-        if terms:
-            for (xe, ye), c in terms.items():
-                if len(xe) != n or len(ye) != m:
-                    raise ValueError(f"exponent vectors do not match ambient ({n},{m})")
-                if c != 0:
-                    clean[(tuple(xe), tuple(ye))] = c
-        self.terms = clean
+        self._lay = lay = _layout(n, m)
+        self.terms = {_encode(lay, xe, ye): c for (xe, ye), c in (terms or {}).items() if c != 0}
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(n: int, m: int = 0) -> "Polynomial":
-        return Polynomial(n, m)
+        return _from_keys(_layout(n, m), {})
 
     @staticmethod
     def const(c: int, n: int, m: int = 0) -> "Polynomial":
-        return Polynomial(n, m, {((0,) * n, (0,) * m): c})
+        return _from_keys(_layout(n, m), {0: c} if c else {})
 
     @staticmethod
     def one(n: int, m: int = 0) -> "Polynomial":
@@ -55,15 +120,15 @@ class Polynomial:
     def var_x(i: int, n: int, m: int = 0) -> "Polynomial":
         if not 1 <= i <= n:
             raise IndexError(f"x_{i} out of range for n={n}")
-        xe = tuple(1 if k == i - 1 else 0 for k in range(n))
-        return Polynomial(n, m, {(xe, (0,) * m): 1})
+        lay = _layout(n, m)
+        return _from_keys(lay, {lay.deg_one | 1 << lay.shifts[i - 1]: 1})
 
     @staticmethod
     def var_y(j: int, n: int, m: int) -> "Polynomial":
         if not 1 <= j <= m:
             raise IndexError(f"y_{j} out of range for m={m}")
-        ye = tuple(1 if k == j - 1 else 0 for k in range(m))
-        return Polynomial(n, m, {((0,) * n, ye): 1})
+        lay = _layout(n, m)
+        return _from_keys(lay, {lay.deg_one | 1 << lay.shifts[n + j - 1]: 1})
 
     @staticmethod
     def monomial(xexp: Iterable[int], yexp: Iterable[int] = (), coeff: int = 1) -> "Polynomial":
@@ -101,42 +166,71 @@ class Polynomial:
                 terms[mon] = new
             else:
                 terms.pop(mon, None)
-        out = Polynomial.zero(self.n, self.m)
-        out.terms = terms
-        return out
+        return _from_keys(self._lay, terms)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.zero(self.n, self.m)
-        out.terms = {mon: -c for mon, c in self.terms.items()}
-        return out
+        return _from_keys(self._lay, {mon: -c for mon, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
-        terms: dict[Monomial, int] = {}
-        for (xa, ya), ca in self.terms.items():
-            for (xb, yb), cb in other.terms.items():
-                mon = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    tuple(a + b for a, b in zip(ya, yb)),
-                )
+        terms: dict[int, int] = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                mon = ka + kb
                 new = terms.get(mon, 0) + ca * cb
                 if new:
                     terms[mon] = new
                 else:
                     del terms[mon]
-        out = Polynomial.zero(self.n, self.m)
-        out.terms = terms
-        return out
+        lay, ds = self._lay, self._lay.deg_shift
+        # No field exceeds its term's degree, so the guard bits need reading
+        # only when the product's top degree reaches the limit.
+        top = (max(self.terms, default=0) >> ds) + (max(other.terms, default=0) >> ds)
+        if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
+            raise ExponentRangeError(f"a product exponent reaches {EXP_LIMIT}")
+        return _from_keys(lay, terms)
 
     def scale(self, c: int) -> "Polynomial":
         if c == 0:
             return Polynomial.zero(self.n, self.m)
-        out = Polynomial.zero(self.n, self.m)
-        out.terms = {mon: c * k for mon, k in self.terms.items()}
-        return out
+        return _from_keys(self._lay, {mon: c * k for mon, k in self.terms.items()})
+
+    def _divided_difference(self, i: int) -> "Polynomial":
+        """d_i on packed keys; the caller checks 1 <= i < n.
+
+        With lo, hi = min(a, b), max(a, b), a term c x_i^a x_{i+1}^b u
+        becomes the sum of sign(a - b) c x_i^(lo + k) x_{i+1}^(hi - 1 - k) u
+        over k < hi - lo, and successive keys of that sum differ by a fixed
+        step.
+        """
+        lay = self._lay
+        sa, sb = lay.shifts[i - 1], lay.shifts[i]
+        ua, ub = 1 << sa, 1 << sb
+        step, one = ua - ub, lay.deg_one
+        terms: dict[int, int] = {}
+        for k, c in self.terms.items():
+            a = (k >> sa) & _FIELD_MASK
+            b = (k >> sb) & _FIELD_MASK
+            if a == b:
+                continue
+            if a > b:
+                count = a - b
+                mon = k - count * ua + (count - 1) * ub - one
+            else:
+                count = b - a
+                mon = k - ub - one
+                c = -c
+            for _ in range(count):
+                new = terms.get(mon, 0) + c
+                if new:
+                    terms[mon] = new
+                else:
+                    del terms[mon]
+                mon += step
+        return _from_keys(lay, terms)
 
     # -- degree structure --------------------------------------------------
 
@@ -144,57 +238,61 @@ class Polynomial:
         """Maximum total degree over terms (0 for the zero polynomial)."""
         if not self.terms:
             return 0
-        return max(sum(xe) + sum(ye) for xe, ye in self.terms)
+        return max(self.terms) >> self._lay.deg_shift
 
     def min_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no minimal degree")
-        return min(sum(xe) + sum(ye) for xe, ye in self.terms)
+        return min(self.terms) >> self._lay.deg_shift
 
     def lowest_degree_part(self) -> "Polynomial":
         """The sum of terms of minimal total degree."""
-        d = self.min_degree()
-        out = Polynomial.zero(self.n, self.m)
-        out.terms = {
-            (xe, ye): c for (xe, ye), c in self.terms.items() if sum(xe) + sum(ye) == d
-        }
-        return out
+        bound = (self.min_degree() + 1) << self._lay.deg_shift
+        return _from_keys(self._lay, {k: c for k, c in self.terms.items() if k < bound})
+
+    def lowest_term(self) -> tuple[Monomial, int]:
+        """The first term in canonical order: lowest degree, then lex-minimal."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no lowest term")
+        k = min(self.terms)
+        return _decode(self._lay, k), self.terms[k]
 
     def per_variable_degree(self, which: str, i: int) -> int:
         """Maximum exponent of x_i or y_i across terms."""
         if which == "x":
             if not 1 <= i <= self.n:
                 raise IndexError(f"x_{i} out of range for n={self.n}")
-            return max((xe[i - 1] for xe, _ in self.terms), default=0)
-        if which == "y":
+            s = self._lay.shifts[i - 1]
+        elif which == "y":
             if not 1 <= i <= self.m:
                 raise IndexError(f"y_{i} out of range for m={self.m}")
-            return max((ye[i - 1] for _, ye in self.terms), default=0)
-        raise ValueError(f"which must be 'x' or 'y', got {which!r}")
+            s = self._lay.shifts[self.n + i - 1]
+        else:
+            raise ValueError(f"which must be 'x' or 'y', got {which!r}")
+        return max(((k >> s) & _FIELD_MASK for k in self.terms), default=0)
 
     # -- specializations ---------------------------------------------------
 
     def substitute_y(self, c: int) -> "Polynomial":
         """Replace every y_j by the integer c; result has m = 0."""
-        terms: dict[Monomial, int] = {}
-        for (xe, ye), k in self.terms.items():
-            mon = (xe, ())
-            new = terms.get(mon, 0) + k * c ** sum(ye)
+        lay, out = self._lay, _layout(self.n, 0)
+        terms: dict[int, int] = {}
+        for k, coeff in self.terms.items():
+            xe, ye = _decode(lay, k)
+            mon = _encode(out, xe, ())
+            new = terms.get(mon, 0) + coeff * c ** sum(ye)
             if new:
                 terms[mon] = new
             else:
                 terms.pop(mon, None)
-        out = Polynomial.zero(self.n, 0)
-        out.terms = terms
-        return out
+        return _from_keys(out, terms)
 
     def negate_y(self) -> "Polynomial":
         """y_j -> -y_j for all j."""
-        out = Polynomial.zero(self.n, self.m)
-        out.terms = {
-            (xe, ye): (-c if sum(ye) % 2 else c) for (xe, ye), c in self.terms.items()
-        }
-        return out
+        lay = self._lay
+        return _from_keys(lay, {
+            k: (-c if sum(_decode(lay, k)[1]) % 2 else c) for k, c in self.terms.items()
+        })
 
     def flip(self, mcap: int) -> "Polynomial":
         """The involution r_{mcap,n}: x_1^mcap ... x_n^mcap f(x_n^-1, ..., x_1^-1).
@@ -203,60 +301,44 @@ class Polynomial:
         """
         if self.m != 0:
             raise ValueError("flip requires a polynomial without y variables")
-        terms: dict[Monomial, int] = {}
-        for (xe, _), c in self.terms.items():
-            if any(e > mcap for e in xe):
+        lay = self._lay
+        # x^e goes to x^(mcap - reversed e): subtract the reversed key from
+        # the key with every exponent mcap, field by field and in the degree
+        full = _encode(lay, (mcap,) * self.n, ())
+        terms: dict[int, int] = {}
+        for k, c in self.terms.items():
+            xe, _ = _decode(lay, k)
+            if max(xe, default=0) > mcap:
                 raise ValueError(f"per-variable degree exceeds cap {mcap}: {xe}")
-            terms[(tuple(mcap - e for e in reversed(xe)), ())] = c
-        out = Polynomial.zero(self.n, 0)
-        out.terms = terms
-        return out
+            terms[full - _encode(lay, xe[::-1], ())] = c
+        return _from_keys(lay, terms)
 
     def restrict_x(self, p: int) -> "Polynomial":
         """Set x_i = 0 for i > p and re-ambient to p x-variables (pad if p > n)."""
-        terms: dict[Monomial, int] = {}
-        for (xe, ye), c in self.terms.items():
+        lay, out = self._lay, _layout(p, self.m)
+        terms: dict[int, int] = {}
+        for k, c in self.terms.items():
+            xe, ye = _decode(lay, k)
             if any(e != 0 for e in xe[p:]):
                 continue
-            new_xe = tuple(xe[:p]) + (0,) * max(0, p - self.n)
-            terms[(new_xe, ye)] = c
-        out = Polynomial.zero(p, self.m)
-        out.terms = terms
-        return out
+            terms[_encode(out, xe[:p] + (0,) * max(0, p - self.n), ye)] = c
+        return _from_keys(out, terms)
 
     def coefficient(self, xexp: Iterable[int], yexp: Iterable[int] = ()) -> int:
         ye = tuple(yexp) if yexp else (0,) * self.m
-        return self.terms.get((tuple(xexp), ye), 0)
-
-    # -- exact division ----------------------------------------------------
-
-    def divided_by(self, g: "Polynomial") -> "Polynomial | None":
-        """Exact quotient self / g, or None if g does not divide self."""
-        self._check_ambient(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        lead_g = max(g.terms.items(), key=_term_key)
-        (gxe, gye), gc = lead_g
-        q = Polynomial.zero(self.n, self.m)
-        r = self
-        while r.terms:
-            (rxe, rye), rc = max(r.terms.items(), key=_term_key)
-            if rc % gc != 0:
-                return None
-            dxe = tuple(a - b for a, b in zip(rxe, gxe))
-            dye = tuple(a - b for a, b in zip(rye, gye))
-            if any(e < 0 for e in dxe) or any(e < 0 for e in dye):
-                return None
-            t = Polynomial(self.n, self.m, {(dxe, dye): rc // gc})
-            q = q + t
-            r = r - t * g
-        return q
+        return self.terms.get(_encode(self._lay, tuple(xexp), ye), 0)
 
     # -- serialization and printing ---------------------------------------
 
+    def to_dict(self) -> dict[Monomial, int]:
+        """The terms keyed by (xexp, yexp), as the constructor takes them."""
+        lay = self._lay
+        return {_decode(lay, k): c for k, c in self.terms.items()}
+
     def canonical_terms(self) -> Iterator[tuple[Monomial, int]]:
         """Terms in canonical order: graded, then lex on (xexp, yexp), x_1 first."""
-        return iter(sorted(self.terms.items(), key=_term_key))
+        lay, terms = self._lay, self.terms
+        return ((_decode(lay, k), terms[k]) for k in sorted(terms))
 
     def to_json_dict(self) -> dict:
         return {

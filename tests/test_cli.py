@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from orthodontia.cli import main
+from orthodontia.polyring import EXP_LIMIT
 
 
 @pytest.fixture()
@@ -32,6 +33,15 @@ def test_poly_lascoux_requires_alpha(runner):
     r = runner.invoke(main, ["poly", "lascoux", "--w", "21"])
     assert r.exit_code == 2
     assert "requires --alpha" in r.output
+
+
+@pytest.mark.parametrize("top", [EXP_LIMIT, EXP_LIMIT - 1])
+def test_poly_exponent_over_limit_is_a_usage_error(runner, top):
+    # EXP_LIMIT is rejected on input; EXP_LIMIT - 1 passes, but the first
+    # product of the recursion (by x_1) takes it to the limit
+    r = runner.invoke(main, ["poly", "lascoux", "--alpha", f"0,{top}"])
+    assert r.exit_code == 2
+    assert "exponent" in r.output
 
 
 def test_poly_script_families(runner):

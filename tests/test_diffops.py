@@ -6,6 +6,7 @@ import pytest
 
 from orthodontia import diffops
 from orthodontia.polyring import Polynomial
+from orthodontia.suites import random_polynomial, swap_x
 
 
 def x(i, n=3, m=0):
@@ -14,30 +15,6 @@ def x(i, n=3, m=0):
 
 def y(j, n=3, m=3):
     return Polynomial.var_y(j, n, m)
-
-
-def random_poly(rng, n, m, maxdeg=4, nterms=5):
-    terms = {}
-    for _ in range(nterms):
-        xe = [0] * n
-        ye = [0] * m
-        for _ in range(rng.randint(0, maxdeg)):
-            k = rng.randrange(n + m)
-            if k < n:
-                xe[k] += 1
-            else:
-                ye[k - n] += 1
-        terms[(tuple(xe), tuple(ye))] = rng.randint(-5, 5)
-    return Polynomial(n, m, {k: v for k, v in terms.items() if v})
-
-
-def swap_x(f, i):
-    terms = {}
-    for (xe, ye), c in f.terms.items():
-        xl = list(xe)
-        xl[i - 1], xl[i] = xl[i], xl[i - 1]
-        terms[(tuple(xl), ye)] = c
-    return Polynomial(f.n, f.m, terms)
 
 
 def test_divided_difference_examples():
@@ -54,7 +31,7 @@ def test_divided_difference_matches_global_definition():
     for _ in range(80):
         n = rng.randint(2, 4)
         m = rng.choice([0, 2])
-        f = random_poly(rng, n, m)
+        f = random_polynomial(rng, n, m)
         i = rng.randint(1, n - 1)
         d = diffops.divided_difference(f, i)
         lhs = f - swap_x(f, i)
@@ -76,7 +53,7 @@ def test_isobaric_variants_agree_with_definitions():
     one = None
     for _ in range(40):
         n = rng.randint(2, 4)
-        f = random_poly(rng, n, 0)
+        f = random_polynomial(rng, n, 0)
         i = rng.randint(1, n - 1)
         one = Polynomial.one(n)
         xi = Polynomial.var_x(i, n)
@@ -90,7 +67,7 @@ def test_doubled_operators():
     rng = random.Random(23)
     for _ in range(40):
         n, m = rng.randint(2, 3), rng.randint(1, 3)
-        f = random_poly(rng, n, m)
+        f = random_polynomial(rng, n, m)
         i, j = rng.randint(1, n - 1), rng.randint(1, m)
         xi = Polynomial.var_x(i, n, m)
         yj = Polynomial.var_y(j, n, m)

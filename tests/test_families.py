@@ -7,6 +7,7 @@ import pytest
 
 from orthodontia import diagrams, diffops, families, permcomb
 from orthodontia.polyring import Polynomial
+from orthodontia.suites import swap_x
 
 
 def test_double_grothendieck_s2():
@@ -156,8 +157,6 @@ def test_stable_grothendieck_21():
 
 
 def test_stable_grothendieck_symmetric():
-    from orthodontia.suites import swap_x
-
     g = families.stable_grothendieck((1, 3, 2), 3)
     assert swap_x(g, 1) == g
     assert swap_x(g, 2) == g

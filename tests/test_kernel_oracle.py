@@ -1,0 +1,162 @@
+"""Differential tests of the polynomial kernel against sympy.
+
+Every expected value here is computed by sympy from the same term
+dictionary the kernel was built from; nothing in this file calls kernel
+code except to produce the value under test and to read it back through
+the public JSON form.  Sympy is a test dependency only.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from orthodontia import diffops  # noqa: E402
+from orthodontia.polyring import Polynomial  # noqa: E402
+
+EXAMPLES = settings(max_examples=40, deadline=None)
+
+
+def gens(n, m):
+    xs = sympy.symbols(f"x1:{n + 1}") if n else ()
+    ys = sympy.symbols(f"y1:{m + 1}") if m else ()
+    return tuple(xs), tuple(ys)
+
+
+def to_sympy(terms: dict, n: int, m: int):
+    xs, ys = gens(n, m)
+    expr = sympy.Integer(0)
+    for (xe, ye), c in terms.items():
+        mono = sympy.Integer(c)
+        for v, e in zip(xs + ys, xe + ye):
+            mono *= v**e
+        expr += mono
+    return expr
+
+
+def expected_dict(expr, n: int, m: int) -> dict:
+    """{exponent tuple: coefficient} of a sympy polynomial, x before y."""
+    xs, ys = gens(n, m)
+    expr = sympy.expand(expr)
+    if not xs + ys:
+        return {(): int(expr)} if expr != 0 else {}
+    return {k: int(c) for k, c in sympy.Poly(expr, *(xs + ys)).as_dict().items() if c}
+
+
+def kernel_dict(p: Polynomial) -> dict:
+    return {tuple(t["x"]) + tuple(t["y"]): t["c"] for t in p.to_json_dict()["terms"]}
+
+
+@st.composite
+def term_dicts(draw, n, m, maxexp=3, maxterms=5):
+    terms = {}
+    for _ in range(draw(st.integers(0, maxterms))):
+        xe = tuple(draw(st.integers(0, maxexp)) for _ in range(n))
+        ye = tuple(draw(st.integers(0, maxexp)) for _ in range(m))
+        c = draw(st.integers(-9, 9))
+        if c:
+            terms[(xe, ye)] = c
+    return terms
+
+
+@st.composite
+def pairs(draw, nmin=1):
+    n = draw(st.integers(nmin, 3))
+    m = draw(st.integers(0, 2))
+    return n, m, draw(term_dicts(n, m)), draw(term_dicts(n, m))
+
+
+@EXAMPLES
+@given(pairs())
+def test_ring_operations_match_sympy(case):
+    n, m, a, b = case
+    f, g = Polynomial(n, m, a), Polynomial(n, m, b)
+    sf, sg = to_sympy(a, n, m), to_sympy(b, n, m)
+    assert kernel_dict(f * g) == expected_dict(sf * sg, n, m)
+    assert kernel_dict(f + g) == expected_dict(sf + sg, n, m)
+    assert kernel_dict(f - g) == expected_dict(sf - sg, n, m)
+    assert kernel_dict(f.scale(-3)) == expected_dict(-3 * sf, n, m)
+    assert kernel_dict(f.scale(0)) == {}
+
+
+def swapped(expr, i, n):
+    xs, _ = gens(n, 0)
+    return expr.subs({xs[i - 1]: xs[i], xs[i]: xs[i - 1]}, simultaneous=True)
+
+
+def sympy_d(expr, i, n):
+    xs, _ = gens(n, 0)
+    return sympy.cancel((expr - swapped(expr, i, n)) / (xs[i - 1] - xs[i]))
+
+
+@EXAMPLES
+@given(pairs(nmin=2), st.data())
+def test_divided_difference_and_isobaric_match_sympy(case, data):
+    n, m, a, _ = case
+    i = data.draw(st.integers(1, n - 1))
+    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
+    xs, _ = gens(n, m)
+    assert kernel_dict(diffops.divided_difference(f, i)) == expected_dict(sympy_d(sf, i, n), n, m)
+    assert kernel_dict(diffops.isobaric(f, i)) == expected_dict(
+        sympy_d((1 - xs[i]) * sf, i, n), n, m
+    )
+
+
+@EXAMPLES
+@given(pairs(nmin=2), st.data())
+def test_pibar_double_matches_sympy(case, data):
+    n, m, a, _ = case
+    if m == 0:
+        m, a = 1, {(xe, (0,)): c for (xe, _), c in a.items()}
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(1, m))
+    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
+    xs, ys = gens(n, m)
+    factor = xs[i - 1] + ys[j - 1] - xs[i - 1] * ys[j - 1]
+    expect = sympy_d((1 - xs[i]) * factor * sf, i, n)
+    assert kernel_dict(diffops.pibar_double(f, i, j)) == expected_dict(expect, n, m)
+
+
+@EXAMPLES
+@given(pairs(), st.integers(-2, 2))
+def test_y_specializations_match_sympy(case, c):
+    n, m, a, _ = case
+    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
+    _, ys = gens(n, m)
+    assert kernel_dict(f.substitute_y(c)) == expected_dict(sf.subs({y: c for y in ys}), n, 0)
+    assert kernel_dict(f.negate_y()) == expected_dict(sf.subs({y: -y for y in ys}), n, m)
+
+
+@EXAMPLES
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_dicts(n, 0))),
+       st.integers(3, 4))
+def test_flip_matches_sympy(case, mcap):
+    n, a = case
+    f, sf = Polynomial(n, 0, a), to_sympy(a, n, 0)
+    xs, _ = gens(n, 0)
+    reflected = sf.subs({xs[k]: 1 / xs[n - 1 - k] for k in range(n)}, simultaneous=True)
+    expect = sympy.cancel(sympy.Mul(*(v**mcap for v in xs)) * reflected)
+    assert kernel_dict(f.flip(mcap)) == expected_dict(expect, n, 0)
+
+
+@EXAMPLES
+@given(pairs())
+def test_lowest_degree_part_and_canonical_order_match_sympy(case):
+    n, m, a, _ = case
+    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
+    xs, ys = gens(n, m)
+    if a and expected_dict(sf, n, m):
+        # the lowest coefficient in t of f(t x, t y)
+        t = sympy.Symbol("t")
+        scaled = sympy.Poly(sympy.expand(sf.subs({v: t * v for v in xs + ys},
+                                                 simultaneous=True)), t)
+        low = min(k for (k,) in scaled.as_dict())
+        expect = scaled.as_dict()[(low,)]
+        assert kernel_dict(f.lowest_degree_part()) == expected_dict(expect, n, m)
+    if xs + ys and expected_dict(sf, n, m):
+        # sympy's grlex, read from smallest to largest, is the canonical order
+        order = [mono for mono, _ in reversed(sympy.Poly(sf, *(xs + ys)).terms(order="grlex"))]
+        assert list(kernel_dict(f)) == order
