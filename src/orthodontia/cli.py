@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import atexit
 import json
 import sys
 import time
@@ -35,32 +34,49 @@ def _version() -> str:
         return "unknown"
 
 
+class _Parsed(click.ParamType):
+    """An option value read by one of the text parsers; a ValueError is a usage error."""
+
+    def __init__(self, name: str, parse):
+        self.name = name
+        self.parse = parse
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):
+            return value
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+PERM = _Parsed("permutation", permcomb.parse_perm)
+COMP = _Parsed("composition", permcomb.parse_comp)
+DIAGRAM = _Parsed("diagram", diagrams.parse_diagram)
+
+
 @click.group()
 def main():
     """Exact Schubert/Grothendieck/Lascoux polynomial computations."""
-    families.load_caches()
-    atexit.register(families.save_caches)
 
 
 def _parse_index(family, w, alpha, diagram):
     if family in ("lascoux", "key"):
-        if alpha is None:
-            raise click.UsageError(f"{family} requires --alpha")
-        return permcomb.parse_comp(alpha)
-    if family in ("script-G", "script-S"):
-        if diagram is None:
-            raise click.UsageError(f"{family} requires --diagram")
-        return diagrams.parse_diagram(diagram)
-    if w is None:
-        raise click.UsageError(f"{family} requires --w")
-    return permcomb.parse_perm(w)
+        index, option = alpha, "--alpha"
+    elif family in ("script-G", "script-S"):
+        index, option = diagram, "--diagram"
+    else:
+        index, option = w, "--w"
+    if index is None:
+        raise click.UsageError(f"{family} requires {option}")
+    return index
 
 
 @main.command("poly")
 @click.argument("family", type=click.Choice(FAMILY_NAMES))
-@click.option("--w", default=None, help="permutation in one-line notation")
-@click.option("--alpha", default=None, help="composition, comma-separated")
-@click.option("--diagram", default=None, help="diagram text, e.g. 'n=2;1;'")
+@click.option("--w", type=PERM, default=None, help="permutation in one-line notation")
+@click.option("--alpha", type=COMP, default=None, help="composition, comma-separated")
+@click.option("--diagram", type=DIAGRAM, default=None, help="diagram text, e.g. 'n=2;1;'")
 @click.option("--nvars", default=3, show_default=True, help="variables for stable-grothendieck")
 @click.option("--unbarred-inner-omega", is_flag=True, help="script-G variant with unbarred inner omegas")
 @click.option("--json", "as_json", is_flag=True)
@@ -96,12 +112,11 @@ def cmd_poly(family, w, alpha, diagram, nvars, unbarred_inner_omega, as_json, la
 
 
 @main.command("pipedreams")
-@click.option("--w", required=True)
+@click.option("--w", "perm", type=PERM, required=True)
 @click.option("--count", "count_only", is_flag=True, help="print only #PD(w)")
 @click.option("--emit-json", is_flag=True, help="cross sets as [[i,j],...] JSON lines")
-def cmd_pipedreams(w, count_only, emit_json):
+def cmd_pipedreams(perm, count_only, emit_json):
     """Enumerate pipe dreams with Demazure product w."""
-    perm = permcomb.parse_perm(w)
     try:
         pds = pipedreams.enumerate_pd(perm)
     except ValueError as exc:
@@ -119,12 +134,11 @@ def cmd_pipedreams(w, count_only, emit_json):
 
 
 @main.command("orthodontia")
-@click.option("--diagram", required=True)
+@click.option("--diagram", "D", type=DIAGRAM, required=True)
 @click.option("--force", is_flag=True, help="run on non-%-avoiding diagrams")
 @click.option("--json", "as_json", is_flag=True)
-def cmd_orthodontia(diagram, force, as_json):
+def cmd_orthodontia(D, force, as_json):
     """Print the double orthodontic sequence (K, i, j, M) of a diagram."""
-    D = diagrams.parse_diagram(diagram)
     try:
         seq = diagrams.orthodontic_sequence(D, force=force)
     except ValueError as exc:
@@ -144,12 +158,11 @@ def cmd_orthodontia(diagram, force, as_json):
 
 
 @main.command("sortorder")
-@click.option("--w", required=True)
+@click.option("--w", "perm", type=PERM, required=True)
 @click.option("--os-endpoint", type=click.Choice(["alpha", "alpha-plus-one"]),
               default="alpha-plus-one", show_default=True)
-def cmd_sortorder(w, os_endpoint):
+def cmd_sortorder(perm, os_endpoint):
     """Primary column data, sigma(w), w_sort, and sort-order predecessors."""
-    perm = permcomb.parse_perm(w)
     pcd = sortorder.primary_column_data(perm)
     click.echo(
         f"primary column data: h={pcd.h}, C={sorted(pcd.C) or '{}'}, "
@@ -197,7 +210,10 @@ def _emit_report(report: dict, as_json: bool, wall: float):
 def cmd_verify(suite, nmax, as_json):
     """Run one invariant suite for all indices up to --nmax."""
     t0 = time.monotonic()
-    res = suites.run_suite(suite, nmax)
+    try:
+        res = suites.run_suite(suite, nmax)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     wall = time.monotonic() - t0
     records = [{"item": {"suite": suite, "failure": f}, "verdict": "violation"}
                for f in res.failures]
@@ -249,22 +265,16 @@ def cmd_scan(target, nvar, mvar, max_entry, nmax, workers, as_json):
 
 @main.command("check")
 @click.argument("what", type=click.Choice(["thm12"]))
-@click.option("--diagram", required=True)
+@click.option("--diagram", "D", type=DIAGRAM, required=True)
 @click.option("--no-require-inclusion", is_flag=True)
 @click.option("--json", "as_json", is_flag=True)
-def cmd_check(what, diagram, no_require_inclusion, as_json):
+def cmd_check(what, D, no_require_inclusion, as_json):
     """Run the graded-positivity pipeline on one diagram."""
-    D = diagrams.parse_diagram(diagram)
     try:
         res = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    record = {
-        "item": {"diagram": diagrams.format_diagram(D)},
-        "verdict": "positive" if res.verdict.positive else "violation",
-        "expansion": res.expansion.to_json_list(),
-        "d0": res.expansion.baseline_degree,
-    }
+    record = lascouxbasis.scan_record({"diagram": diagrams.format_diagram(D)}, res.expansion)
     if as_json:
         click.echo(json.dumps(record, sort_keys=True))
     else:

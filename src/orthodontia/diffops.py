@@ -86,21 +86,3 @@ def phi(f: Polynomial, i: int) -> Polynomial:
     for j in range(i + 1, f.n + 1):
         out = out * _one_minus_x(j, f.n, 0)
     return out
-
-
-_SINGLE_OPS = {
-    "d": divided_difference,
-    "dbar": isobaric,
-    "pi": demazure,
-    "pibar": demazure_lascoux,
-}
-
-
-def apply_word(f: Polynomial, word: Iterable[tuple[str, int]]) -> Polynomial:
-    """Left fold of named single-index operators over f.
-
-    word is a sequence of (op, i) with op in {"d", "dbar", "pi", "pibar"}.
-    """
-    for op, i in word:
-        f = _SINGLE_OPS[op](f, i)
-    return f

@@ -9,10 +9,6 @@ once built.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 from . import diffops, permcomb
 from .diagrams import Diagram, OrthodonticSequence, orthodontic_sequence
 from .permcomb import Composition, Permutation
@@ -154,29 +150,22 @@ def key_via_pi(alpha: Composition) -> Polynomial:
     return diffops.demazure(key_via_pi(permcomb.comp_swap(alpha, asc)), asc)
 
 
-def script_G(
-    D: Diagram,
-    barred_inner_omega: bool = True,
-    seq: OrthodonticSequence | None = None,
-) -> Polynomial:
-    """The orthodontia evaluator for double Grothendieck polynomials.
+def _evaluate(seq: OrthodonticSequence, n: int, m: int, inner_omega, outer_omega, step) -> Polynomial:
+    """The nested operator product over an orthodontic sequence.
 
-    Nested operator expression over the double orthodontic sequence, all
-    pibar operators and barred omega prefix.  The inner omega factors are
-    barred by default (the variant validated against the recursion); pass
-    barred_inner_omega=False for the unbarred-inner variant.
+    prod_a outer_omega(a, K_a) * step(inner_omega(i_1, M_1) * ...
+    step(inner_omega(i_l, M_l), i_l, j_l) ..., i_1, j_1), in ambient (n, m).
+    An omega over an empty M or K is 1, so it is skipped.
     """
-    n, m = D.nrows, D.ncols
-    if seq is None:
-        seq = orthodontic_sequence(D)
-    _check_j_range(seq, m)
     t = Polynomial.one(n, m)
     for k in range(seq.nsteps, 0, -1):
-        t = diffops.omega(seq.i[k - 1], seq.M[k - 1], barred_inner_omega, n, m) * t
-        t = diffops.pibar_double(t, seq.i[k - 1], seq.j[k - 1])
+        i, M = seq.i[k - 1], seq.M[k - 1]
+        if M:
+            t = inner_omega(i, M) * t
+        t = step(t, i, seq.j[k - 1])
     for a in range(1, n + 1):
         if seq.K[a - 1]:
-            t = diffops.omega(a, seq.K[a - 1], True, n, m) * t
+            t = outer_omega(a, seq.K[a - 1]) * t
     return t
 
 
@@ -190,23 +179,38 @@ def _check_j_range(seq: OrthodonticSequence, m: int) -> None:
         )
 
 
-def script_S(D: Diagram, seq: OrthodonticSequence | None = None) -> Polynomial:
+def script_G(D: Diagram, barred_inner_omega: bool = True) -> Polynomial:
+    """The orthodontia evaluator for double Grothendieck polynomials.
+
+    Nested operator expression over the double orthodontic sequence, all
+    pibar operators and barred omega prefix.  The inner omega factors are
+    barred by default (the variant validated against the recursion); pass
+    barred_inner_omega=False for the unbarred-inner variant.
+    """
+    n, m = D.nrows, D.ncols
+    seq = orthodontic_sequence(D)
+    _check_j_range(seq, m)
+    return _evaluate(
+        seq, n, m,
+        lambda i, M: diffops.omega(i, M, barred_inner_omega, n, m),
+        lambda a, K: diffops.omega(a, K, True, n, m),
+        diffops.pibar_double,
+    )
+
+
+def script_S(D: Diagram) -> Polynomial:
     """The all-unbarred orthodontia evaluator (double Schubert side)."""
     n, m = D.nrows, D.ncols
-    if seq is None:
-        seq = orthodontic_sequence(D)
+    seq = orthodontic_sequence(D)
     _check_j_range(seq, m)
-    t = Polynomial.one(n, m)
-    for k in range(seq.nsteps, 0, -1):
-        t = diffops.omega(seq.i[k - 1], seq.M[k - 1], False, n, m) * t
-        t = diffops.pi_double(t, seq.i[k - 1], seq.j[k - 1])
-    for a in range(1, n + 1):
-        if seq.K[a - 1]:
-            t = diffops.omega(a, seq.K[a - 1], False, n, m) * t
-    return t
+
+    def omega(i, M):
+        return diffops.omega(i, M, False, n, m)
+
+    return _evaluate(seq, n, m, omega, omega, diffops.pi_double)
 
 
-def script_S_neg1(D: Diagram, seq: OrthodonticSequence | None = None) -> Polynomial:
+def script_S_neg1(D: Diagram) -> Polynomial:
     """script_S(D) with every y variable already specialized to -1.
 
     The column indices j drop out of the specialized operators, so this
@@ -214,25 +218,22 @@ def script_S_neg1(D: Diagram, seq: OrthodonticSequence | None = None) -> Polynom
     whose recorded j indices fall outside [1, m].  Ambient (n, 0).
     """
     n = D.nrows
-    if seq is None:
-        seq = orthodontic_sequence(D)
     one = Polynomial.one(n, 0)
-    t = one
-    for k in range(seq.nsteps, 0, -1):
-        i = seq.i[k - 1]
+
+    def omega(i, M):
         # omega_i^M at y = -1 is prod_{j<=i} (x_j - 1)^{|M|}
+        out = one
         for j in range(1, i + 1):
             factor = Polynomial.var_x(j, n, 0) - one
-            for _ in range(len(seq.M[k - 1])):
-                t = t * factor
+            for _ in range(len(M)):
+                out = out * factor
+        return out
+
+    def step(f, i, j):
         # pi_{i,j} at y = -1 is f -> d_i((x_i - 1) f)
-        t = diffops.divided_difference((Polynomial.var_x(i, n, 0) - one) * t, i)
-    for a in range(1, n + 1):
-        for j in range(1, a + 1):
-            factor = Polynomial.var_x(j, n, 0) - one
-            for _ in range(len(seq.K[a - 1])):
-                t = t * factor
-    return t
+        return diffops.divided_difference((Polynomial.var_x(i, n, 0) - one) * f, i)
+
+    return _evaluate(orthodontic_sequence(D), n, 0, omega, omega, step)
 
 
 def stable_grothendieck(w: Permutation, nvars: int) -> Polynomial:
@@ -252,46 +253,3 @@ def stable_grothendieck(w: Permutation, nvars: int) -> Polynomial:
             return cur
         prev = cur
     raise RuntimeError(f"stable Grothendieck did not stabilize by N={cap}")
-
-
-# -- optional on-disk persistence of memo tables --------------------------
-
-CACHE_ENV = "ORTHODONTIA_CACHE_DIR"
-
-
-def _cache_path() -> Path | None:
-    d = os.environ.get(CACHE_ENV)
-    return Path(d) / "tables.json" if d else None
-
-
-def load_caches() -> None:
-    path = _cache_path()
-    if path is None or not path.is_file():
-        return
-    data = json.loads(path.read_text())
-    for key_, poly in data.get("lascoux", {}).items():
-        _lascoux[permcomb.parse_comp(key_)] = Polynomial.from_json_dict(poly)
-    for nstr, table in data.get("double_grothendieck", {}).items():
-        _double_groth_tables[int(nstr)] = {
-            permcomb.parse_perm(k): Polynomial.from_json_dict(v)
-            for k, v in table.items()
-        }
-
-
-def save_caches() -> None:
-    path = _cache_path()
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = {
-        "lascoux": {
-            permcomb.format_comp(a): p.to_json_dict() for a, p in _lascoux.items()
-        },
-        "double_grothendieck": {
-            str(n): {
-                permcomb.format_perm(w): p.to_json_dict() for w, p in table.items()
-            }
-            for n, table in _double_groth_tables.items()
-        },
-    }
-    path.write_text(json.dumps(data))

@@ -105,16 +105,20 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> Theorem12Resu
 # -- scan items (module-level so they pickle for worker pools) ------------
 
 
-def conj15_item(args: tuple[Composition, int]) -> dict:
-    alpha, i = args
-    e = lascoux_expand(phi(families.lascoux(alpha), i))
-    v = graded_positive(e)
+def scan_record(item: dict, e: LascouxExpansion) -> dict:
+    """The JSON record of one scanned item: its expansion and graded-positivity verdict."""
     return {
-        "item": {"alpha": list(alpha), "i": i},
-        "verdict": "positive" if v.positive else "violation",
+        "item": item,
+        "verdict": "positive" if graded_positive(e).positive else "violation",
         "expansion": e.to_json_list(),
         "d0": e.baseline_degree,
     }
+
+
+def conj15_item(args: tuple[Composition, int]) -> dict:
+    alpha, i = args
+    e = lascoux_expand(phi(families.lascoux(alpha), i))
+    return scan_record({"alpha": list(alpha), "i": i}, e)
 
 
 def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
@@ -127,12 +131,7 @@ def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
 
 def conj14_item(D: Diagram) -> dict:
     res = theorem12_check(D, require_inclusion=False)
-    return {
-        "item": {"diagram": diagrams.format_diagram(D)},
-        "verdict": "positive" if res.verdict.positive else "violation",
-        "expansion": res.expansion.to_json_list(),
-        "d0": res.expansion.baseline_degree,
-    }
+    return scan_record({"diagram": diagrams.format_diagram(D)}, res.expansion)
 
 
 def conj14_items(n: int, m: int) -> list[Diagram]:
@@ -141,12 +140,7 @@ def conj14_items(n: int, m: int) -> list[Diagram]:
 
 def thm12_vexillary_item(w) -> dict:
     res = theorem12_check(diagrams.rothe(w), require_inclusion=False)
-    return {
-        "item": {"w": permcomb.format_perm(w)},
-        "verdict": "positive" if res.verdict.positive else "violation",
-        "expansion": res.expansion.to_json_list(),
-        "d0": res.expansion.baseline_degree,
-    }
+    return scan_record({"w": permcomb.format_perm(w)}, res.expansion)
 
 
 def thm12_vexillary_items(nmax: int) -> list:

@@ -111,10 +111,6 @@ def parse_perm(s: str) -> Permutation:
     return check_perm(w)
 
 
-def format_comp(alpha: Composition) -> str:
-    return ",".join(str(a) for a in alpha)
-
-
 def parse_comp(s: str) -> Composition:
     alpha = tuple(int(t) for t in s.strip().split(","))
     if any(a < 0 for a in alpha):

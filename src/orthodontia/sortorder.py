@@ -45,10 +45,6 @@ def primary_column_data(w: Permutation) -> PrimaryColumnData:
     return PrimaryColumnData(h, C, alpha, i1, i1 - alpha)
 
 
-def is_dominant(w: Permutation) -> bool:
-    return permcomb.is_dominant(w)
-
-
 def sigma_of(w: Permutation) -> Permutation:
     """The dominant permutation in S_beta obtained by restricting w.
 

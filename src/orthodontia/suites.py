@@ -212,7 +212,9 @@ def random_polynomial(rng: random.Random, n: int, m: int, maxdeg: int = 4, nterm
 
 
 def suite_operators(nmax: int = 4, count: int = 500, seed: int = 2024) -> SuiteResult:
-    """Braid/commutation relations plus nilpotence and idempotence."""
+    """Braid/commutation relations plus nilpotence and idempotence, n in [3, nmax]."""
+    if nmax < 3:
+        raise ValueError(f"operators needs nmax >= 3 (braid relations need n >= 3), got {nmax}")
     res = SuiteResult("operators")
     rng = random.Random(seed)
     ops = {
@@ -222,7 +224,7 @@ def suite_operators(nmax: int = 4, count: int = 500, seed: int = 2024) -> SuiteR
         "pibar": diffops.demazure_lascoux,
     }
     for t in range(count):
-        n = rng.randint(3, max(3, nmax))
+        n = rng.randint(3, nmax)
         m = rng.choice([0, 2])
         f = random_polynomial(rng, n, m)
         name, op = rng.choice(list(ops.items()))
@@ -273,13 +275,15 @@ def swap_x(f: Polynomial, i: int) -> Polynomial:
     return Polynomial(f.n, f.m, terms)
 
 
-def suite_lemma4(count: int = 200, seed: int = 77) -> SuiteResult:
-    """Specialization/intertwining identities and the pi-to-del lemma."""
+def suite_lemma4(nmax: int = 4, count: int = 200, seed: int = 77) -> SuiteResult:
+    """Specialization/intertwining identities (n in [2, nmax]) and the pi-to-del lemma."""
+    if nmax < 2:
+        raise ValueError(f"lemma4 needs nmax >= 2, got {nmax}")
     res = SuiteResult("lemma4")
     rng = random.Random(seed)
 
     for t in range(count):
-        n = rng.randint(2, 4)
+        n = rng.randint(2, nmax)
         m = rng.randint(1, 3)
         i = rng.randint(1, n)
         M = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
@@ -355,7 +359,9 @@ def suite_lemma4(count: int = 200, seed: int = 77) -> SuiteResult:
 
 
 def suite_triangularity(nmax: int = 4, maxentry: int = 4, roundtrips: int = 200, seed: int = 11) -> SuiteResult:
-    """The premises underwriting the Lascoux expander, plus round-trips."""
+    """The premises underwriting the Lascoux expander, plus round-trips, n in [1, nmax]."""
+    if nmax < 1:
+        raise ValueError(f"triangularity needs nmax >= 1, got {nmax}")
     res = SuiteResult("triangularity")
     for n in range(1, nmax + 1):
         for beta in product(range(maxentry + 1), repeat=n):
@@ -380,7 +386,7 @@ def suite_triangularity(nmax: int = 4, maxentry: int = 4, roundtrips: int = 200,
             )
     rng = random.Random(seed)
     for t in range(roundtrips):
-        n = rng.randint(1, 4)
+        n = rng.randint(1, nmax)
         f = random_polynomial(rng, n, 0, maxdeg=3, nterms=4)
         e = lascouxbasis.lascoux_expand(f)
         res.check(e.reconstruct() == f, f"round-trip fails at trial {t}")
@@ -393,22 +399,15 @@ SUITES = {
     "prop-os1": suite_prop_os1,
     "thm-os2": suite_thm_os2,
     "operators": suite_operators,
-    "lemma4": lambda nmax=None: suite_lemma4(),
-    "triangularity": lambda nmax=4: suite_triangularity(nmax=min(nmax or 4, 4)),
+    "lemma4": suite_lemma4,
+    "triangularity": suite_triangularity,
 }
 
 
 def run_suite(name: str, nmax: int) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    if name in ("operators",):
-        return fn(nmax=nmax)
-    if name in ("lemma4",):
-        return fn()
-    if name in ("triangularity",):
-        return fn(nmax)
-    return fn(nmax)
+    return SUITES[name](nmax)
 
 
 # -- ambiguity resolution report ------------------------------------------

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -42,6 +45,25 @@ def test_poly_exponent_over_limit_is_a_usage_error(runner, top):
     r = runner.invoke(main, ["poly", "lascoux", "--alpha", f"0,{top}"])
     assert r.exit_code == 2
     assert "exponent" in r.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "double-grothendieck", "--w", "1x3"],
+    ["poly", "double-grothendieck", "--w", "11"],
+    ["poly", "schubert", "--w", "1x3"],
+    ["poly", "lascoux", "--alpha", "0,-1"],
+    ["poly", "key", "--alpha", "0,a"],
+    ["poly", "script-G", "--diagram", "n=2;3"],
+    ["poly", "script-S", "--diagram", "2;1"],
+    ["pipedreams", "--w", "1x3"],
+    ["orthodontia", "--diagram", "n=2;3"],
+    ["sortorder", "--w", "11"],
+    ["check", "thm12", "--diagram", "n=x;1"],
+], ids=" ".join)
+def test_malformed_input_is_a_usage_error(runner, argv):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 2, r.output
+    assert "Invalid value" in r.output
 
 
 def test_poly_script_families(runner):
@@ -109,6 +131,23 @@ def test_verify_json(runner):
     assert body["counterexamples"] == []
 
 
+def test_verify_honours_nmax(runner):
+    # 4 checks for each of the 5^n compositions with n <= 5 and entries <= 4,
+    # plus 200 expansion round-trips
+    r = runner.invoke(main, ["verify", "triangularity", "--nmax", "5"])
+    assert r.exit_code == 0
+    assert "triangularity --nmax 5: 15820 checked, 0 failed" in r.output
+
+
+@pytest.mark.parametrize("suite, nmax", [
+    ("operators", 2), ("lemma4", 1), ("triangularity", 0),
+])
+def test_verify_nmax_below_suite_minimum_is_a_usage_error(runner, suite, nmax):
+    r = runner.invoke(main, ["verify", suite, "--nmax", str(nmax)])
+    assert r.exit_code == 2
+    assert f"got {nmax}" in r.output
+
+
 def test_scan_command(runner):
     r = runner.invoke(main, ["scan", "conj15", "--n", "2", "--max-entry", "1", "--json"])
     assert r.exit_code == 0
@@ -149,12 +188,37 @@ def test_report_ambiguities(runner):
     assert "Ambiguity resolution report" in r.output
 
 
-def test_cache_env_persists_tables(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("ORTHODONTIA_CACHE_DIR", str(tmp_path))
-    r = runner.invoke(main, ["poly", "double-grothendieck", "--w", "21"])
-    assert r.exit_code == 0
-    # atexit hook does not fire inside CliRunner; save explicitly
-    from orthodontia import families
+GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
+_VERSION = re.compile(rb'"version": "[^"]*"')
 
-    families.save_caches()
-    assert (tmp_path / "tables.json").is_file()
+
+def _digest(stdout: bytes) -> str:
+    """sha256 of stdout with the package version in the last line blanked.
+
+    The summary line of ``scan --json`` reports the installed package
+    version; that is provenance, not an answer, so the frozen digests omit it.
+    """
+    head, sep, last = stdout.rstrip(b"\n").rpartition(b"\n")
+    return hashlib.sha256(head + sep + _VERSION.sub(b'"version": ""', last)).hexdigest()
+
+
+def _golden_cases():
+    goldens = json.loads(GOLDENS.read_text())
+    strata = {s["name"]: s["queries"] for s in goldens["cli-query"]["strata"]}
+    return {
+        "scan-conj14": [goldens["scan-conj14"]],
+        "double-grothendieck-s5": strata["double-grothendieck-s5"],
+        "script-G-s6-80k": strata["script-G-s6-80k"][:1],
+    }
+
+
+@pytest.mark.parametrize("queries", [
+    pytest.param(queries, id=case) for case, queries in sorted(_golden_cases().items())
+])
+def test_stdout_matches_frozen_digests(runner, queries):
+    mismatched = []
+    for q in queries:
+        r = runner.invoke(main, q["argv"])
+        if r.exit_code != 0 or _digest(r.stdout_bytes) != q["sha256"]:
+            mismatched.append(" ".join(q["argv"]))
+    assert mismatched == [], f"{len(mismatched)} of {len(queries)} differ"

@@ -99,9 +99,3 @@ def test_phi():
     assert diffops.phi(f, 3) == x1 * x2 * x3
     with pytest.raises(ValueError):
         diffops.phi(Polynomial.one(2, 1), 1)
-
-
-def test_apply_word():
-    f = x(1) * x(1) * x(2)
-    assert diffops.apply_word(f, [("d", 1)]) == x(1) * x(2)
-    assert diffops.apply_word(f, []) == f

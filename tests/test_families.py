@@ -1,6 +1,5 @@
 """Tests for the polynomial family generators."""
 
-import json
 from itertools import product
 
 import pytest
@@ -161,20 +160,3 @@ def test_stable_grothendieck_symmetric():
     assert swap_x(g, 1) == g
     assert swap_x(g, 2) == g
 
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(families.CACHE_ENV, str(tmp_path))
-    families.double_grothendieck((2, 1))
-    families.lascoux((0, 1))
-    families.save_caches()
-    data = json.loads((tmp_path / "tables.json").read_text())
-    assert "2" in data["double_grothendieck"]
-    # reload into fresh tables
-    saved = dict(families._double_groth_tables)
-    families._double_groth_tables.clear()
-    try:
-        families.load_caches()
-        assert families.double_grothendieck((2, 1)).to_str() == "y1 + x1 - x1*y1"
-    finally:
-        families._double_groth_tables.clear()
-        families._double_groth_tables.update(saved)
