@@ -214,6 +214,8 @@ def cmd_verify(suite, nmax, as_json):
         res = suites.run_suite(suite, nmax)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if res.checked == 0:
+        raise click.UsageError(f"{suite} checks nothing at this nmax, got {nmax}")
     wall = time.monotonic() - t0
     records = [{"item": {"suite": suite, "failure": f}, "verdict": "violation"}
                for f in res.failures]

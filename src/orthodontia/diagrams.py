@@ -20,6 +20,8 @@ class Diagram:
     columns: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if self.nrows < 0:
+            raise ValueError(f"diagram row count nrows must be >= 0, got {self.nrows}")
         for col in self.columns:
             for i in col:
                 if not 1 <= i <= self.nrows:
@@ -34,9 +36,6 @@ class Diagram:
         for j, col in enumerate(self.columns, start=1):
             for i in sorted(col):
                 yield (i, j)
-
-    def is_empty(self) -> bool:
-        return all(not col for col in self.columns)
 
     def size(self) -> int:
         return sum(len(col) for col in self.columns)
@@ -209,11 +208,12 @@ def parse_diagram(text: str) -> Diagram:
     if not text.startswith("n="):
         raise ValueError("diagram text must start with 'n=<int>;'")
     head, _, rest = text.partition(";")
-    nrows = int(head[2:])
-    if rest == "":
-        return Diagram(nrows, ())
-    cols = []
-    for chunk in rest.split(";"):
-        chunk = chunk.strip()
-        cols.append(frozenset(int(t) for t in chunk.split(",")) if chunk else frozenset())
+    try:
+        nrows = int(head[2:])
+        cols = [
+            frozenset(int(t) for t in chunk.split(",")) if chunk.strip() else frozenset()
+            for chunk in (rest.split(";") if rest else ())
+        ]
+    except ValueError:
+        raise ValueError(f"not an integer row count or row index in diagram text {text!r}") from None
     return Diagram(nrows, tuple(cols))

@@ -1,10 +1,10 @@
 """Generators for the polynomial families.
 
-Double and single Grothendieck and Schubert polynomials via divided
-difference recursions down weak order, Lascoux and key polynomials,
-stable Grothendieck polynomials, and the orthodontia evaluators for
-diagrams.  All recursions are memoized module-wide; tables are read-only
-once built.
+Double and single Grothendieck and Schubert polynomials and Lascoux and
+key polynomials by divided difference recursions, each walked along one
+chain from the index to a base case (`_chain`), stable Grothendieck
+polynomials, and the orthodontia evaluators for diagrams.  Every value
+the walks compute is memoized module-wide.
 """
 
 from __future__ import annotations
@@ -14,12 +14,38 @@ from .diagrams import Diagram, OrthodonticSequence, orthodontic_sequence
 from .permcomb import Composition, Permutation
 from .polyring import Polynomial
 
-# memo tables; single-writer build phases, read-only afterwards
-_double_groth_tables: dict[int, dict[Permutation, Polynomial]] = {}
-_double_schub_tables: dict[int, dict[Permutation, Polynomial]] = {}
+# memos, keyed by index
+_double_groth: dict[Permutation, Polynomial] = {}
+_double_schub: dict[Permutation, Polynomial] = {}
 _groth_x: dict[Permutation, Polynomial] = {}
 _schub_x: dict[Permutation, Polynomial] = {}
 _lascoux: dict[Composition, Polynomial] = {}
+
+
+def _chain(index: tuple[int, ...], memo: dict, base, step) -> Polynomial:
+    """The value at `index` of f(u) = step(f(u s_i), i), i the first ascent of u.
+
+    An ascent of u is a position i with u_i < u_{i+1}; an index with no
+    ascent (w0, or a weakly decreasing composition) has value base(u).
+    The walk swaps at the first ascent until it reaches a memoized index
+    or a base case, then steps back down, memoizing every index on the way.
+    """
+    f = memo.get(index)
+    if f is not None:
+        return f
+    path = []
+    u = index
+    while f is None:
+        i = next((i for i in range(1, len(u)) if u[i - 1] < u[i]), None)
+        if i is None:
+            f = memo[u] = base(u)
+            break
+        path.append((u, i))
+        u = permcomb.right_multiply_s(u, i)
+        f = memo.get(u)
+    for u, i in reversed(path):
+        f = memo[u] = step(f, i)
+    return f
 
 
 def _staircase_double(n: int, barred: bool) -> Polynomial:
@@ -33,47 +59,20 @@ def _staircase_double(n: int, barred: bool) -> Polynomial:
     return out
 
 
-def _build_table(n: int, base: Polynomial, step) -> dict[Permutation, Polynomial]:
-    """Sweep down weak order from w0, applying `step(f, i)` along descents."""
-    w0 = permcomb.longest(n)
-    table = {w0: base}
-    frontier = [w0]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in permcomb.descents(w):
-                child = permcomb.right_multiply_s(w, i)
-                if child not in table:
-                    table[child] = step(table[w], i)
-                    nxt.append(child)
-        frontier = nxt
-    return table
-
-
-def double_grothendieck_table(n: int) -> dict[Permutation, Polynomial]:
-    if n not in _double_groth_tables:
-        _double_groth_tables[n] = _build_table(
-            n, _staircase_double(n, barred=True), diffops.isobaric
-        )
-    return _double_groth_tables[n]
-
-
 def double_grothendieck(w: Permutation) -> Polynomial:
     """G_w(x, y), ambient (n, n)."""
-    return double_grothendieck_table(len(permcomb.check_perm(w)))[tuple(w)]
-
-
-def double_schubert_table(n: int) -> dict[Permutation, Polynomial]:
-    if n not in _double_schub_tables:
-        _double_schub_tables[n] = _build_table(
-            n, _staircase_double(n, barred=False), diffops.divided_difference
-        )
-    return _double_schub_tables[n]
+    return _chain(
+        tuple(permcomb.check_perm(w)), _double_groth,
+        lambda w0: _staircase_double(len(w0), barred=True), diffops.isobaric,
+    )
 
 
 def double_schubert(w: Permutation) -> Polynomial:
     """S_w(x, y), ambient (n, n), by the direct d_i recursion."""
-    return double_schubert_table(len(permcomb.check_perm(w)))[tuple(w)]
+    return _chain(
+        tuple(permcomb.check_perm(w)), _double_schub,
+        lambda w0: _staircase_double(len(w0), barred=False), diffops.divided_difference,
+    )
 
 
 def double_schubert_via_lowest(w: Permutation) -> Polynomial:
@@ -81,56 +80,33 @@ def double_schubert_via_lowest(w: Permutation) -> Polynomial:
     return double_grothendieck(w).negate_y().lowest_degree_part()
 
 
-def _staircase_single(n: int) -> Polynomial:
-    """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the y -> 0 base case."""
-    return Polynomial.monomial(tuple(n - i for i in range(1, n + 1)))
-
-
-def _single_recursive(w: Permutation, memo: dict, step) -> Polynomial:
-    """Single-variable recursion along one ascending chain to w0."""
-    w = tuple(w)
-    if w in memo:
-        return memo[w]
-    chain = [w]
-    u = w
-    while u not in memo:
-        asc = permcomb.ascents(u)
-        if not asc:
-            memo[u] = _staircase_single(len(u))
-            break
-        u = permcomb.right_multiply_s(u, asc[0])
-        chain.append(u)
-    for v in reversed(chain):
-        if v not in memo:
-            asc = permcomb.ascents(v)[0]
-            memo[v] = step(memo[permcomb.right_multiply_s(v, asc)], asc)
-    return memo[w]
+def _staircase_single(w0: Permutation) -> Polynomial:
+    """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the y -> 0 base case: x^{w0 - 1}."""
+    return Polynomial.monomial(tuple(v - 1 for v in w0))
 
 
 def grothendieck(w: Permutation) -> Polynomial:
     """Ordinary Grothendieck polynomial G_w(x), ambient (n, 0)."""
-    return _single_recursive(permcomb.check_perm(w), _groth_x, diffops.isobaric)
+    return _chain(tuple(permcomb.check_perm(w)), _groth_x, _staircase_single, diffops.isobaric)
 
 
 def schubert(w: Permutation) -> Polynomial:
     """Ordinary Schubert polynomial S_w(x), ambient (n, 0)."""
-    return _single_recursive(permcomb.check_perm(w), _schub_x, diffops.divided_difference)
+    return _chain(
+        tuple(permcomb.check_perm(w)), _schub_x, _staircase_single, diffops.divided_difference
+    )
+
+
+def _dominant_monomial(alpha: Composition) -> Polynomial:
+    """x^alpha, the base case of a weakly decreasing composition."""
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"composition parts must be nonnegative: {alpha}")
+    return Polynomial.monomial(alpha)
 
 
 def lascoux(alpha: Composition) -> Polynomial:
     """Lascoux polynomial L_alpha, ambient (len(alpha), 0)."""
-    alpha = tuple(alpha)
-    if alpha in _lascoux:
-        return _lascoux[alpha]
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"composition parts must be nonnegative: {alpha}")
-    asc = next((i for i in range(1, len(alpha)) if alpha[i - 1] < alpha[i]), None)
-    if asc is None:
-        out = Polynomial.monomial(alpha)
-    else:
-        out = diffops.demazure_lascoux(lascoux(permcomb.comp_swap(alpha, asc)), asc)
-    _lascoux[alpha] = out
-    return out
+    return _chain(tuple(alpha), _lascoux, _dominant_monomial, diffops.demazure_lascoux)
 
 
 def key(alpha: Composition) -> Polynomial:
@@ -143,11 +119,7 @@ def key(alpha: Composition) -> Polynomial:
 
 def key_via_pi(alpha: Composition) -> Polynomial:
     """kappa_alpha by the pi_i recursion; independent route for testing."""
-    alpha = tuple(alpha)
-    asc = next((i for i in range(1, len(alpha)) if alpha[i - 1] < alpha[i]), None)
-    if asc is None:
-        return Polynomial.monomial(alpha)
-    return diffops.demazure(key_via_pi(permcomb.comp_swap(alpha, asc)), asc)
+    return _chain(tuple(alpha), {}, _dominant_monomial, diffops.demazure)
 
 
 def _evaluate(seq: OrthodonticSequence, n: int, m: int, inner_omega, outer_omega, step) -> Polynomial:

@@ -40,7 +40,10 @@ def length(w: Permutation) -> int:
 
 
 def right_multiply_s(w: Permutation, j: int) -> Permutation:
-    """w * s_j: swap the entries at positions j and j+1 (1-based)."""
+    """w * s_j: swap the entries at positions j and j+1 (1-based).
+
+    Also alpha * s_j for a composition alpha.
+    """
     if not 1 <= j <= len(w) - 1:
         raise IndexError(f"s_{j} out of range for S_{len(w)}")
     v = list(w)
@@ -104,24 +107,19 @@ def format_perm(w: Permutation) -> str:
 
 def parse_perm(s: str) -> Permutation:
     s = s.strip()
-    if "," in s:
-        w = tuple(int(t) for t in s.split(","))
-    else:
-        w = tuple(int(c) for c in s)
+    try:
+        w = tuple(int(t) for t in (s.split(",") if "," in s else s))
+    except ValueError:
+        raise ValueError(f"not a permutation in one-line notation: {s!r}") from None
     return check_perm(w)
 
 
 def parse_comp(s: str) -> Composition:
-    alpha = tuple(int(t) for t in s.strip().split(","))
+    try:
+        alpha = tuple(int(t) for t in s.strip().split(","))
+    except ValueError:
+        raise ValueError(f"not a comma-separated composition: {s!r}") from None
     if any(a < 0 for a in alpha):
         raise ValueError(f"composition parts must be nonnegative: {alpha}")
     return alpha
 
-
-def comp_swap(alpha: Composition, i: int) -> Composition:
-    """alpha * s_i: swap parts i and i+1 (1-based)."""
-    if not 1 <= i <= len(alpha) - 1:
-        raise IndexError(f"s_{i} out of range for length {len(alpha)}")
-    a = list(alpha)
-    a[i - 1], a[i] = a[i], a[i - 1]
-    return tuple(a)

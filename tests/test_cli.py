@@ -47,23 +47,30 @@ def test_poly_exponent_over_limit_is_a_usage_error(runner, top):
     assert "exponent" in r.output
 
 
-@pytest.mark.parametrize("argv", [
-    ["poly", "double-grothendieck", "--w", "1x3"],
-    ["poly", "double-grothendieck", "--w", "11"],
-    ["poly", "schubert", "--w", "1x3"],
-    ["poly", "lascoux", "--alpha", "0,-1"],
-    ["poly", "key", "--alpha", "0,a"],
-    ["poly", "script-G", "--diagram", "n=2;3"],
-    ["poly", "script-S", "--diagram", "2;1"],
-    ["pipedreams", "--w", "1x3"],
-    ["orthodontia", "--diagram", "n=2;3"],
-    ["sortorder", "--w", "11"],
-    ["check", "thm12", "--diagram", "n=x;1"],
-], ids=" ".join)
-def test_malformed_input_is_a_usage_error(runner, argv):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
+        (["poly", "double-grothendieck", "--w", "1x3"], "'1x3'"),
+        (["poly", "double-grothendieck", "--w", "11"], "not a permutation of [2]"),
+        (["poly", "schubert", "--w", "1x3"], "'1x3'"),
+        (["poly", "lascoux", "--alpha", "0,-1"], "must be nonnegative"),
+        (["poly", "key", "--alpha", "0,a"], "'0,a'"),
+        (["poly", "script-G", "--diagram", "n=2;3"], "row index 3 outside [1,2]"),
+        (["poly", "script-S", "--diagram", "2;1"], "must start with 'n=<int>;'"),
+        (["poly", "script-G", "--diagram", "n=-1;"], "nrows must be >= 0, got -1"),
+        (["pipedreams", "--w", "1x3"], "'1x3'"),
+        (["orthodontia", "--diagram", "n=2;3"], "row index 3 outside [1,2]"),
+        (["orthodontia", "--diagram", "n=-1;"], "nrows must be >= 0, got -1"),
+        (["orthodontia", "--diagram", "n=2;1,y"], "'n=2;1,y'"),
+        (["sortorder", "--w", "11"], "not a permutation of [2]"),
+        (["check", "thm12", "--diagram", "n=x;1"], "'n=x;1'"),
+    ]
+])
+def test_malformed_input_is_a_usage_error(runner, argv, message):
     r = runner.invoke(main, argv)
     assert r.exit_code == 2, r.output
     assert "Invalid value" in r.output
+    assert message in r.output
+    assert "invalid literal" not in r.output and "shift count" not in r.output
 
 
 def test_poly_script_families(runner):
@@ -141,6 +148,8 @@ def test_verify_honours_nmax(runner):
 
 @pytest.mark.parametrize("suite, nmax", [
     ("operators", 2), ("lemma4", 1), ("triangularity", 0),
+    # below these, the suite has no item to check
+    ("thm11", 1), ("cor-double-schub", 1), ("prop-os1", 1), ("thm-os2", 2),
 ])
 def test_verify_nmax_below_suite_minimum_is_a_usage_error(runner, suite, nmax):
     r = runner.invoke(main, ["verify", suite, "--nmax", str(nmax)])

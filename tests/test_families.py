@@ -28,13 +28,50 @@ def test_double_grothendieck_base_case():
 
 
 def test_double_grothendieck_recursion_step():
-    # descending by dbar_i along a descent reproduces the table entry
-    w = (3, 1, 2)
-    for i in permcomb.descents(w):
-        child = permcomb.right_multiply_s(w, i)
-        assert families.double_grothendieck(child) == diffops.isobaric(
-            families.double_grothendieck(w), i
-        )
+    # every descent of every w in S_4 steps to the value at w s_i, so the
+    # walk's choice of the first ascent does not matter
+    recursions = [
+        (families.double_grothendieck, diffops.isobaric),
+        (families.double_schubert, diffops.divided_difference),
+        (families.grothendieck, diffops.isobaric),
+        (families.schubert, diffops.divided_difference),
+    ]
+    for w in permcomb.all_perms(4):
+        for i in permcomb.descents(w):
+            child = permcomb.right_multiply_s(w, i)
+            for family, step in recursions:
+                assert family(child) == step(family(w), i), (family.__name__, w, i)
+
+
+def test_lascoux_and_key_recursion_step_at_every_ascent():
+    for alpha in product(range(3), repeat=3):
+        for i in permcomb.ascents(alpha):
+            swapped = permcomb.right_multiply_s(alpha, i)
+            assert families.lascoux(alpha) == diffops.demazure_lascoux(
+                families.lascoux(swapped), i
+            ), (alpha, i)
+            assert families.key_via_pi(alpha) == diffops.demazure(
+                families.key_via_pi(swapped), i
+            ), (alpha, i)
+
+
+def test_cold_query_walks_one_chain(monkeypatch):
+    # one chain up to w0 costs l(w0) - l(w) steps, not one per element of S_5
+    for attr, obj in list(vars(families).items()):
+        if attr.startswith("_") and not attr.startswith("__") and isinstance(obj, dict):
+            monkeypatch.setattr(families, attr, {})
+    calls = []
+    isobaric = diffops.isobaric
+
+    def counting(f, i):
+        calls.append(i)
+        return isobaric(f, i)
+
+    monkeypatch.setattr(diffops, "isobaric", counting)
+    w = (2, 1, 4, 5, 3)
+    g = families.double_grothendieck(w)
+    assert len(calls) <= permcomb.length(permcomb.longest(5)) - permcomb.length(w) == 7
+    assert g == families.script_G(diagrams.rothe(w))
 
 
 def test_double_schubert_321():

@@ -111,6 +111,7 @@ def test_format_parse_comp():
 
 
 def test_comp_swap():
-    assert permcomb.comp_swap((0, 2, 1), 1) == (2, 0, 1)
+    # right_multiply_s swaps the parts of a composition as it does a permutation's
+    assert permcomb.right_multiply_s((0, 2, 1), 1) == (2, 0, 1)
     with pytest.raises(IndexError):
-        permcomb.comp_swap((1, 2), 2)
+        permcomb.right_multiply_s((1, 2), 2)
