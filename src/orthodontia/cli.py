@@ -8,23 +8,12 @@ import time
 from importlib.metadata import version as pkg_version
 
 import click
+from click.core import ParameterSource
 
 from . import diagrams, families, lascouxbasis, permcomb, pipedreams, sortorder, suites
-from .polyring import Polynomial
 
 EXIT_MATH_FAILURE = 1
-
-FAMILY_NAMES = [
-    "double-grothendieck",
-    "double-schubert",
-    "grothendieck",
-    "schubert",
-    "lascoux",
-    "key",
-    "stable-grothendieck",
-    "script-G",
-    "script-S",
-]
+EXIT_CRASH = 3
 
 
 def _version() -> str:
@@ -55,25 +44,56 @@ COMP = _Parsed("composition", permcomb.parse_comp)
 DIAGRAM = _Parsed("diagram", diagrams.parse_diagram)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: an unexpected exception exits EXIT_CRASH with a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", err=True)
+            sys.exit(EXIT_CRASH)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact Schubert/Grothendieck/Lascoux polynomial computations."""
 
 
-def _parse_index(family, w, alpha, diagram):
-    if family in ("lascoux", "key"):
-        index, option = alpha, "--alpha"
-    elif family in ("script-G", "script-S"):
-        index, option = diagram, "--diagram"
-    else:
-        index, option = w, "--w"
-    if index is None:
-        raise click.UsageError(f"{family} requires {option}")
-    return index
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _read(what: str, reads: tuple[str, ...], options: dict) -> list:
+    """Values of the ``reads`` options, the first required; an unread one given is a usage error."""
+    ctx = click.get_current_context()
+    if options[reads[0]] is None:
+        raise click.UsageError(f"{what} requires {_flag(reads[0])}")
+    for name in options:
+        if name not in reads and ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            raise click.UsageError(f"{what} does not read {_flag(name)}")
+    return [options[name] for name in reads]
+
+
+# family: (options read, index first; its polynomial, families.* late-bound for patching)
+FAMILIES = {
+    "double-grothendieck": (("w",), lambda w: families.double_grothendieck(w)),
+    "double-schubert": (("w",), lambda w: families.double_schubert(w)),
+    "grothendieck": (("w",), lambda w: families.grothendieck(w)),
+    "schubert": (("w",), lambda w: families.schubert(w)),
+    "lascoux": (("alpha",), lambda alpha: families.lascoux(alpha)),
+    "key": (("alpha",), lambda alpha: families.key(alpha)),
+    "stable-grothendieck": (("w", "nvars"), lambda w, n: families.stable_grothendieck(w, n)),
+    "script-G": (("diagram", "unbarred_inner_omega"),
+                 lambda D, unbarred: families.script_G(D, barred_inner_omega=not unbarred)),
+    "script-S": (("diagram",), lambda D: families.script_S(D)),
+}
 
 
 @main.command("poly")
-@click.argument("family", type=click.Choice(FAMILY_NAMES))
+@click.argument("family", type=click.Choice(list(FAMILIES)))
 @click.option("--w", type=PERM, default=None, help="permutation in one-line notation")
 @click.option("--alpha", type=COMP, default=None, help="composition, comma-separated")
 @click.option("--diagram", type=DIAGRAM, default=None, help="diagram text, e.g. 'n=2;1;'")
@@ -81,28 +101,12 @@ def _parse_index(family, w, alpha, diagram):
 @click.option("--unbarred-inner-omega", is_flag=True, help="script-G variant with unbarred inner omegas")
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--latex", is_flag=True)
-def cmd_poly(family, w, alpha, diagram, nvars, unbarred_inner_omega, as_json, latex):
+def cmd_poly(family, as_json, latex, **options):
     """Print one polynomial of the named family in canonical term order."""
-    index = _parse_index(family, w, alpha, diagram)
+    reads, compute = FAMILIES[family]
+    values = _read(family, reads, options)
     try:
-        if family == "double-grothendieck":
-            p = families.double_grothendieck(index)
-        elif family == "double-schubert":
-            p = families.double_schubert(index)
-        elif family == "grothendieck":
-            p = families.grothendieck(index)
-        elif family == "schubert":
-            p = families.schubert(index)
-        elif family == "lascoux":
-            p = families.lascoux(index)
-        elif family == "key":
-            p = families.key(index)
-        elif family == "stable-grothendieck":
-            p = families.stable_grothendieck(index, nvars)
-        elif family == "script-G":
-            p = families.script_G(index, barred_inner_omega=not unbarred_inner_omega)
-        else:
-            p = families.script_S(index)
+        p = compute(*values)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if as_json:
@@ -125,9 +129,8 @@ def cmd_pipedreams(perm, count_only, emit_json):
         click.echo(str(len(pds)))
         return
     for P in pds:
-        crosses = [list(c) for c in P.sorted_crosses()]
         if emit_json:
-            click.echo(json.dumps(crosses))
+            click.echo(json.dumps([list(c) for c in P.sorted_crosses()]))
         else:
             click.echo(" ".join(f"({i},{j})" for i, j in P.sorted_crosses()) or "(empty)")
     click.echo(f"total: {len(pds)}", err=True)
@@ -144,12 +147,8 @@ def cmd_orthodontia(D, force, as_json):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if as_json:
-        click.echo(json.dumps({
-            "K": [sorted(k) for k in seq.K],
-            "i": list(seq.i),
-            "j": list(seq.j),
-            "M": [sorted(m) for m in seq.M],
-        }))
+        click.echo(json.dumps({"K": [sorted(k) for k in seq.K], "i": list(seq.i),
+                               "j": list(seq.j), "M": [sorted(m) for m in seq.M]}))
         return
     click.echo("K = " + ", ".join(f"K_{a}={sorted(k) or '{}'}" for a, k in enumerate(seq.K, 1)))
     click.echo(f"i = {list(seq.i)}")
@@ -174,33 +173,22 @@ def cmd_sortorder(perm, os_endpoint):
     click.echo("predecessors: " + (", ".join(permcomb.format_perm(p) for p in preds) or "(none)"))
 
 
-def _report(command: str, records: list[dict]) -> dict:
-    failed = [r for r in records if r["verdict"] != "positive"]
-    return {
-        "command": command,
-        "version": _version(),
-        "records": records,
-        "summary": {
-            "checked": len(records),
-            "passed": len(records) - len(failed),
-            "failed": len(failed),
-        },
-        "counterexamples": [r["item"] for r in failed],
-    }
-
-
-def _emit_report(report: dict, as_json: bool, wall: float):
+def _report(command: str, checked: int, records: list[dict], as_json: bool, t0: float):
+    """Print the records and the summary; exit EXIT_MATH_FAILURE on a violation."""
+    failed = [r["item"] for r in records if r["verdict"] != "positive"]
     if as_json:
-        for r in report["records"]:
+        for r in records:
             click.echo(json.dumps(r, sort_keys=True))
-        body = {k: v for k, v in report.items() if k != "records"}
-        click.echo(json.dumps(body, sort_keys=True))
+        summary = {"checked": checked, "passed": checked - len(failed), "failed": len(failed)}
+        click.echo(json.dumps({"command": command, "version": _version(), "summary": summary,
+                               "counterexamples": failed}, sort_keys=True))
     else:
-        s = report["summary"]
-        click.echo(f"{report['command']}: {s['checked']} checked, {s['failed']} failed")
-        for item in report["counterexamples"]:
+        click.echo(f"{command}: {checked} checked, {len(failed)} failed")
+        for item in failed:
             click.echo(f"  counterexample: {json.dumps(item, sort_keys=True)}")
-    click.echo(f"wall time: {wall:.2f}s", err=True)
+    click.echo(f"wall time: {time.monotonic() - t0:.2f}s", err=True)
+    if failed:
+        sys.exit(EXIT_MATH_FAILURE)
 
 
 @main.command("verify")
@@ -216,53 +204,45 @@ def cmd_verify(suite, nmax, as_json):
         raise click.UsageError(str(exc))
     if res.checked == 0:
         raise click.UsageError(f"{suite} checks nothing at this nmax, got {nmax}")
-    wall = time.monotonic() - t0
     records = [{"item": {"suite": suite, "failure": f}, "verdict": "violation"}
                for f in res.failures]
-    report = _report(f"verify {suite} --nmax {nmax}", records)
-    report["summary"]["checked"] = res.checked
-    report["summary"]["passed"] = res.checked - len(res.failures)
-    _emit_report(report, as_json, wall)
-    if res.failures:
-        sys.exit(EXIT_MATH_FAILURE)
+    _report(f"verify {suite} --nmax {nmax}", res.checked, records, as_json, t0)
 
 
-def _run_items(worker, items, workers: int):
-    if workers <= 1:
-        return [worker(it) for it in items]
-    import multiprocessing
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(worker, items)
+# target: (options read; lascouxbasis names of its item builder and picklable worker)
+SCANS = {
+    "conj15": (("n", "max_entry"), "conj15_items", "conj15_item"),
+    "conj14": (("n", "m"), "conj14_items", "conj14_item"),
+    "thm12-vexillary": (("nmax",), "thm12_vexillary_items", "thm12_vexillary_item"),
+}
+SIZE = click.IntRange(min=0)
 
 
 @main.command("scan")
-@click.argument("target", type=click.Choice(["conj14", "conj15", "thm12-vexillary"]))
-@click.option("--n", "nvar", default=3, show_default=True)
-@click.option("--m", "mvar", default=3, show_default=True)
-@click.option("--max-entry", default=2, show_default=True)
-@click.option("--nmax", default=4, show_default=True)
-@click.option("--workers", default=1, show_default=True)
+@click.argument("target", type=click.Choice(list(SCANS)))
+@click.option("--n", type=SIZE, default=3, show_default=True)
+@click.option("--m", type=SIZE, default=3, show_default=True)
+@click.option("--max-entry", type=SIZE, default=2, show_default=True)
+@click.option("--nmax", type=SIZE, default=4, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
-def cmd_scan(target, nvar, mvar, max_entry, nmax, workers, as_json):
+def cmd_scan(target, workers, as_json, **options):
     """Scan a conjecture/theorem family and report counterexamples."""
     t0 = time.monotonic()
-    if target == "conj15":
-        items = lascouxbasis.conj15_items(nvar, max_entry)
-        records = _run_items(lascouxbasis.conj15_item, items, workers)
-        cmd = f"scan conj15 --n {nvar} --max-entry {max_entry}"
-    elif target == "conj14":
-        items = lascouxbasis.conj14_items(nvar, mvar)
-        records = _run_items(lascouxbasis.conj14_item, items, workers)
-        cmd = f"scan conj14 --n {nvar} --m {mvar}"
+    reads, builder, worker = SCANS[target]
+    values = _read(target, reads, options)
+    cmd = " ".join(["scan", target, *(f"{_flag(k)} {v}" for k, v in zip(reads, values))])
+    items, worker = getattr(lascouxbasis, builder)(*values), getattr(lascouxbasis, worker)
+    if not items:
+        raise click.UsageError(f"{cmd} checks nothing")
+    if workers == 1:
+        records = [worker(it) for it in items]
     else:
-        items = lascouxbasis.thm12_vexillary_items(nmax)
-        records = _run_items(lascouxbasis.thm12_vexillary_item, items, workers)
-        cmd = f"scan thm12-vexillary --nmax {nmax}"
-    report = _report(cmd, records)
-    _emit_report(report, as_json, time.monotonic() - t0)
-    if report["summary"]["failed"]:
-        sys.exit(EXIT_MATH_FAILURE)
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            records = pool.map(worker, items)
+    _report(cmd, len(records), records, as_json, t0)
 
 
 @main.command("check")

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from orthodontia.cli import main
+from orthodontia import families
+from orthodontia.cli import EXIT_CRASH, main
 from orthodontia.polyring import EXP_LIMIT
 
 
@@ -63,6 +64,11 @@ def test_poly_exponent_over_limit_is_a_usage_error(runner, top):
         (["orthodontia", "--diagram", "n=2;1,y"], "'n=2;1,y'"),
         (["sortorder", "--w", "11"], "not a permutation of [2]"),
         (["check", "thm12", "--diagram", "n=x;1"], "'n=x;1'"),
+        (["scan", "conj15", "--n", "-1"], "not in the range"),
+        (["scan", "conj15", "--n", "1", "--max-entry", "-1"], "not in the range"),
+        (["scan", "conj14", "--m", "-1"], "not in the range"),
+        (["scan", "thm12-vexillary", "--nmax", "-1"], "not in the range"),
+        (["scan", "conj14", "--workers", "0"], "not in the range"),
     ]
 ])
 def test_malformed_input_is_a_usage_error(runner, argv, message):
@@ -71,6 +77,43 @@ def test_malformed_input_is_a_usage_error(runner, argv, message):
     assert "Invalid value" in r.output
     assert message in r.output
     assert "invalid literal" not in r.output and "shift count" not in r.output
+
+
+@pytest.mark.parametrize("argv, unread", [
+    pytest.param(argv, unread, id=" ".join(argv)) for argv, unread in [
+        (["poly", "schubert", "--w", "21", "--nvars", "5"], "--nvars"),
+        (["poly", "lascoux", "--alpha", "1,0", "--w", "21"], "--w"),
+        (["poly", "double-grothendieck", "--w", "21", "--unbarred-inner-omega"],
+         "--unbarred-inner-omega"),
+        (["scan", "conj15", "--n", "2", "--m", "7"], "--m"),
+        (["scan", "thm12-vexillary", "--n", "3"], "--n"),
+    ]
+])
+def test_unread_option_is_a_usage_error(runner, argv, unread):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 2, r.output
+    assert f"{argv[1]} does not read {unread}" in r.output
+
+
+def test_scan_with_no_items_is_a_usage_error(runner):
+    r = runner.invoke(main, ["scan", "conj15", "--n", "0"])
+    assert r.exit_code == 2, r.output
+    assert "scan conj15 --n 0 --max-entry 2 checks nothing" in r.output
+
+
+def test_unexpected_error_exits_3_with_one_line(runner, monkeypatch):
+    def broken(w):
+        raise RuntimeError("injected\nfailure")
+
+    monkeypatch.setattr(families, "schubert", broken)
+    r = runner.invoke(main, ["poly", "schubert", "--w", "21"])
+    assert r.exit_code == EXIT_CRASH == 3
+    assert r.stderr == "error: RuntimeError: injected failure\n"
+    assert r.stdout == ""
+    # a caller that handles exceptions itself sees the code too
+    with pytest.raises(SystemExit) as exc:
+        main.main(args=["poly", "schubert", "--w", "21"], standalone_mode=False)
+    assert exc.value.code == EXIT_CRASH
 
 
 def test_poly_script_families(runner):

@@ -1,12 +1,16 @@
 """Differential tests of the polynomial kernel against sympy.
 
-Every expected value here is computed by sympy from the same term
-dictionary the kernel was built from; nothing in this file calls kernel
+Every expected value here is computed by sympy, from the same term
+dictionary the kernel was built from or, for G_w, from a recursion written
+in sympy alone; nothing in this file calls kernel
 code except to produce the value under test and to read it back through
 the public JSON form.  Sympy is a test dependency only.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from orthodontia import diffops  # noqa: E402
+from orthodontia import diffops, families  # noqa: E402
 from orthodontia.polyring import Polynomial  # noqa: E402
 
 EXAMPLES = settings(max_examples=40, deadline=None)
@@ -160,3 +164,43 @@ def test_lowest_degree_part_and_canonical_order_match_sympy(case):
         # sympy's grlex, read from smallest to largest, is the canonical order
         order = [mono for mono, _ in reversed(sympy.Poly(sf, *(xs + ys)).terms(order="grlex"))]
         assert list(kernel_dict(f)) == order
+
+
+def sympy_swap_x(P, i):
+    """s_i P for a sympy Poly: exchange the exponents of x_i and x_{i+1}."""
+    def s(k):
+        return k[:i - 1] + (k[i], k[i - 1]) + k[i + 1:]
+    return sympy.Poly.from_dict({s(k): c for k, c in P.as_dict().items()}, P.gens, domain=P.domain)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_double_grothendieck_matches_a_sympy_recursion(n):
+    """G_w for every w in S_n, computed in sympy alone and compared with the kernel.
+
+    Start from the staircase G_{w0} = prod_{i+j<=n} (x_i + y_j - x_i y_j) and walk the
+    weak order down breadth-first: at a descent i of w, G_{w s_i} = dbar_i G_w, with
+    dbar_i f = ((1 - x_{i+1}) f - s_i((1 - x_{i+1}) f)) / (x_i - x_{i+1}), an exact quotient.
+    """
+    xs, ys = gens(n, n)
+    ring = xs + ys
+
+    def poly(expr):
+        return sympy.Poly(expr, *ring, domain=sympy.ZZ)
+
+    w0 = tuple(range(n, 0, -1))
+    G = {w0: poly(sympy.prod([xs[i] + ys[j] - xs[i] * ys[j]
+                              for i in range(n) for j in range(n - 1 - i)]))}
+    queue = deque([w0])
+    while queue:
+        w = queue.popleft()
+        for i in range(1, n):
+            u = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+            if w[i - 1] > w[i] and u not in G:
+                f = poly(1 - xs[i]) * G[w]
+                G[u] = (f - sympy_swap_x(f, i)).exquo(poly(xs[i - 1] - xs[i]))
+                queue.append(u)
+    assert sorted(G) == sorted(permutations(range(1, n + 1)))
+    for w, P in G.items():
+        assert kernel_dict(families.double_grothendieck(w)) == {
+            k: int(c) for k, c in P.as_dict().items()
+        }, w
