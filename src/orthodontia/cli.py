@@ -103,6 +103,8 @@ FAMILIES = {
 @click.option("--latex", is_flag=True)
 def cmd_poly(family, as_json, latex, **options):
     """Print one polynomial of the named family in canonical term order."""
+    if as_json and latex:
+        raise click.UsageError("--json and --latex cannot be used together")
     reads, compute = FAMILIES[family]
     values = _read(family, reads, options)
     try:
@@ -110,7 +112,7 @@ def cmd_poly(family, as_json, latex, **options):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if as_json:
-        click.echo(json.dumps(p.to_json_dict()))
+        click.echo(p.to_json())
     else:
         click.echo(p.to_str(latex=latex))
 
@@ -121,6 +123,8 @@ def cmd_poly(family, as_json, latex, **options):
 @click.option("--emit-json", is_flag=True, help="cross sets as [[i,j],...] JSON lines")
 def cmd_pipedreams(perm, count_only, emit_json):
     """Enumerate pipe dreams with Demazure product w."""
+    if count_only and emit_json:
+        raise click.UsageError("--count and --emit-json cannot be used together")
     try:
         pds = pipedreams.enumerate_pd(perm)
     except ValueError as exc:
@@ -273,7 +277,11 @@ def cmd_check(what, D, no_require_inclusion, as_json):
 @click.option("--nmax-endpoint", default=4, show_default=True)
 def cmd_report(what, nmax_omega, nmax_endpoint):
     """Emit the one-page report resolving the notation ambiguities."""
-    click.echo(suites.ambiguity_report(nmax_omega, nmax_endpoint), nl=False)
+    try:
+        report = suites.ambiguity_report(nmax_omega, nmax_endpoint)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    click.echo(report, nl=False)
 
 
 if __name__ == "__main__":

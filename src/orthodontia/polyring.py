@@ -45,7 +45,7 @@ class _Layout:
     """Field positions of the packed keys of one ambient (n, m)."""
 
     __slots__ = ("n", "m", "shifts", "deg_shift", "deg_one", "guard", "low_mask", "nbytes",
-                 "unpack")
+                 "unpack", "x_shift", "x_mask", "y_mask", "x_fields", "y_fields")
 
     def __init__(self, n: int, m: int):
         nvars = n + m
@@ -58,6 +58,12 @@ class _Layout:
         self.low_mask = self.deg_one - 1
         self.nbytes = 2 * nvars
         self.unpack = struct.Struct(f">{nvars}H").unpack  # EXP_BITS == 16
+        # the x part of a key is (key >> x_shift) & x_mask, its y part key & y_mask
+        self.x_shift = EXP_BITS * m
+        self.x_mask = (1 << EXP_BITS * n) - 1
+        self.y_mask = (1 << self.x_shift) - 1
+        self.x_fields = struct.Struct(f">{n}H")
+        self.y_fields = struct.Struct(f">{m}H")
 
     def __reduce__(self):
         # a Struct does not pickle; the unpickled polynomial gets the cached layout
@@ -78,6 +84,11 @@ def _encode(lay: _Layout, xe, ye) -> int:
 def _decode(lay: _Layout, key: int) -> Monomial:
     e = lay.unpack((key & lay.low_mask).to_bytes(lay.nbytes, "big"))
     return e[: lay.n], e[lay.n :]
+
+
+def _json_list(fields: struct.Struct, part: int) -> str:
+    """The exponents of one key part, as the items of a JSON list."""
+    return ", ".join(map(str, fields.unpack(part.to_bytes(fields.size, "big"))))
 
 
 @functools.cache
@@ -234,12 +245,6 @@ class Polynomial:
 
     # -- degree structure --------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Maximum total degree over terms (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(self.terms) >> self._lay.deg_shift
-
     def min_degree(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no minimal degree")
@@ -340,15 +345,24 @@ class Polynomial:
         lay, terms = self._lay, self.terms
         return ((_decode(lay, k), terms[k]) for k in sorted(terms))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "terms": [
-                {"x": list(xe), "y": list(ye), "c": c}
-                for (xe, ye), c in self.canonical_terms()
-            ],
-        }
+    def to_json(self) -> str:
+        """``json.dumps`` of {"n", "m", "terms": [{"x", "y", "c"}, ...]}, terms in canonical order.
+
+        Each distinct x part and y part of a key is written once, so a term
+        costs two dict lookups and one string; no per-term dict or list is built.
+        """
+        lay, terms = self._lay, self.terms
+        xs, xmask, ymask = lay.x_shift, lay.x_mask, lay.y_mask
+        heads: dict[int, str] = {}
+        tails: dict[int, str] = {}
+        body = []
+        for k in sorted(terms):
+            xk, yk = k >> xs & xmask, k & ymask
+            head = heads.get(xk) or heads.setdefault(
+                xk, f'{{"x": [{_json_list(lay.x_fields, xk)}], "y": [')
+            tail = tails.get(yk) or tails.setdefault(yk, f'{_json_list(lay.y_fields, yk)}], "c": ')
+            body.append(f"{head}{tail}{terms[k]}}}")
+        return f'{{"n": {self.n}, "m": {self.m}, "terms": [{", ".join(body)}]}}'
 
     @staticmethod
     def from_json_dict(d: dict) -> "Polynomial":

@@ -419,24 +419,22 @@ def ambiguity_report(nmax_omega: int = 4, nmax_endpoint: int = 5) -> str:
     Records which inner-omega barring makes the orthodontia evaluator
     reproduce the recursion, which product endpoint makes the sorted-case
     sequence transformation hold, and the observed lowest-degree relation
-    between the two evaluators.
+    between the two evaluators.  A section with no w to check is a ValueError.
     """
+    omega_ws = [w for n in range(2, nmax_omega + 1) for w in all_perms(n)]
+    endpoint_ws = [w for n in range(2, nmax_endpoint + 1) for w in all_perms(n)
+                   if w != permcomb.identity(n) and sortorder.is_sorted_perm(w)]
+    for section, ws, nmax in (("omega", omega_ws, nmax_omega),
+                              ("endpoint", endpoint_ws, nmax_endpoint)):
+        if not ws:
+            raise ValueError(f"the {section} section checks nothing at nmax_{section}={nmax}")
     lines = ["# Ambiguity resolution report", ""]
 
-    outcomes = {}
-    for variant in (True, False):
-        first_bad = None
-        for n in range(2, nmax_omega + 1):
-            for w in all_perms(n):
-                if families.script_G(rothe(w), barred_inner_omega=variant) != \
-                        families.double_grothendieck(w):
-                    first_bad = format_perm(w)
-                    break
-            if first_bad:
-                break
-        outcomes[variant] = first_bad
     lines.append("## Inner omega factors: barred vs unbarred")
-    for variant, bad in outcomes.items():
+    for variant in (True, False):
+        bad = next((format_perm(w) for w in omega_ws
+                    if families.script_G(rothe(w), barred_inner_omega=variant)
+                    != families.double_grothendieck(w)), None)
         tag = "barred" if variant else "unbarred"
         if bad is None:
             lines.append(
@@ -448,22 +446,14 @@ def ambiguity_report(nmax_omega: int = 4, nmax_endpoint: int = 5) -> str:
 
     lines.append("## Sorted-case product endpoint: alpha vs alpha+1")
     for endpoint in ("alpha-plus-one", "alpha"):
-        first_bad = None
-        for n in range(2, nmax_endpoint + 1):
-            for w in all_perms(n):
-                if w == permcomb.identity(n) or not sortorder.is_sorted_perm(w):
-                    continue
-                if not sorted_cover_check(w, endpoint):
-                    first_bad = format_perm(w)
-                    break
-            if first_bad:
-                break
-        if first_bad is None:
+        bad = next((format_perm(w) for w in endpoint_ws if not sorted_cover_check(w, endpoint)),
+                   None)
+        if bad is None:
             lines.append(
                 f"- endpoint {endpoint} satisfies the sequence transformation up to S_{nmax_endpoint}"
             )
         else:
-            lines.append(f"- endpoint {endpoint} FAILS; first counterexample w={first_bad}")
+            lines.append(f"- endpoint {endpoint} FAILS; first counterexample w={bad}")
     lines.append("")
 
     lines.append("## Lowest-degree relation between the two evaluators")

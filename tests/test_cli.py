@@ -95,6 +95,18 @@ def test_unread_option_is_a_usage_error(runner, argv, unread):
     assert f"{argv[1]} does not read {unread}" in r.output
 
 
+@pytest.mark.parametrize("argv, options", [
+    pytest.param(argv, options, id=" ".join(argv)) for argv, options in [
+        (["poly", "schubert", "--w", "321", "--json", "--latex"], "--json and --latex"),
+        (["pipedreams", "--w", "132", "--count", "--emit-json"], "--count and --emit-json"),
+    ]
+])
+def test_conflicting_options_are_a_usage_error(runner, argv, options):
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 2, r.output
+    assert f"{options} cannot be used together" in r.output
+
+
 def test_scan_with_no_items_is_a_usage_error(runner):
     r = runner.invoke(main, ["scan", "conj15", "--n", "0"])
     assert r.exit_code == 2, r.output
@@ -238,6 +250,25 @@ def test_report_ambiguities(runner):
     )
     assert r.exit_code == 0
     assert "Ambiguity resolution report" in r.output
+
+
+@pytest.mark.parametrize("omega, endpoint, message", [
+    ("-1", "-1", "the omega section checks nothing at nmax_omega=-1"),
+    ("1", "4", "the omega section checks nothing at nmax_omega=1"),
+    ("4", "2", "the endpoint section checks nothing at nmax_endpoint=2"),
+])
+def test_report_that_checks_nothing_is_a_usage_error(runner, omega, endpoint, message):
+    r = runner.invoke(
+        main, ["report", "ambiguities", "--nmax-omega", omega, "--nmax-endpoint", endpoint]
+    )
+    assert r.exit_code == 2, r.output
+    assert message in r.output
+
+
+def test_report_at_the_smallest_bounds_that_check_something(runner):
+    r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", "2", "--nmax-endpoint", "3"])
+    assert r.exit_code == 0
+    assert "for all w up to S_2" in r.output and "transformation up to S_3" in r.output
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"

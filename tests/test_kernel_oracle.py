@@ -9,6 +9,7 @@ the public JSON form.  Sympy is a test dependency only.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from itertools import permutations
 
@@ -51,7 +52,7 @@ def expected_dict(expr, n: int, m: int) -> dict:
 
 
 def kernel_dict(p: Polynomial) -> dict:
-    return {tuple(t["x"]) + tuple(t["y"]): t["c"] for t in p.to_json_dict()["terms"]}
+    return {tuple(t["x"]) + tuple(t["y"]): t["c"] for t in json.loads(p.to_json())["terms"]}
 
 
 @st.composite

@@ -1,10 +1,11 @@
 """Tests for the exact sparse polynomial ring."""
 
+import json
 import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthodontia.polyring import EXP_LIMIT, AmbientMismatch, ExponentRangeError, Polynomial
@@ -22,6 +23,11 @@ def polys(draw, n=2, m=1):
         if c:
             terms[(xe, ye)] = c
     return Polynomial(n, m, terms)
+
+
+def total_degree(p: Polynomial) -> int:
+    """Maximum total degree over the terms (0 for the zero polynomial)."""
+    return max((sum(xe) + sum(ye) for xe, ye in p.to_dict()), default=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +74,7 @@ def test_degree_structure():
     x1 = Polynomial.var_x(1, 2, 1)
     y1 = Polynomial.var_y(1, 2, 1)
     f = x1 * x1 * y1 + x1
-    assert f.total_degree() == 3
+    assert total_degree(f) == 3
     assert f.min_degree() == 1
     assert f.lowest_degree_part() == x1
     assert f.per_variable_degree("x", 1) == 2
@@ -103,8 +109,8 @@ def test_flip_involution_and_degree_reversal():
     # flip exchanges lowest and highest degree parts
     f = Polynomial.var_x(1, 2) + Polynomial.var_x(1, 2) * Polynomial.var_x(2, 2)
     g = f.flip(1)
-    assert g.total_degree() == 2 - f.min_degree()
-    assert g.min_degree() == 2 - f.total_degree()
+    assert total_degree(g) == 2 - f.min_degree()
+    assert g.min_degree() == 2 - total_degree(f)
 
 
 def test_flip_rejects_bad_input():
@@ -134,7 +140,33 @@ def test_json_roundtrip():
     rng = random.Random(11)
     for _ in range(10):
         f = random_polynomial(rng, 2, 2)
-        assert Polynomial.from_json_dict(f.to_json_dict()) == f
+        assert Polynomial.from_json_dict(json.loads(f.to_json())) == f
+
+
+@st.composite
+def wide_polys(draw):
+    """Any small ambient, exponents up to the field limit, coefficients past 2^63."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    exps = st.one_of(st.integers(0, 3), st.integers(0, EXP_LIMIT - 1))
+    coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**130), 2**130))
+    terms = draw(st.dictionaries(
+        st.tuples(st.tuples(*[exps] * n), st.tuples(*[exps] * m)), coeffs, max_size=12))
+    return Polynomial(n, m, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys())
+@example(Polynomial.zero(1, 0))
+@example(Polynomial.zero(2, 2))
+@example(Polynomial(1, 0, {((0,), ()): -(2**64) - 1, ((3,), ()): 2**63}))
+@example(Polynomial(2, 1, {((1, 0), (2,)): -5, ((0, 1), (0,)): 2**70, ((0, 0), (0,)): 1}))
+def test_to_json_is_json_dumps_of_the_canonical_terms(p):
+    terms = sorted(p.to_dict().items(), key=lambda t: (sum(t[0][0]) + sum(t[0][1]), t[0]))
+    expected = json.dumps({"n": p.n, "m": p.m, "terms": [
+        {"x": list(xe), "y": list(ye), "c": c} for (xe, ye), c in terms
+    ]})
+    assert p.to_json() == expected
+    assert Polynomial.from_json_dict(json.loads(p.to_json())) == p
 
 
 def test_pickle_roundtrip():
@@ -163,7 +195,7 @@ def test_exponents_outside_the_field_are_rejected():
     top = Polynomial(2, 1, {((EXP_LIMIT - 1, 0), (0,)): 1})
     assert top.per_variable_degree("x", 1) == EXP_LIMIT - 1
     # a product may reach a large total degree while every exponent fits
-    assert (top * Polynomial.var_x(2, 2, 1)).total_degree() == EXP_LIMIT
+    assert total_degree(top * Polynomial.var_x(2, 2, 1)) == EXP_LIMIT
     with pytest.raises(ExponentRangeError):
         top * Polynomial.var_x(1, 2, 1)
     # just below the limit every field keeps its own value
