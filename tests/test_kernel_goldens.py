@@ -1,0 +1,56 @@
+"""Frozen digests of the polynomial families and of the conj15 scan records.
+
+``kernel_goldens.json`` holds the sha256 of ``to_json()`` of every double and
+single Grothendieck and Schubert polynomial with n <= 4, of ``lascoux`` and
+``key_via_pi`` for every alpha in {0..3}^3, and of every ``conj15_item`` record
+of ``scan conj15 --n 3 --m 2`` (``json.dumps(record, sort_keys=True)``, as the
+scan prints it).  A change to the arithmetic kernel must reproduce them all.
+
+Re-freeze (only after a deliberate change of answers) with
+``PYTHONPATH=src python tests/test_kernel_goldens.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from itertools import product
+from pathlib import Path
+
+from orthodontia import families, lascouxbasis, permcomb
+
+GOLDENS = Path(__file__).with_name("kernel_goldens.json")
+
+PERM_FAMILIES = ("double_grothendieck", "double_schubert", "grothendieck", "schubert")
+COMP_FAMILIES = ("lascoux", "key_via_pi")
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    out = {}
+    for name in PERM_FAMILIES:
+        for w in (w for n in range(1, 5) for w in permcomb.all_perms(n)):
+            out[f"{name} {permcomb.format_perm(w)}"] = sha(getattr(families, name)(w).to_json())
+    for name in COMP_FAMILIES:
+        for alpha in product(range(4), repeat=3):
+            out[f"{name} {','.join(map(str, alpha))}"] = sha(
+                getattr(families, name)(alpha).to_json())
+    for alpha, i in lascouxbasis.conj15_items(3, 2):
+        record = lascouxbasis.conj15_item((alpha, i))
+        out[f"conj15_item {','.join(map(str, alpha))} {i}"] = sha(
+            json.dumps(record, sort_keys=True))
+    return out
+
+
+def test_kernel_goldens_reproduce():
+    want = json.loads(GOLDENS.read_text())
+    got = digests()
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+if __name__ == "__main__":
+    GOLDENS.write_text(json.dumps(digests(), indent=1) + "\n")
