@@ -37,17 +37,6 @@ class Diagram:
             for i in sorted(col):
                 yield (i, j)
 
-    def size(self) -> int:
-        return sum(len(col) for col in self.columns)
-
-    def row_counts(self) -> tuple[int, ...]:
-        """Number of boxes in each row (the exponent vector of x^D)."""
-        counts = [0] * self.nrows
-        for col in self.columns:
-            for i in col:
-                counts[i - 1] += 1
-        return tuple(counts)
-
 
 def from_cells(nrows: int, ncols: int, cells) -> Diagram:
     cols: list[set[int]] = [set() for _ in range(ncols)]

@@ -4,10 +4,13 @@ Divided differences and their decorated variants, the doubled operators
 used by the orthodontia formulas, the omega weight products, and the phi
 multipliers.  Everything is exact: the divided difference is computed
 per-term with the telescoping formula, so no rational functions appear.
+Each operator is f -> d_i(L f) with d_i(L) = 1, so by the Leibniz rule it is
+f + g d_i(f) with g = s_i(L); the kernel forms that in one pass, never L f.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from .polyring import Polynomial
@@ -25,25 +28,28 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
     return f._divided_difference(i)
 
 
+@functools.cache
 def _one_minus_x(i: int, n: int, m: int) -> Polynomial:
     return Polynomial.one(n, m) - Polynomial.var_x(i, n, m)
 
 
 def isobaric(f: Polynomial, i: int) -> Polynomial:
-    """dbar_i(f) = d_i((1 - x_{i+1}) f)."""
-    return divided_difference(_one_minus_x(i + 1, f.n, f.m) * f, i)
+    """dbar_i(f) = d_i((1 - x_{i+1}) f) = f + (1 - x_i) d_i(f)."""
+    return f.add_times_divided_difference(_one_minus_x(i, f.n, f.m), i)
 
 
 def demazure(f: Polynomial, i: int) -> Polynomial:
-    """pi_i(f) = d_i(x_i f)."""
-    return divided_difference(Polynomial.var_x(i, f.n, f.m) * f, i)
+    """pi_i(f) = d_i(x_i f) = f + x_{i+1} d_i(f)."""
+    return f.add_times_divided_difference(Polynomial.var_x(i + 1, f.n, f.m), i)
 
 
 def demazure_lascoux(f: Polynomial, i: int) -> Polynomial:
-    """pibar_i(f) = dbar_i(x_i f)."""
-    return isobaric(Polynomial.var_x(i, f.n, f.m) * f, i)
+    """pibar_i(f) = dbar_i(x_i f) = f + x_{i+1} (1 - x_i) d_i(f)."""
+    g = Polynomial.var_x(i + 1, f.n, f.m) * _one_minus_x(i, f.n, f.m)
+    return f.add_times_divided_difference(g, i)
 
 
+@functools.cache
 def _xy_factor(i: int, j: int, n: int, m: int, barred: bool) -> Polynomial:
     """x_i + y_j (unbarred) or x_i + y_j - x_i y_j (barred)."""
     x = Polynomial.var_x(i, n, m)
@@ -52,13 +58,22 @@ def _xy_factor(i: int, j: int, n: int, m: int, barred: bool) -> Polynomial:
 
 
 def pi_double(f: Polynomial, i: int, j: int) -> Polynomial:
-    """pi_{i,j}(f) = d_i((x_i + y_j) f)."""
-    return divided_difference(_xy_factor(i, j, f.n, f.m, barred=False) * f, i)
+    """pi_{i,j}(f) = d_i((x_i + y_j) f) = f + (x_{i+1} + y_j) d_i(f)."""
+    return f.add_times_divided_difference(_xy_factor(i + 1, j, f.n, f.m, barred=False), i)
 
 
 def pibar_double(f: Polynomial, i: int, j: int) -> Polynomial:
-    """pibar_{i,j}(f) = dbar_i((x_i + y_j - x_i y_j) f)."""
-    return isobaric(_xy_factor(i, j, f.n, f.m, barred=True) * f, i)
+    """pibar_{i,j}(f) = dbar_i((x_i + y_j - x_i y_j) f) = f + g d_i(f).
+
+    Here g = (1 - x_i)(x_{i+1} + y_j - x_{i+1} y_j).
+    """
+    g = _one_minus_x(i, f.n, f.m) * _xy_factor(i + 1, j, f.n, f.m, barred=True)
+    return f.add_times_divided_difference(g, i)
+
+
+def pi_double_neg1(f: Polynomial, i: int) -> Polynomial:
+    """pi_{i,j} at y_j = -1: d_i((x_i - 1) f) = f + (x_{i+1} - 1) d_i(f)."""
+    return f.add_times_divided_difference(-_one_minus_x(i + 1, f.n, f.m), i)
 
 
 def omega(i: int, M: Iterable[int], barred: bool, n: int, m: int) -> Polynomial:

@@ -9,6 +9,8 @@ the walks compute is memoized module-wide.
 
 from __future__ import annotations
 
+import functools
+
 from . import diffops, permcomb
 from .diagrams import Diagram, OrthodonticSequence, orthodontic_sequence
 from .permcomb import Composition, Permutation
@@ -182,6 +184,18 @@ def script_S(D: Diagram) -> Polynomial:
     return _evaluate(seq, n, m, omega, omega, diffops.pi_double)
 
 
+@functools.cache
+def _omega_neg1(i: int, k: int, n: int) -> Polynomial:
+    """omega_i^M at y = -1 with |M| = k: prod_{j<=i} (x_j - 1)^k, ambient (n, 0)."""
+    one = Polynomial.one(n, 0)
+    out = one
+    for j in range(1, i + 1):
+        factor = Polynomial.var_x(j, n, 0) - one
+        for _ in range(k):
+            out = out * factor
+    return out
+
+
 def script_S_neg1(D: Diagram) -> Polynomial:
     """script_S(D) with every y variable already specialized to -1.
 
@@ -190,22 +204,12 @@ def script_S_neg1(D: Diagram) -> Polynomial:
     whose recorded j indices fall outside [1, m].  Ambient (n, 0).
     """
     n = D.nrows
-    one = Polynomial.one(n, 0)
 
     def omega(i, M):
-        # omega_i^M at y = -1 is prod_{j<=i} (x_j - 1)^{|M|}
-        out = one
-        for j in range(1, i + 1):
-            factor = Polynomial.var_x(j, n, 0) - one
-            for _ in range(len(M)):
-                out = out * factor
-        return out
+        return _omega_neg1(i, len(M), n)
 
-    def step(f, i, j):
-        # pi_{i,j} at y = -1 is f -> d_i((x_i - 1) f)
-        return diffops.divided_difference((Polynomial.var_x(i, n, 0) - one) * f, i)
-
-    return _evaluate(orthodontic_sequence(D), n, 0, omega, omega, step)
+    return _evaluate(orthodontic_sequence(D), n, 0, omega, omega,
+                     lambda f, i, j: diffops.pi_double_neg1(f, i))
 
 
 def stable_grothendieck(w: Permutation, nvars: int) -> Polynomial:

@@ -1,8 +1,9 @@
 """Expansion in the Lascoux basis and the positivity check pipelines.
 
 The expander peels off the lex-minimal monomial of the lowest-degree part
-of the remainder; termination rests on the triangularity of the basis,
-which the test suite verifies as a premise rather than assuming.
+of the remainder, and subtracts its multiple of L_beta from a mutable
+``Remainder`` in place.  Termination rests on the triangularity of the
+basis, which the test suite verifies as a premise rather than assuming.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from . import diagrams, families, permcomb
 from .diagrams import Diagram
 from .diffops import phi
 from .permcomb import Composition
-from .polyring import Polynomial
+from .polyring import Polynomial, Remainder
 
 
 class ExpansionError(RuntimeError):
@@ -54,18 +55,17 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
     if f.is_zero():
         return LascouxExpansion(n, {}, 0)
     d0 = f.min_degree()
-    maxdeg = max((f.per_variable_degree("x", i) for i in range(1, n + 1)), default=0)
-    cap = (maxdeg + 1) ** n
+    cap = (f.max_exponent() + 1) ** n
     coeffs: dict[Composition, int] = {}
-    r = f
+    r = Remainder(f)
     for _ in range(cap + 1):
-        if r.is_zero():
+        if not r:
             return LascouxExpansion(n, coeffs, d0)
-        (beta, _), c = r.lowest_term()
+        (beta, _), c = r.lowest()
         coeffs[beta] = coeffs.get(beta, 0) + c
         if coeffs[beta] == 0:
             del coeffs[beta]
-        r = r - families.lascoux(beta).scale(c)
+        r.subtract(families.lascoux(beta), c)
     raise ExpansionError(
         f"expansion did not terminate within {cap} steps; triangularity premise violated?"
     )

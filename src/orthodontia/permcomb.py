@@ -70,10 +70,6 @@ def avoids_pattern(w: Permutation, p: Permutation) -> bool:
     return True
 
 
-def is_dominant(w: Permutation) -> bool:
-    return avoids_pattern(w, (1, 3, 2))
-
-
 def is_vexillary(w: Permutation) -> bool:
     return avoids_pattern(w, (2, 1, 4, 3))
 
@@ -87,15 +83,6 @@ def demazure_star(w: Permutation, j: int) -> Permutation:
 def shift(w: Permutation, N: int) -> Permutation:
     """The permutation 1^N x w: fix 1..N, act as w shifted up by N."""
     return identity(N) + tuple(wi + N for wi in w)
-
-
-def ascents(w: Permutation) -> list[int]:
-    """Positions j with w(j) < w(j+1), i.e. l(w s_j) > l(w)."""
-    return [j for j in range(1, len(w)) if w[j - 1] < w[j]]
-
-
-def descents(w: Permutation) -> list[int]:
-    return [j for j in range(1, len(w)) if w[j - 1] > w[j]]
 
 
 def format_perm(w: Permutation) -> str:

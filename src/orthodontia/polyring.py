@@ -3,7 +3,8 @@
 A polynomial lives in Z[x_1..x_n, y_1..y_m] for a fixed ambient (n, m).
 Terms are stored as a dict mapping packed monomial keys to nonzero integer
 coefficients.  All operations return fresh values; nothing is mutated
-after construction.
+after construction.  The one mutable type is ``Remainder``, the running
+remainder of a basis expansion.
 
 A packed key is one int.  From the most significant end it holds the total
 degree (unbounded), then one EXP_BITS-wide field per variable: x_1..x_n,
@@ -17,13 +18,16 @@ must lie in [0, EXP_LIMIT).  With that,
   the x exponents (x_1 first), then lex on the y exponents.
 
 Only this module knows the format.  The tuple-keyed constructor,
-``to_dict``, ``canonical_terms`` and the JSON form are its boundary.
+``to_dict``, ``canonical_terms``, ``Remainder.lowest`` and the JSON form are
+its boundary.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
+import sys
+from array import array
 from typing import Iterable, Iterator
 
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
@@ -45,7 +49,7 @@ class _Layout:
     """Field positions of the packed keys of one ambient (n, m)."""
 
     __slots__ = ("n", "m", "shifts", "deg_shift", "deg_one", "guard", "low_mask", "nbytes",
-                 "unpack", "x_shift", "x_mask", "y_mask", "x_fields", "y_fields")
+                 "low_bytes", "unpack", "x_shift", "x_mask", "y_mask", "x_fields", "y_fields")
 
     def __init__(self, n: int, m: int):
         nvars = n + m
@@ -57,6 +61,7 @@ class _Layout:
         self.guard = sum(1 << (s + EXP_BITS - 1) for s in self.shifts)
         self.low_mask = self.deg_one - 1
         self.nbytes = 2 * nvars
+        self.low_bytes = sum(0xFF << s for s in self.shifts)  # the low byte of every field
         self.unpack = struct.Struct(f">{nvars}H").unpack  # EXP_BITS == 16
         # the x part of a key is (key >> x_shift) & x_mask, its y part key & y_mask
         self.x_shift = EXP_BITS * m
@@ -102,6 +107,39 @@ def _from_keys(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
     out = object.__new__(Polynomial)
     out.n, out.m, out._lay, out.terms = lay.n, lay.m, lay, terms
     return out
+
+
+class Remainder:
+    """A mutable copy of a polynomial, peeled term by term in place."""
+
+    __slots__ = ("_lay", "terms")
+
+    def __init__(self, f: "Polynomial"):
+        self._lay, self.terms = f._lay, dict(f.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def lowest(self) -> tuple[Monomial, int]:
+        """The first term in canonical order: lowest degree, then lex-minimal."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no lowest term")
+        k = min(self.terms)
+        return _decode(self._lay, k), self.terms[k]
+
+    def subtract(self, g: "Polynomial", c: int) -> None:
+        """Replace the remainder r by r - c g."""
+        if g._lay is not self._lay:
+            raise AmbientMismatch(f"ambient mismatch: ({g.n},{g.m}) vs a remainder in "
+                                  f"({self._lay.n},{self._lay.m})")
+        terms = self.terms
+        get = terms.get
+        for k, v in g.terms.items():
+            new = get(k, 0) - c * v
+            if new:
+                terms[k] = new
+            else:
+                del terms[k]
 
 
 class Polynomial:
@@ -209,19 +247,37 @@ class Polynomial:
             return Polynomial.zero(self.n, self.m)
         return _from_keys(self._lay, {mon: c * k for mon, k in self.terms.items()})
 
-    def _divided_difference(self, i: int) -> "Polynomial":
-        """d_i on packed keys; the caller checks 1 <= i < n.
+    def add_times_divided_difference(self, g: "Polynomial", i: int) -> "Polynomial":
+        """f + g d_i(f), with no intermediate product formed.
 
-        With lo, hi = min(a, b), max(a, b), a term c x_i^a x_{i+1}^b u
-        becomes the sum of sign(a - b) c x_i^(lo + k) x_{i+1}^(hi - 1 - k) u
+        Every operator f -> d_i(L f) with d_i(L) = 1 has this form, with
+        g = s_i(L), by the Leibniz rule d_i(L f) = d_i(L) f + s_i(L) d_i(f).
+        Only an exponent of the result at EXP_LIMIT raises ExponentRangeError.
+        """
+        self._check_ambient(g)
+        if not 1 <= i < self.n:
+            raise IndexError(f"d_{i} out of range for n={self.n}")
+        return self._add_divided_difference(dict(self.terms), g.terms, i)
+
+    def _divided_difference(self, i: int) -> "Polynomial":
+        """d_i on packed keys; the caller checks 1 <= i < n."""
+        return self._add_divided_difference({}, {0: 1}, i)
+
+    def _add_divided_difference(self, terms: dict[int, int], g: dict[int, int],
+                                i: int) -> "Polynomial":
+        """terms + g d_i(self) on packed keys, accumulated into terms.
+
+        With lo, hi = min(a, b), max(a, b), a term c x_i^a x_{i+1}^b u of
+        self has d_i image the sum of sign(a - b) c x_i^(lo + k) x_{i+1}^(hi - 1 - k) u
         over k < hi - lo, and successive keys of that sum differ by a fixed
-        step.
+        step.  Each of them, times each term of g, goes straight into terms.
         """
         lay = self._lay
         sa, sb = lay.shifts[i - 1], lay.shifts[i]
         ua, ub = 1 << sa, 1 << sb
         step, one = ua - ub, lay.deg_one
-        terms: dict[int, int] = {}
+        gterms = list(g.items())
+        get = terms.get
         for k, c in self.terms.items():
             a = (k >> sa) & _FIELD_MASK
             b = (k >> sb) & _FIELD_MASK
@@ -229,19 +285,38 @@ class Polynomial:
                 continue
             if a > b:
                 count = a - b
-                mon = k - count * ua + (count - 1) * ub - one
+                start = k - count * ua + (count - 1) * ub - one
             else:
                 count = b - a
-                mon = k - ub - one
+                start = k - ub - one
                 c = -c
-            for _ in range(count):
-                new = terms.get(mon, 0) + c
-                if new:
-                    terms[mon] = new
-                else:
-                    del terms[mon]
-                mon += step
-        return _from_keys(lay, terms)
+            if count == 1:  # the common case: one key per term of g
+                for gk, gc in gterms:
+                    mon = start + gk
+                    new = get(mon, 0) + c * gc
+                    if new:
+                        terms[mon] = new
+                    else:
+                        del terms[mon]
+                continue
+            for gk, gc in gterms:
+                mon, cc = start + gk, c * gc
+                for _ in range(count):
+                    new = get(mon, 0) + cc
+                    if new:
+                        terms[mon] = new
+                    else:
+                        del terms[mon]
+                    mon += step
+        # d_i lowers the degree by one; as in __mul__, no field exceeds its
+        # term's degree, so the guard bits need reading only near the limit.
+        ds = lay.deg_shift
+        top = (max(self.terms, default=0) >> ds) - 1 + (max(g, default=0) >> ds)
+        if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
+            raise ExponentRangeError(f"an exponent of the result reaches {EXP_LIMIT}")
+        # Cancelled terms leave dead slots in terms; the recursions memoize
+        # their results, so hand back a compact copy.
+        return _from_keys(lay, dict(terms))
 
     # -- degree structure --------------------------------------------------
 
@@ -255,26 +330,12 @@ class Polynomial:
         bound = (self.min_degree() + 1) << self._lay.deg_shift
         return _from_keys(self._lay, {k: c for k, c in self.terms.items() if k < bound})
 
-    def lowest_term(self) -> tuple[Monomial, int]:
-        """The first term in canonical order: lowest degree, then lex-minimal."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no lowest term")
-        k = min(self.terms)
-        return _decode(self._lay, k), self.terms[k]
-
-    def per_variable_degree(self, which: str, i: int) -> int:
-        """Maximum exponent of x_i or y_i across terms."""
-        if which == "x":
-            if not 1 <= i <= self.n:
-                raise IndexError(f"x_{i} out of range for n={self.n}")
-            s = self._lay.shifts[i - 1]
-        elif which == "y":
-            if not 1 <= i <= self.m:
-                raise IndexError(f"y_{i} out of range for m={self.m}")
-            s = self._lay.shifts[self.n + i - 1]
-        else:
-            raise ValueError(f"which must be 'x' or 'y', got {which!r}")
-        return max(((k >> s) & _FIELD_MASK for k in self.terms), default=0)
+    def max_exponent(self) -> int:
+        """The largest exponent of any variable in any term (0 for the zero polynomial)."""
+        # in native byte order every field of a key is one machine unsigned short
+        low, nbytes, order = self._lay.low_mask, self._lay.nbytes, sys.byteorder
+        fields = array("H", b"".join([(k & low).to_bytes(nbytes, order) for k in self.terms]))
+        return max(fields, default=0)
 
     # -- specializations ---------------------------------------------------
 
@@ -307,15 +368,19 @@ class Polynomial:
         if self.m != 0:
             raise ValueError("flip requires a polynomial without y variables")
         lay = self._lay
-        # x^e goes to x^(mcap - reversed e): subtract the reversed key from
-        # the key with every exponent mcap, field by field and in the degree
-        full = _encode(lay, (mcap,) * self.n, ())
+        low, nbytes, guard, low_bytes = lay.low_mask, lay.nbytes, lay.guard, lay.low_bytes
+        # x^e goes to x^(mcap - reversed e).  Reading the fields little-endian
+        # reverses their order and swaps the two bytes inside each; the masks
+        # swap them back.  Subtracting from the all-mcap key with the guard
+        # bits set borrows nothing: a field above mcap clears its guard bit.
+        top = _encode(lay, (mcap,) * self.n, ()) | guard
         terms: dict[int, int] = {}
         for k, c in self.terms.items():
-            xe, _ = _decode(lay, k)
-            if max(xe, default=0) > mcap:
-                raise ValueError(f"per-variable degree exceeds cap {mcap}: {xe}")
-            terms[full - _encode(lay, xe[::-1], ())] = c
+            r = int.from_bytes((k & low).to_bytes(nbytes, "big"), "little")
+            key = top - (k - (k & low)) - ((r & low_bytes) << 8 | (r >> 8) & low_bytes)
+            if key & guard != guard:
+                raise ValueError(f"per-variable degree exceeds cap {mcap}: {_decode(lay, k)[0]}")
+            terms[key ^ guard] = c
         return _from_keys(lay, terms)
 
     def restrict_x(self, p: int) -> "Polynomial":

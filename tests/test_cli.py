@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from orthodontia import families
 from orthodontia.cli import EXIT_CRASH, main
-from orthodontia.polyring import EXP_LIMIT
+from orthodontia.polyring import EXP_LIMIT, Polynomial
 
 
 @pytest.fixture()
@@ -39,13 +39,25 @@ def test_poly_lascoux_requires_alpha(runner):
     assert "requires --alpha" in r.output
 
 
-@pytest.mark.parametrize("top", [EXP_LIMIT, EXP_LIMIT - 1])
+@pytest.mark.parametrize("top", [EXP_LIMIT])
 def test_poly_exponent_over_limit_is_a_usage_error(runner, top):
-    # EXP_LIMIT is rejected on input; EXP_LIMIT - 1 passes, but the first
-    # product of the recursion (by x_1) takes it to the limit
+    # EXP_LIMIT is rejected on input
     r = runner.invoke(main, ["poly", "lascoux", "--alpha", f"0,{top}"])
     assert r.exit_code == 2
     assert "exponent" in r.output
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, EXP_LIMIT - 1])
+def test_poly_lascoux_0_n_closed_form(runner, n):
+    # L_(0,n) = sum_{k=0..n} x1^k x2^(n-k) - sum_{k=1..n} x1^k x2^(n+1-k), 2n+1 terms.
+    # At n = EXP_LIMIT - 1 every exponent is representable: the operators form
+    # no intermediate product such as x_1 x_2^n, so the answer is exact.
+    r = runner.invoke(main, ["poly", "lascoux", "--alpha", f"0,{n}", "--json"])
+    assert r.exit_code == 0
+    want = {((k, n - k), ()): 1 for k in range(n + 1)}
+    want.update({((k, n + 1 - k), ()): -1 for k in range(1, n + 1)})
+    assert Polynomial.from_json_dict(json.loads(r.output)).to_dict() == want
+    assert len(want) == 2 * n + 1
 
 
 @pytest.mark.parametrize("argv, message", [

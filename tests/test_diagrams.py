@@ -6,14 +6,27 @@ from orthodontia import diagrams, permcomb
 from orthodontia.diagrams import Diagram
 
 
+def size(D):
+    return sum(len(col) for col in D.columns)
+
+
+def row_counts(D):
+    """Number of boxes in each row (the exponent vector of x^D)."""
+    counts = [0] * D.nrows
+    for col in D.columns:
+        for i in col:
+            counts[i - 1] += 1
+    return tuple(counts)
+
+
 def test_diagram_validation():
     with pytest.raises(ValueError):
         Diagram(2, (frozenset({3}),))
     D = Diagram(3, (frozenset({1, 3}), frozenset()))
     assert D.ncols == 2
     assert list(D.cells()) == [(1, 1), (3, 1)]
-    assert D.size() == 2
-    assert D.row_counts() == (1, 0, 1)
+    assert size(D) == 2
+    assert row_counts(D) == (1, 0, 1)
 
 
 def test_from_cells():
@@ -28,7 +41,7 @@ def test_rothe_31542():
 
 def test_rothe_size_is_length():
     for w in permcomb.all_perms(5):
-        assert diagrams.rothe(w).size() == permcomb.length(w)
+        assert size(diagrams.rothe(w)) == permcomb.length(w)
 
 
 def test_rothe_dominant_gives_partition_columns():
@@ -40,7 +53,7 @@ def test_skyline():
     D = diagrams.skyline((0, 2, 1))
     assert [sorted(c) for c in D.columns] == [[2, 3], [2]]
     assert diagrams.skyline((0, 0)).ncols == 0
-    assert D.row_counts() == (0, 2, 1)
+    assert row_counts(D) == (0, 2, 1)
 
 
 def test_percent_avoiding():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from orthodontia import diffops, families  # noqa: E402
-from orthodontia.polyring import Polynomial  # noqa: E402
+from orthodontia.polyring import EXP_LIMIT, ExponentRangeError, Polynomial  # noqa: E402
 
 EXAMPLES = settings(max_examples=40, deadline=None)
 
@@ -125,6 +125,43 @@ def test_pibar_double_matches_sympy(case, data):
     assert kernel_dict(diffops.pibar_double(f, i, j)) == expected_dict(expect, n, m)
 
 
+# d_i(L f) for the operators not covered above, with L in sympy; a, b, y stand
+# for x_i, x_{i+1}, y_j.  The kernel computes each as f + s_i(L) d_i(f).
+UNFUSED = {
+    "demazure": lambda a, b, y: a,
+    "demazure_lascoux": lambda a, b, y: (1 - b) * a,
+    "pi_double": lambda a, b, y: a + y,
+    "pi_double_neg1": lambda a, b, y: a - 1,
+}
+
+
+@pytest.mark.parametrize("op", sorted(UNFUSED))
+@EXAMPLES
+@given(pairs(nmin=2), st.data())
+def test_fused_operators_match_sympy(op, case, data):
+    n, m, a, _ = case
+    doubled = op == "pi_double"
+    if doubled and m == 0:
+        m, a = 1, {(xe, (0,)): c for (xe, _), c in a.items()}
+    i = data.draw(st.integers(1, n - 1))
+    j = data.draw(st.integers(1, m)) if doubled else 0
+    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
+    xs, ys = gens(n, m)
+    expect = sympy_d(UNFUSED[op](xs[i - 1], xs[i], ys[j - 1] if j else None) * sf, i, n)
+    got = getattr(diffops, op)(f, i, j) if doubled else getattr(diffops, op)(f, i)
+    assert kernel_dict(got) == expected_dict(expect, n, m)
+
+
+def test_fused_output_at_the_limit_is_rejected():
+    # y_1^(EXP_LIMIT - 1) survives d_1 and meets the y_1 of g in the output
+    f = Polynomial(2, 1, {((1, 0), (EXP_LIMIT - 1,)): 1})
+    with pytest.raises(ExponentRangeError):
+        diffops.pibar_double(f, 1, 1)
+    # the same exponent in x_2 stays below the limit: x_2 of g meets d_1 of x_2^e
+    top = Polynomial(2, 0, {((0, EXP_LIMIT - 1), ()): 1})
+    assert diffops.demazure_lascoux(top, 1).max_exponent() == EXP_LIMIT - 1
+
+
 @EXAMPLES
 @given(pairs(), st.integers(-2, 2))
 def test_y_specializations_match_sympy(case, c):
@@ -145,6 +182,34 @@ def test_flip_matches_sympy(case, mcap):
     reflected = sf.subs({xs[k]: 1 / xs[n - 1 - k] for k in range(n)}, simultaneous=True)
     expect = sympy.cancel(sympy.Mul(*(v**mcap for v in xs)) * reflected)
     assert kernel_dict(f.flip(mcap)) == expected_dict(expect, n, 0)
+
+
+def sympy_flip(terms, n, mcap):
+    sf = to_sympy(terms, n, 0)
+    xs, _ = gens(n, 0)
+    reflected = sf.subs({xs[k]: 1 / xs[n - 1 - k] for k in range(n)}, simultaneous=True)
+    return expected_dict(sympy.cancel(sympy.Mul(*(v**mcap for v in xs)) * reflected), n, 0)
+
+
+@pytest.mark.parametrize("n, terms, mcap", [
+    (3, {((0, 2, EXP_LIMIT - 1), ()): 5, ((1, 0, 0), ()): -1}, EXP_LIMIT - 1),
+    (2, {((0, 0), ()): 1}, EXP_LIMIT - 1),
+    (1, {((0,), ()): 2, ((3,), ()): -7}, 3),
+    (1, {((2,), ()): 1}, 5),
+    (2, {}, 3),
+    (1, {}, 0),
+])
+def test_flip_edge_cases_match_sympy(n, terms, mcap):
+    assert kernel_dict(Polynomial(n, 0, terms).flip(mcap)) == sympy_flip(terms, n, mcap)
+
+
+@pytest.mark.parametrize("n, mcap", [(1, 0), (1, 3), (3, 3), (2, EXP_LIMIT - 2)])
+def test_flip_rejects_an_exponent_one_over_the_cap(n, mcap):
+    for k in range(n):
+        xe = tuple(mcap + 1 if v == k else 0 for v in range(n))
+        f = Polynomial(n, 0, {((0,) * n, ()): 1, (xe, ()): 1})
+        with pytest.raises(ValueError, match=f"exceeds cap {mcap}"):
+            f.flip(mcap)
 
 
 @EXAMPLES

@@ -28,7 +28,8 @@ def test_sigma_of_dominant_is_w_itself():
 
 def test_sigma_always_dominant():
     for w in permcomb.all_perms(5):
-        assert permcomb.is_dominant(sortorder.sigma_of(w))
+        # dominant: 132-avoiding
+        assert permcomb.avoids_pattern(sortorder.sigma_of(w), (1, 3, 2))
 
 
 def test_sort_of_permutes_window_only():
