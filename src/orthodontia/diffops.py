@@ -10,7 +10,6 @@ f + g d_i(f) with g = s_i(L); the kernel forms that in one pass, never L f.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 from .polyring import Polynomial
@@ -28,7 +27,6 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
     return f._divided_difference(i)
 
 
-@functools.cache
 def _one_minus_x(i: int, n: int, m: int) -> Polynomial:
     return Polynomial.one(n, m) - Polynomial.var_x(i, n, m)
 
@@ -45,11 +43,10 @@ def demazure(f: Polynomial, i: int) -> Polynomial:
 
 def demazure_lascoux(f: Polynomial, i: int) -> Polynomial:
     """pibar_i(f) = dbar_i(x_i f) = f + x_{i+1} (1 - x_i) d_i(f)."""
-    g = Polynomial.var_x(i + 1, f.n, f.m) * _one_minus_x(i, f.n, f.m)
-    return f.add_times_divided_difference(g, i)
+    return f.add_times_divided_difference(
+        Polynomial.var_x(i + 1, f.n, f.m) * _one_minus_x(i, f.n, f.m), i)
 
 
-@functools.cache
 def _xy_factor(i: int, j: int, n: int, m: int, barred: bool) -> Polynomial:
     """x_i + y_j (unbarred) or x_i + y_j - x_i y_j (barred)."""
     x = Polynomial.var_x(i, n, m)
@@ -67,8 +64,8 @@ def pibar_double(f: Polynomial, i: int, j: int) -> Polynomial:
 
     Here g = (1 - x_i)(x_{i+1} + y_j - x_{i+1} y_j).
     """
-    g = _one_minus_x(i, f.n, f.m) * _xy_factor(i + 1, j, f.n, f.m, barred=True)
-    return f.add_times_divided_difference(g, i)
+    return f.add_times_divided_difference(
+        _one_minus_x(i, f.n, f.m) * _xy_factor(i + 1, j, f.n, f.m, barred=True), i)
 
 
 def pi_double_neg1(f: Polynomial, i: int) -> Polynomial:

@@ -132,6 +132,8 @@ class Remainder:
         if g._lay is not self._lay:
             raise AmbientMismatch(f"ambient mismatch: ({g.n},{g.m}) vs a remainder in "
                                   f"({self._lay.n},{self._lay.m})")
+        if not c:
+            return
         terms = self.terms
         get = terms.get
         for k, v in g.terms.items():
@@ -290,15 +292,6 @@ class Polynomial:
                 count = b - a
                 start = k - ub - one
                 c = -c
-            if count == 1:  # the common case: one key per term of g
-                for gk, gc in gterms:
-                    mon = start + gk
-                    new = get(mon, 0) + c * gc
-                    if new:
-                        terms[mon] = new
-                    else:
-                        del terms[mon]
-                continue
             for gk, gc in gterms:
                 mon, cc = start + gk, c * gc
                 for _ in range(count):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthodontia.polyring import EXP_LIMIT, AmbientMismatch, ExponentRangeError, Polynomial
+from orthodontia.polyring import (
+    EXP_LIMIT, AmbientMismatch, ExponentRangeError, Polynomial, Remainder,
+)
 from orthodontia.suites import random_polynomial
 
 
@@ -90,6 +92,21 @@ def test_degree_structure():
     assert Polynomial.zero(2, 1).max_exponent() == 0
     with pytest.raises(ValueError):
         Polynomial.zero(2, 1).min_degree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(), st.integers(-3, 3))
+@example(f=Polynomial.zero(2, 1), g=Polynomial.one(2, 1), c=0)
+def test_remainder_subtract_and_lowest(f, g, c):
+    before = dict(f.terms)
+    r = Remainder(f)
+    r.subtract(g, c)
+    expected = f - g.scale(c)
+    assert r.terms == expected.terms
+    assert bool(r) == bool(expected)
+    if expected:
+        assert r.lowest() == next(expected.canonical_terms())
+    assert f.terms == before
 
 
 def test_substitute_y():
