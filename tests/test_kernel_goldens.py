@@ -2,9 +2,11 @@
 
 ``kernel_goldens.json`` holds the sha256 of ``to_json()`` of every double and
 single Grothendieck and Schubert polynomial with n <= 4, of ``lascoux`` and
-``key_via_pi`` for every alpha in {0..3}^3, and of every ``conj15_item`` record
+``key_via_pi`` for every alpha in {0..3}^3, of every ``conj15_item`` record
 of ``scan conj15 --n 3 --m 2`` (``json.dumps(record, sort_keys=True)``, as the
-scan prints it).  A change to the arithmetic kernel must reproduce them all.
+scan prints it), and of the stdout of ``pipedreams --w <w> --emit-json`` and
+``pipedreams --w <w> --count`` for every w in S_1..S_5.  A change to the
+arithmetic kernel or to the pipe-dream walk must reproduce them all.
 
 Re-freeze (only after a deliberate change of answers) with
 ``PYTHONPATH=src python tests/test_kernel_goldens.py``.
@@ -12,12 +14,15 @@ Re-freeze (only after a deliberate change of answers) with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from itertools import product
 from pathlib import Path
 
 from orthodontia import families, lascouxbasis, permcomb
+from orthodontia.cli import main
 
 GOLDENS = Path(__file__).with_name("kernel_goldens.json")
 
@@ -27,6 +32,14 @@ COMP_FAMILIES = ("lascoux", "key_via_pi")
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def stdout_of(argv: list[str]) -> str:
+    """What ``orthodontia <argv>`` prints to stdout; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main.main(args=argv, prog_name="orthodontia", standalone_mode=False)
+    return out.getvalue()
 
 
 def digests() -> dict[str, str]:
@@ -42,6 +55,10 @@ def digests() -> dict[str, str]:
         record = lascouxbasis.conj15_item((alpha, i))
         out[f"conj15_item {','.join(map(str, alpha))} {i}"] = sha(
             json.dumps(record, sort_keys=True))
+    for w in (w for n in range(1, 6) for w in permcomb.all_perms(n)):
+        for flag in ("--emit-json", "--count"):
+            out[f"pipedreams {permcomb.format_perm(w)} {flag}"] = sha(
+                stdout_of(["pipedreams", "--w", permcomb.format_perm(w), flag]))
     return out
 
 
