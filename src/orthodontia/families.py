@@ -113,10 +113,7 @@ def lascoux(alpha: Composition) -> Polynomial:
 
 def key(alpha: Composition) -> Polynomial:
     """Key polynomial kappa_alpha, the lowest degree part of L_alpha."""
-    alpha = tuple(alpha)
-    if all(a == 0 for a in alpha):
-        return Polynomial.one(len(alpha), 0)
-    return lascoux(alpha).lowest_degree_part()
+    return lascoux(tuple(alpha)).lowest_degree_part()
 
 
 def key_via_pi(alpha: Composition) -> Polynomial:

@@ -80,6 +80,11 @@ def demazure_star(w: Permutation, j: int) -> Permutation:
     return ws if w[j - 1] < w[j] else w
 
 
+def bruhat_le(u: Permutation, w: Permutation) -> bool:
+    """u <= w in Bruhat order: sorted u[:k] <= sorted w[:k] entrywise, every k."""
+    return all(a <= b for k in range(1, len(u)) for a, b in zip(sorted(u[:k]), sorted(w[:k])))
+
+
 def shift(w: Permutation, N: int) -> Permutation:
     """The permutation 1^N x w: fix 1..N, act as w shifted up by N."""
     return identity(N) + tuple(wi + N for wi in w)

@@ -1,19 +1,24 @@
-"""Brute-force pipe dream enumeration and the weight-sum formula.
+"""Pipe dreams and the weight-sum formula, by a pruned walk over the staircase.
 
-The independent oracle for every Grothendieck computation: enumerate all
-cross fillings of the staircase grid, bucket them by Demazure product,
-and sum the (x_i + y_j - x_i y_j) weights.
+The independent oracle for every Grothendieck computation.  The cells of
+the staircase grid are read row by row, right to left, and cell (i, j)
+carries the letter s_{i+j-1}; a filling is a pipe dream for w when the
+Demazure (0-Hecke) product of the letters of its crosses is w.  The walk
+keeps one value per Demazure product u of the cells read so far, and drops
+u unless u <= w <= Dem(u, rest of the word) in Bruhat order.  Demazure
+products only go up, so no dropped state could have ended at w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import permcomb
 from .permcomb import Permutation
 from .polyring import Polynomial
 
-MAX_BRUTE_N = 7
+MAX_N = 7
 
 
 @dataclass(frozen=True)
@@ -30,43 +35,35 @@ class PipeDream:
         return tuple(sorted(self.crosses))
 
 
-def staircase_cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
+def _walk(w: Permutation, start, cross):
+    """Sum over the fillings with Demazure product w, one cell at a time.
 
-
-def demazure_word_of(P: PipeDream) -> Permutation:
-    """Demazure product of s_{i+j-1} over crosses, row by row, right to left."""
-    w = permcomb.identity(P.n)
-    for i, j in sorted(P.crosses, key=lambda c: (c[0], -c[1])):
-        w = permcomb.demazure_star(w, i + j - 1)
-    return w
-
-
-_buckets: dict[int, dict[Permutation, list[PipeDream]]] = {}
-
-
-def _enumerate_all(n: int) -> dict[Permutation, list[PipeDream]]:
-    """One sweep over all 2^(n(n-1)/2) fillings, bucketed by Demazure product."""
-    if n in _buckets:
-        return _buckets[n]
-    if n > MAX_BRUTE_N:
-        raise ValueError(f"n={n} too large for brute-force enumeration (max {MAX_BRUTE_N})")
-    cells = staircase_cells(n)
-    buckets: dict[Permutation, list[PipeDream]] = {}
-    for mask in range(1 << len(cells)):
-        crosses = frozenset(cells[k] for k in range(len(cells)) if mask >> k & 1)
-        P = PipeDream(n, crosses)
-        buckets.setdefault(demazure_word_of(P), []).append(P)
-    for plist in buckets.values():
-        plist.sort(key=PipeDream.sorted_crosses)
-    _buckets[n] = buckets
-    return buckets
+    Each filling starts at ``start``; a cross at (i, j) maps a value v to
+    ``cross(v, i, j)``, and values that reach the same state are added.
+    """
+    w = tuple(permcomb.check_perm(w))
+    n = len(w)
+    if n > MAX_N:
+        raise ValueError(f"n={n} too large for the pipe-dream walk (max {MAX_N})")
+    cells = [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)]
+    word = [i + j - 1 for i, j in cells]
+    states = {permcomb.identity(n): start}
+    for k, (i, j) in enumerate(cells):
+        nxt = {}
+        for u, value in states.items():
+            for v, crossed in ((u, False), (permcomb.demazure_star(u, word[k]), True)):
+                if permcomb.bruhat_le(v, w) and permcomb.bruhat_le(
+                        w, reduce(permcomb.demazure_star, word[k + 1:], v)):
+                    val = cross(value, i, j) if crossed else value
+                    nxt[v] = nxt[v] + val if v in nxt else val
+        states = nxt
+    return states[w]
 
 
 def enumerate_pd(w: Permutation) -> list[PipeDream]:
     """All pipe dreams P with Demazure product w, in canonical order."""
-    permcomb.check_perm(w)
-    return list(_enumerate_all(len(w)).get(tuple(w), []))
+    dreams = _walk(w, [()], lambda ds, i, j: [d + ((i, j),) for d in ds])
+    return sorted((PipeDream(len(w), frozenset(d)) for d in dreams), key=PipeDream.sorted_crosses)
 
 
 def weight_sum(w: Permutation) -> Polynomial:
@@ -74,17 +71,14 @@ def weight_sum(w: Permutation) -> Polynomial:
 
     A pipe dream with more crosses than l(w) is nonreduced and enters with
     sign (-1)^(#crosses - l(w)), matching the recursion convention where
-    the isobaric operator carries the (1 - x_{i+1}) factor.
+    the isobaric operator carries the (1 - x_{i+1}) factor.  Each cross
+    multiplies by -(x_i + y_j - x_i y_j), and the sum by (-1)^l(w).
     """
-    n = len(permcomb.check_perm(w))
-    lw = permcomb.length(w)
-    total = Polynomial.zero(n, n)
-    for P in enumerate_pd(w):
-        sign = -1 if (len(P.crosses) - lw) % 2 else 1
-        term = Polynomial.const(sign, n, n)
-        for i, j in P.sorted_crosses():
-            x = Polynomial.var_x(i, n, n)
-            y = Polynomial.var_y(j, n, n)
-            term = term * (x + y - x * y)
-        total = total + term
-    return total
+    n = len(w)
+
+    def cross(f: Polynomial, i: int, j: int) -> Polynomial:
+        x, y = Polynomial.var_x(i, n, n), Polynomial.var_y(j, n, n)
+        return f * (x * y - x - y)
+
+    total = _walk(w, Polynomial.one(n, n), cross)
+    return -total if permcomb.length(w) % 2 else total

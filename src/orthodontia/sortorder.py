@@ -59,7 +59,8 @@ def sigma_of(w: Permutation) -> Permutation:
 
 
 def is_sorted_perm(w: Permutation) -> bool:
-    return sigma_of(w) == permcomb.identity(len(sigma_of(w)))
+    sigma = sigma_of(w)
+    return sigma == permcomb.identity(len(sigma))
 
 
 def sort_of(w: Permutation) -> Permutation:

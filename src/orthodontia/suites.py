@@ -265,16 +265,6 @@ def _elementary_symmetric(r: int, lo: int, hi: int, n: int, m: int) -> Polynomia
     return out
 
 
-def swap_x(f: Polynomial, i: int) -> Polynomial:
-    """s_i f: exchange x_i and x_{i+1}."""
-    terms = {}
-    for (xe, ye), c in f.to_dict().items():
-        xl = list(xe)
-        xl[i - 1], xl[i] = xl[i], xl[i - 1]
-        terms[(tuple(xl), ye)] = c
-    return Polynomial(f.n, f.m, terms)
-
-
 def suite_lemma4(nmax: int = 4, count: int = 200, seed: int = 77) -> SuiteResult:
     """Specialization/intertwining identities (n in [2, nmax]) and the pi-to-del lemma."""
     if nmax < 2:

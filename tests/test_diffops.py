@@ -6,7 +6,17 @@ import pytest
 
 from orthodontia import diffops
 from orthodontia.polyring import Polynomial
-from orthodontia.suites import random_polynomial, swap_x
+from orthodontia.suites import random_polynomial
+
+
+def swap_x(f, i):
+    """s_i f: exchange x_i and x_{i+1}."""
+    terms = {}
+    for (xe, ye), c in f.to_dict().items():
+        xl = list(xe)
+        xl[i - 1], xl[i] = xl[i], xl[i - 1]
+        terms[(tuple(xl), ye)] = c
+    return Polynomial(f.n, f.m, terms)
 
 
 def x(i, n=3, m=0):

@@ -99,6 +99,29 @@ def test_demazure_star_idempotent_relation():
         assert permcomb.demazure_star(once, j) == once
 
 
+def bruhat_ideal(w):
+    """Everything below w: the closure of w -> w t_ab whenever that lowers the length."""
+    seen, todo = {w}, [w]
+    while todo:
+        v = todo.pop()
+        for a in range(len(v)):
+            for b in range(a + 1, len(v)):
+                if v[a] > v[b]:
+                    u = v[:a] + (v[b],) + v[a + 1:b] + (v[a],) + v[b + 1:]
+                    if u not in seen:
+                        seen.add(u)
+                        todo.append(u)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bruhat_le_is_the_bruhat_order(n):
+    perms = list(permcomb.all_perms(n))
+    for w in perms:
+        below = bruhat_ideal(w)
+        assert [u for u in perms if permcomb.bruhat_le(u, w)] == [u for u in perms if u in below]
+
+
 def test_shift():
     assert permcomb.shift((2, 1), 2) == (1, 2, 4, 3)
     assert permcomb.length(permcomb.shift((3, 1, 2), 4)) == permcomb.length((3, 1, 2))

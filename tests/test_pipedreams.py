@@ -1,9 +1,30 @@
 """Tests for pipe dream enumeration and the weight-sum oracle."""
 
+from functools import cache
+
 import pytest
 
 from orthodontia import families, permcomb, pipedreams
 from orthodontia.pipedreams import PipeDream
+
+
+def demazure_word_of(P: PipeDream):
+    """Demazure product of s_{i+j-1} over crosses, row by row, right to left."""
+    w = permcomb.identity(P.n)
+    for i, j in sorted(P.crosses, key=lambda c: (c[0], -c[1])):
+        w = permcomb.demazure_star(w, i + j - 1)
+    return w
+
+
+@cache
+def fillings_by_product(n: int) -> dict:
+    """Brute force: all 2^(n(n-1)/2) fillings, bucketed by Demazure product."""
+    cells = [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
+    buckets = {}
+    for mask in range(1 << len(cells)):
+        P = PipeDream(n, frozenset(c for k, c in enumerate(cells) if mask >> k & 1))
+        buckets.setdefault(demazure_word_of(P), []).append(P)
+    return buckets
 
 
 def test_pipe_dream_cell_validation():
@@ -14,19 +35,26 @@ def test_pipe_dream_cell_validation():
 
 def test_demazure_word_of():
     # empty filling reads to the identity
-    assert pipedreams.demazure_word_of(PipeDream(3, frozenset())) == (1, 2, 3)
+    assert demazure_word_of(PipeDream(3, frozenset())) == (1, 2, 3)
     # full staircase gives w0
     full = PipeDream(3, frozenset({(1, 1), (1, 2), (2, 1)}))
-    assert pipedreams.demazure_word_of(full) == (3, 2, 1)
+    assert demazure_word_of(full) == (3, 2, 1)
     # the two cells (1,2) and (2,1) both read as s_2
-    assert pipedreams.demazure_word_of(PipeDream(3, frozenset({(1, 2)}))) == (1, 3, 2)
-    assert pipedreams.demazure_word_of(PipeDream(3, frozenset({(2, 1)}))) == (1, 3, 2)
+    assert demazure_word_of(PipeDream(3, frozenset({(1, 2)}))) == (1, 3, 2)
+    assert demazure_word_of(PipeDream(3, frozenset({(2, 1)}))) == (1, 3, 2)
 
 
 def test_enumeration_partitions_all_fillings():
-    n = 4
+    n = 5
     total = sum(len(pipedreams.enumerate_pd(w)) for w in permcomb.all_perms(n))
     assert total == 2 ** (n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_walk_equals_brute_force_buckets(n):
+    buckets = fillings_by_product(n)
+    for w in permcomb.all_perms(n):
+        assert pipedreams.enumerate_pd(w) == sorted(buckets[w], key=PipeDream.sorted_crosses)
 
 
 def test_identity_has_single_empty_dream():
@@ -74,5 +102,8 @@ def test_weight_sum_matches_recursion_s4():
 
 
 def test_brute_force_cap():
-    with pytest.raises(ValueError):
-        pipedreams.enumerate_pd(tuple(range(1, 9)))
+    # the size refusal outlives the brute force: n > MAX_N is refused
+    with pytest.raises(ValueError, match="too large"):
+        pipedreams.enumerate_pd(tuple(range(1, pipedreams.MAX_N + 2)))
+    with pytest.raises(ValueError, match="too large"):
+        pipedreams.weight_sum(tuple(range(1, pipedreams.MAX_N + 2)))
