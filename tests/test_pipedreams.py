@@ -1,7 +1,5 @@
 """Tests for pipe dream enumeration and the weight-sum oracle."""
 
-from functools import cache
-
 import pytest
 
 from orthodontia import families, permcomb, pipedreams
@@ -16,7 +14,6 @@ def demazure_word_of(P: PipeDream):
     return w
 
 
-@cache
 def fillings_by_product(n: int) -> dict:
     """Brute force: all 2^(n(n-1)/2) fillings, bucketed by Demazure product."""
     cells = [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
@@ -102,7 +99,7 @@ def test_weight_sum_matches_recursion_s4():
 
 
 def test_brute_force_cap():
-    # the size refusal outlives the brute force: n > MAX_N is refused
+    # both callers of the walk refuse n > MAX_N
     with pytest.raises(ValueError, match="too large"):
         pipedreams.enumerate_pd(tuple(range(1, pipedreams.MAX_N + 2)))
     with pytest.raises(ValueError, match="too large"):
