@@ -3,8 +3,9 @@
 ``kernel_goldens.json`` holds the sha256 of ``to_json()`` of every double and
 single Grothendieck and Schubert polynomial with n <= 4, of ``lascoux`` and
 ``key_via_pi`` for every alpha in {0..3}^3, of every ``conj15_item`` record
-of ``scan conj15 --n 3 --m 2`` (``json.dumps(record, sort_keys=True)``, as the
-scan prints it), and of the stdout of ``pipedreams --w <w> --emit-json`` and
+of ``scan conj15 --n 3 --m 2``, every ``conj14_item`` record of ``scan conj14
+--n 3 --m 3`` and every ``thm12_vexillary_item`` record for w in S_1..S_5
+(``json.dumps(record, sort_keys=True)``, as the scan prints it), and of the stdout of ``pipedreams --w <w> --emit-json`` and
 ``pipedreams --w <w> --count`` for every w in S_1..S_5.  A change to the
 arithmetic kernel or to the pipe-dream walk must reproduce them all.
 
@@ -21,7 +22,7 @@ import json
 from itertools import product
 from pathlib import Path
 
-from orthodontia import families, lascouxbasis, permcomb
+from orthodontia import diagrams, families, lascouxbasis, permcomb
 from orthodontia.cli import main
 
 GOLDENS = Path(__file__).with_name("kernel_goldens.json")
@@ -55,6 +56,12 @@ def digests() -> dict[str, str]:
         record = lascouxbasis.conj15_item((alpha, i))
         out[f"conj15_item {','.join(map(str, alpha))} {i}"] = sha(
             json.dumps(record, sort_keys=True))
+    for D in lascouxbasis.conj14_items(3, 3):
+        out[f"conj14_item {diagrams.format_diagram(D)}"] = sha(
+            json.dumps(lascouxbasis.conj14_item(D), sort_keys=True))
+    for w in (w for n in range(1, 6) for w in lascouxbasis.thm12_vexillary_items(n)):
+        out[f"thm12_vexillary_item {permcomb.format_perm(w)}"] = sha(
+            json.dumps(lascouxbasis.thm12_vexillary_item(w), sort_keys=True))
     for w in (w for n in range(1, 6) for w in permcomb.all_perms(n)):
         for flag in ("--emit-json", "--count"):
             out[f"pipedreams {permcomb.format_perm(w)} {flag}"] = sha(
