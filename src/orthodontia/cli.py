@@ -260,7 +260,8 @@ def cmd_check(what, D, no_require_inclusion, as_json):
         res = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    record = lascouxbasis.scan_record({"diagram": diagrams.format_diagram(D)}, res.expansion)
+    record = lascouxbasis.scan_record(
+        {"diagram": diagrams.format_diagram(D)}, res.expansion, res.verdict)
     if as_json:
         click.echo(json.dumps(record, sort_keys=True))
     else:

@@ -183,25 +183,25 @@ def all_diagrams(n: int, m: int):
 
 
 def format_diagram(D: Diagram) -> str:
-    """Text format: 'n=<int>' then one ;-separated field per column.
+    """Text format: 'n=<int>' then one ';<rows>' field per column.
 
     An empty field is an empty column, so 'n=5;1;1,3,4;;3;' has five
-    columns, the last one empty.
+    columns, the last one empty, 'n=2;' has one empty column and 'n=2'
+    has none.
     """
-    cols = ";".join(",".join(str(i) for i in sorted(col)) for col in D.columns)
-    return f"n={D.nrows};{cols}" if D.columns else f"n={D.nrows};"
+    return f"n={D.nrows}" + "".join(";" + ",".join(map(str, sorted(col))) for col in D.columns)
 
 
 def parse_diagram(text: str) -> Diagram:
     text = text.strip()
     if not text.startswith("n="):
         raise ValueError("diagram text must start with 'n=<int>;'")
-    head, _, rest = text.partition(";")
+    head, sep, rest = text.partition(";")
     try:
         nrows = int(head[2:])
         cols = [
             frozenset(int(t) for t in chunk.split(",")) if chunk.strip() else frozenset()
-            for chunk in (rest.split(";") if rest else ())
+            for chunk in (rest.split(";") if sep else ())
         ]
     except ValueError:
         raise ValueError(f"not an integer row count or row index in diagram text {text!r}") from None

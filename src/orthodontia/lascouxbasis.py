@@ -4,6 +4,13 @@ The expander peels off the lex-minimal monomial of the lowest-degree part
 of the remainder, and subtracts its multiple of L_beta from a mutable
 ``Remainder`` in place.  Termination rests on the triangularity of the
 basis, which the test suite verifies as a premise rather than assuming.
+
+``theorem12_check`` memoizes each expansion on what it reads.  At y = -1
+the column indices drop out of the evaluator, so flip(script_S_neg1(D),
+ncols) is a function of (n, ncols, the rows i_k, the sizes |M_k|, the
+sizes |K_a|) alone, and diagrams that share this key share the expansion
+exactly.  The memo holds expansions, no polynomial, one per distinct key
+(3527 for the %-avoiding diagrams in [4] x [4]).
 """
 
 from __future__ import annotations
@@ -87,23 +94,35 @@ class Theorem12Result:
     expansion: LascouxExpansion
 
 
+# (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S_neg1(D), ncols)
+_theorem12: dict[tuple, LascouxExpansion] = {}
+
+
 def theorem12_check(D: Diagram, require_inclusion: bool = True) -> Theorem12Result:
-    """Expand flip(script_S(D)|_{y -> -1}, ncols) and check graded positivity."""
+    """Expand flip(script_S(D)|_{y -> -1}, ncols) and check graded positivity.
+
+    The expansion is memoized (see the module docstring) and shared
+    between calls, so a caller must not mutate it.
+    """
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion (pass require_inclusion=False)")
-    # flip raises ValueError if an x-degree of the specialisation exceeds ncols
-    e = lascoux_expand(families.script_S_neg1(D).flip(D.ncols))
+    seq = diagrams.orthodontic_sequence(D)
+    key = (D.nrows, D.ncols, seq.i, tuple(map(len, seq.M)), tuple(map(len, seq.K)))
+    e = _theorem12.get(key)
+    if e is None:
+        # flip raises ValueError if an x-degree of the specialisation exceeds ncols
+        e = _theorem12[key] = lascoux_expand(families.script_S_neg1(D, seq).flip(D.ncols))
     return Theorem12Result(graded_positive(e), e)
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
 
 
-def scan_record(item: dict, e: LascouxExpansion) -> dict:
+def scan_record(item: dict, e: LascouxExpansion, verdict: PositivityVerdict) -> dict:
     """The JSON record of one scanned item: its expansion and graded-positivity verdict."""
     return {
         "item": item,
-        "verdict": "positive" if graded_positive(e).positive else "violation",
+        "verdict": "positive" if verdict.positive else "violation",
         "expansion": e.to_json_list(),
         "d0": e.baseline_degree,
     }
@@ -112,7 +131,7 @@ def scan_record(item: dict, e: LascouxExpansion) -> dict:
 def conj15_item(args: tuple[Composition, int]) -> dict:
     alpha, i = args
     e = lascoux_expand(phi(families.lascoux(alpha), i))
-    return scan_record({"alpha": list(alpha), "i": i}, e)
+    return scan_record({"alpha": list(alpha), "i": i}, e, graded_positive(e))
 
 
 def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
@@ -125,7 +144,7 @@ def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
 
 def conj14_item(D: Diagram) -> dict:
     res = theorem12_check(D, require_inclusion=False)
-    return scan_record({"diagram": diagrams.format_diagram(D)}, res.expansion)
+    return scan_record({"diagram": diagrams.format_diagram(D)}, res.expansion, res.verdict)
 
 
 def conj14_items(n: int, m: int) -> list[Diagram]:
@@ -134,7 +153,7 @@ def conj14_items(n: int, m: int) -> list[Diagram]:
 
 def thm12_vexillary_item(w) -> dict:
     res = theorem12_check(diagrams.rothe(w), require_inclusion=False)
-    return scan_record({"w": permcomb.format_perm(w)}, res.expansion)
+    return scan_record({"w": permcomb.format_perm(w)}, res.expansion, res.verdict)
 
 
 def thm12_vexillary_items(nmax: int) -> list:

@@ -247,6 +247,18 @@ def test_check_thm12(runner):
     assert rec["verdict"] == "positive"
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_check_thm12_answers_as_the_scan_record_it_reads(runner, m):
+    r = runner.invoke(main, ["scan", "conj14", "--n", "2", "--m", str(m), "--json"])
+    assert r.exit_code == 0
+    records = [json.loads(line) for line in r.output.splitlines() if line.startswith('{"d0"')]
+    assert records
+    for rec in records:
+        r2 = runner.invoke(main, ["check", "thm12", "--diagram", rec["item"]["diagram"],
+                                  "--no-require-inclusion", "--json"])
+        assert json.loads(r2.output) == rec
+
+
 def test_check_thm12_inclusion_gate(runner):
     r = runner.invoke(main, ["check", "thm12", "--diagram", "n=2;1;2;"])
     assert r.exit_code == 2

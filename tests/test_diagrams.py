@@ -1,6 +1,8 @@
 """Tests for diagrams and the double orthodontia algorithm."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthodontia import diagrams, permcomb
 from orthodontia.diagrams import Diagram
@@ -137,6 +139,24 @@ def test_format_parse_roundtrip():
         Diagram(4, (frozenset(), frozenset({2, 4}))),
     ]:
         assert diagrams.parse_diagram(diagrams.format_diagram(D)) == D
-    assert diagrams.format_diagram(diagrams.rothe((3, 1, 5, 4, 2))) == "n=5;1;1,3,4;;3;"
+    for text, D in [
+        ("n=5;1;1,3,4;;3;", diagrams.rothe((3, 1, 5, 4, 2))),
+        ("n=2", Diagram(2, ())),
+        ("n=2;", Diagram(2, (frozenset(),))),
+    ]:
+        assert diagrams.format_diagram(D) == text and diagrams.parse_diagram(text) == D
     with pytest.raises(ValueError):
         diagrams.parse_diagram("5;1;")
+
+
+@st.composite
+def diagram_objects(draw):
+    nrows = draw(st.integers(0, 6))
+    rows = st.frozensets(st.integers(1, nrows), max_size=nrows) if nrows else st.just(frozenset())
+    return Diagram(nrows, tuple(draw(st.lists(rows, max_size=5))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagram_objects())
+def test_format_parse_diagram_roundtrip_fuzzed(D):
+    assert diagrams.parse_diagram(diagrams.format_diagram(D)) == D

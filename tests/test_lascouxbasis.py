@@ -72,11 +72,43 @@ def test_theorem12_check_small_diagram():
 
 
 def test_theorem12_check_requires_inclusion_order():
+    lascouxbasis._theorem12.clear()
     D = diagrams.from_cells(2, 2, [(1, 1), (2, 2)])
     with pytest.raises(ValueError):
         lascouxbasis.theorem12_check(D)
+    assert lascouxbasis._theorem12 == {}  # the check precedes the memo
     res = lascouxbasis.theorem12_check(D, require_inclusion=False)
     assert res.verdict.positive
+
+
+def _theorem12_key(D):
+    seq = diagrams.orthodontic_sequence(D)
+    return (D.nrows, D.ncols, seq.i, tuple(map(len, seq.M)), tuple(map(len, seq.K)))
+
+
+def test_theorem12_memo_matches_fresh_expansion():
+    lascouxbasis._theorem12.clear()
+    items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
+    for D in items:
+        memoized = lascouxbasis.theorem12_check(D, require_inclusion=False).expansion
+        fresh = lascoux_expand(families.script_S_neg1(D).flip(D.ncols))
+        assert memoized.coeffs == fresh.coeffs, diagrams.format_diagram(D)
+        assert memoized.baseline_degree == fresh.baseline_degree
+    # one expansion per key (118 in [3]x[3], 797 in [4]x[3]), and no polynomial
+    assert len(lascouxbasis._theorem12) == len({_theorem12_key(D) for D in items}) == 118 + 797
+    assert all(isinstance(e, LascouxExpansion) for e in lascouxbasis._theorem12.values())
+
+
+def test_theorem12_key_is_exact():
+    groups = {}
+    for D in lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3):
+        groups.setdefault(_theorem12_key(D), []).append(D)
+    shared = [g for g in groups.values() if len(g) > 1]
+    # the key forgets j and the column sets, and some diagrams differ only there
+    assert any(len({diagrams.orthodontic_sequence(D).j for D in g}) > 1 for g in shared)
+    for g in shared:
+        first = families.script_S_neg1(g[0])
+        assert all(families.script_S_neg1(D) == first for D in g[1:])
 
 
 def test_conj15_item_record():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthodontia import permcomb
 
@@ -138,6 +140,19 @@ def test_format_parse_perm_roundtrip():
         assert permcomb.parse_perm(permcomb.format_perm(w)) == w
     assert permcomb.format_perm((3, 1, 5, 4, 2)) == "31542"
     assert permcomb.parse_perm("10,2,3,4,5,6,7,8,9,1")[0] == 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_format_parse_perm_roundtrip_fuzzed(w):
+    w = tuple(w)
+    assert permcomb.parse_perm(permcomb.format_perm(w)) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8).map(tuple))
+def test_parse_comp_roundtrip_fuzzed(alpha):
+    assert permcomb.parse_comp(",".join(map(str, alpha))) == alpha
 
 
 def test_format_parse_comp():
