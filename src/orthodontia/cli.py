@@ -60,6 +60,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Exact Schubert/Grothendieck/Lascoux polynomial computations."""
+    lascouxbasis._theorem12.clear()  # each command expands its own signatures, as a fresh process
 
 
 def _flag(name: str) -> str:

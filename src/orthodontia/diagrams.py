@@ -195,7 +195,7 @@ def format_diagram(D: Diagram) -> str:
 def parse_diagram(text: str) -> Diagram:
     text = text.strip()
     if not text.startswith("n="):
-        raise ValueError("diagram text must start with 'n=<int>;'")
+        raise ValueError("diagram text must start with 'n=<int>'")
     head, sep, rest = text.partition(";")
     try:
         nrows = int(head[2:])

@@ -193,22 +193,20 @@ def _omega_neg1(i: int, k: int, n: int) -> Polynomial:
     return out
 
 
-def script_S_neg1(D: Diagram, seq: OrthodonticSequence | None = None) -> Polynomial:
+def script_S_neg1(seq: OrthodonticSequence, n: int) -> Polynomial:
     """script_S(D) with every y variable already specialized to -1.
 
-    The column indices j drop out of the specialized operators, so this
-    evaluator is defined for every %-avoiding diagram, including those
-    whose recorded j indices fall outside [1, m].  It reads only n, the
-    rows i_k and the sizes |M_k| and |K_a| of the orthodontic sequence,
-    which a caller that already has it passes as seq.  Ambient (n, 0).
+    Takes seq = orthodontic_sequence(D) and n = D.nrows.  The column
+    indices j drop out of the specialized operators, so this evaluator is
+    defined for every %-avoiding diagram, including those whose recorded
+    j indices fall outside [1, m].  It reads only n, the rows i_k and the
+    sizes |M_k| and |K_a| of seq.  Ambient (n, 0).
     """
-    n = D.nrows
 
     def omega(i, M):
         return _omega_neg1(i, len(M), n)
 
-    return _evaluate(orthodontic_sequence(D) if seq is None else seq, n, 0, omega, omega,
-                     lambda f, i, j: diffops.pi_double_neg1(f, i))
+    return _evaluate(seq, n, 0, omega, omega, lambda f, i, j: diffops.pi_double_neg1(f, i))
 
 
 def stable_grothendieck(w: Permutation, nvars: int) -> Polynomial:

@@ -10,7 +10,8 @@ the column indices drop out of the evaluator, so flip(script_S_neg1(D),
 ncols) is a function of (n, ncols, the rows i_k, the sizes |M_k|, the
 sizes |K_a|) alone, and diagrams that share this key share the expansion
 exactly.  The memo holds expansions, no polynomial, one per distinct key
-(3527 for the %-avoiding diagrams in [4] x [4]).
+(3527 for the %-avoiding diagrams in [4] x [4]); each CLI command starts
+it empty.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ _theorem12: dict[tuple, LascouxExpansion] = {}
 def theorem12_check(D: Diagram, require_inclusion: bool = True) -> Theorem12Result:
     """Expand flip(script_S(D)|_{y -> -1}, ncols) and check graded positivity.
 
-    The expansion is memoized (see the module docstring) and shared
-    between calls, so a caller must not mutate it.
+    The expansion is memoized (see the module docstring); each call
+    returns its own copy of the coefficient dict.
     """
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion (pass require_inclusion=False)")
@@ -111,8 +112,8 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> Theorem12Resu
     e = _theorem12.get(key)
     if e is None:
         # flip raises ValueError if an x-degree of the specialisation exceeds ncols
-        e = _theorem12[key] = lascoux_expand(families.script_S_neg1(D, seq).flip(D.ncols))
-    return Theorem12Result(graded_positive(e), e)
+        e = _theorem12[key] = lascoux_expand(families.script_S_neg1(seq, D.nrows).flip(D.ncols))
+    return Theorem12Result(graded_positive(e), LascouxExpansion(e.n, dict(e.coeffs), e.baseline_degree))
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------

@@ -68,7 +68,7 @@ def test_poly_lascoux_0_n_closed_form(runner, n):
         (["poly", "lascoux", "--alpha", "0,-1"], "must be nonnegative"),
         (["poly", "key", "--alpha", "0,a"], "'0,a'"),
         (["poly", "script-G", "--diagram", "n=2;3"], "row index 3 outside [1,2]"),
-        (["poly", "script-S", "--diagram", "2;1"], "must start with 'n=<int>;'"),
+        (["poly", "script-S", "--diagram", "2;1"], "must start with 'n=<int>'"),
         (["poly", "script-G", "--diagram", "n=-1;"], "nrows must be >= 0, got -1"),
         (["pipedreams", "--w", "1x3"], "'1x3'"),
         (["orthodontia", "--diagram", "n=2;3"], "row index 3 outside [1,2]"),

@@ -167,7 +167,7 @@ def test_script_S_neg1_agrees_where_both_defined():
             s = families.script_S(D).substitute_y(-1)
         except ValueError:
             continue
-        assert families.script_S_neg1(D) == s
+        assert families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows) == s
 
 
 def test_script_S_rejects_out_of_range_column_index():
@@ -176,7 +176,7 @@ def test_script_S_rejects_out_of_range_column_index():
     with pytest.raises(ValueError):
         families.script_S(D)
     # but the specialized evaluator still works
-    assert not families.script_S_neg1(D).is_zero()
+    assert not families.script_S_neg1(diagrams.orthodontic_sequence(D), 2).is_zero()
 
 
 def test_stable_grothendieck_21():

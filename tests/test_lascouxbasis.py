@@ -67,7 +67,7 @@ def test_theorem12_check_small_diagram():
     res = lascouxbasis.theorem12_check(D)
     assert res.verdict.positive
     # the flipped specialization reconstructs from the expansion
-    s = families.script_S_neg1(D)
+    s = families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
     assert res.expansion.reconstruct() == s.flip(D.ncols)
 
 
@@ -86,12 +86,16 @@ def _theorem12_key(D):
     return (D.nrows, D.ncols, seq.i, tuple(map(len, seq.M)), tuple(map(len, seq.K)))
 
 
+def _script_S_neg1(D):
+    return families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
+
+
 def test_theorem12_memo_matches_fresh_expansion():
     lascouxbasis._theorem12.clear()
     items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
     for D in items:
         memoized = lascouxbasis.theorem12_check(D, require_inclusion=False).expansion
-        fresh = lascoux_expand(families.script_S_neg1(D).flip(D.ncols))
+        fresh = lascoux_expand(_script_S_neg1(D).flip(D.ncols))
         assert memoized.coeffs == fresh.coeffs, diagrams.format_diagram(D)
         assert memoized.baseline_degree == fresh.baseline_degree
     # one expansion per key (118 in [3]x[3], 797 in [4]x[3]), and no polynomial
@@ -107,8 +111,31 @@ def test_theorem12_key_is_exact():
     # the key forgets j and the column sets, and some diagrams differ only there
     assert any(len({diagrams.orthodontic_sequence(D).j for D in g}) > 1 for g in shared)
     for g in shared:
-        first = families.script_S_neg1(g[0])
-        assert all(families.script_S_neg1(D) == first for D in g[1:])
+        first = _script_S_neg1(g[0])
+        assert all(_script_S_neg1(D) == first for D in g[1:])
+
+
+def test_theorem12_check_returns_its_own_coefficients():
+    lascouxbasis._theorem12.clear()
+    D = diagrams.from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
+    first = lascouxbasis.theorem12_check(D).expansion
+    want = dict(first.coeffs)
+    first.coeffs.clear()  # a caller's edit reaches neither the memo nor a later call
+    assert lascouxbasis.theorem12_check(D).expansion.coeffs == want != {}
+
+
+def test_each_cli_command_starts_from_an_empty_memo():
+    from click.testing import CliRunner
+
+    from orthodontia.cli import main
+
+    lascouxbasis._theorem12.clear()
+    for D in lascouxbasis.conj14_items(3, 3):
+        lascouxbasis.theorem12_check(D, require_inclusion=False)
+    assert len(lascouxbasis._theorem12) == 118
+    r = CliRunner().invoke(main, ["check", "thm12", "--diagram", "n=3;1;1,2;"])
+    assert r.exit_code == 0, r.output
+    assert len(lascouxbasis._theorem12) == 1
 
 
 def test_conj15_item_record():
