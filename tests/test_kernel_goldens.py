@@ -6,8 +6,10 @@ single Grothendieck and Schubert polynomial with n <= 4, of ``lascoux`` and
 of ``scan conj15 --n 3 --m 2``, every ``conj14_item`` record of ``scan conj14
 --n 3 --m 3`` and every ``thm12_vexillary_item`` record for w in S_1..S_5
 (``json.dumps(record, sort_keys=True)``, as the scan prints it), and of the stdout of ``pipedreams --w <w> --emit-json`` and
-``pipedreams --w <w> --count`` for every w in S_1..S_5.  A change to the
-arithmetic kernel or to the pipe-dream walk must reproduce them all.
+``pipedreams --w <w> --count`` for every w in S_1..S_5, of ``report
+ambiguities`` at five (--nmax-omega, --nmax-endpoint) pairs and of ``verify
+<suite> --nmax 4`` for every suite.  A change to the arithmetic kernel, to
+the pipe-dream walk or to the suites must reproduce them all.
 
 Re-freeze (only after a deliberate change of answers) with
 ``PYTHONPATH=src python tests/test_kernel_goldens.py``.
@@ -22,13 +24,14 @@ import json
 from itertools import product
 from pathlib import Path
 
-from orthodontia import diagrams, families, lascouxbasis, permcomb
+from orthodontia import diagrams, families, lascouxbasis, permcomb, suites
 from orthodontia.cli import main
 
 GOLDENS = Path(__file__).with_name("kernel_goldens.json")
 
 PERM_FAMILIES = ("double_grothendieck", "double_schubert", "grothendieck", "schubert")
 COMP_FAMILIES = ("lascoux", "key_via_pi")
+REPORT_BOUNDS = ((2, 3), (3, 3), (4, 4), (4, 5), (5, 6))  # (--nmax-omega, --nmax-endpoint)
 
 
 def sha(text: str) -> str:
@@ -66,6 +69,11 @@ def digests() -> dict[str, str]:
         for flag in ("--emit-json", "--count"):
             out[f"pipedreams {permcomb.format_perm(w)} {flag}"] = sha(
                 stdout_of(["pipedreams", "--w", permcomb.format_perm(w), flag]))
+    for omega, endpoint in REPORT_BOUNDS:
+        out[f"report ambiguities {omega} {endpoint}"] = sha(stdout_of(
+            ["report", "ambiguities", "--nmax-omega", str(omega), "--nmax-endpoint", str(endpoint)]))
+    for suite in sorted(suites.SUITES):
+        out[f"verify {suite} --nmax 4"] = sha(stdout_of(["verify", suite, "--nmax", "4"]))
     return out
 
 
