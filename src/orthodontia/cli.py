@@ -204,7 +204,7 @@ def cmd_verify(suite, nmax, as_json):
     """Run one invariant suite for all indices up to --nmax."""
     t0 = time.monotonic()
     try:
-        res = suites.run_suite(suite, nmax)
+        res = suites.SUITES[suite](nmax)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if res.checked == 0:

@@ -24,11 +24,6 @@ def identity(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 
 
-def longest(n: int) -> Permutation:
-    """The longest permutation w0 = n, n-1, ..., 1."""
-    return tuple(range(n, 0, -1))
-
-
 def all_perms(n: int):
     """All of S_n in lexicographic order."""
     return permutations(range(1, n + 1))

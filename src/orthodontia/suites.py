@@ -1,15 +1,17 @@
 """Named verification suites over the structural results.
 
-Each suite sweeps an index range, checks exact identities, and returns a
-count plus a list of failure descriptions.  The CLI `verify` subcommand
-and the acceptance tests both run these.
+Each entry of ``SUITES`` is a function of ``nmax`` alone: it sweeps an
+index range (S_2..S_nmax for the permutation suites), checks exact
+identities, and returns a count, the failure descriptions and the item of
+the first failure.  The CLI `verify` subcommand, the acceptance tests and
+the ambiguity report (from thm11 and thm-os2) all run these.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
 from . import diagrams, diffops, families, lascouxbasis, permcomb, pipedreams, sortorder
 from .diagrams import rothe
@@ -22,10 +24,13 @@ class SuiteResult:
     name: str
     checked: int = 0
     failures: list[str] = field(default_factory=list)
+    first_failing: object = None  # the item of the first failed check
 
-    def check(self, ok: bool, msg: str):
+    def check(self, ok: bool, msg: str, item: object = None):
         self.checked += 1
         if not ok:
+            if not self.failures:
+                self.first_failing = item
             self.failures.append(msg)
 
     @property
@@ -33,37 +38,43 @@ class SuiteResult:
         return not self.failures
 
 
-def suite_thm11(nmax: int) -> SuiteResult:
-    """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
-    res = SuiteResult("thm11")
+def _perms(nmax: int):
+    """S_2, ..., S_nmax, each in lexicographic order."""
     for n in range(2, nmax + 1):
-        for w in all_perms(n):
-            dg = families.double_grothendieck(w)
-            res.check(
-                pipedreams.weight_sum(w) == dg,
-                f"weight_sum != double_grothendieck at w={format_perm(w)}",
-            )
-            res.check(
-                families.script_G(rothe(w)) == dg,
-                f"script_G != double_grothendieck at w={format_perm(w)}",
-            )
+        yield from all_perms(n)
+
+
+def suite_thm11(nmax: int, barred_inner_omega: bool = True) -> SuiteResult:
+    """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
+    if nmax > pipedreams.MAX_N:
+        raise ValueError(f"thm11 needs nmax <= {pipedreams.MAX_N} (pipe-dream walk), got {nmax}")
+    res = SuiteResult("thm11")
+    for w in _perms(nmax):
+        dg = families.double_grothendieck(w)
+        res.check(
+            pipedreams.weight_sum(w) == dg,
+            f"weight_sum != double_grothendieck at w={format_perm(w)}", w,
+        )
+        res.check(
+            families.script_G(rothe(w), barred_inner_omega) == dg,
+            f"script_G != double_grothendieck at w={format_perm(w)}", w,
+        )
     return res
 
 
 def suite_cor_double_schub(nmax: int) -> SuiteResult:
     """script_S(rothe(w)) = S_w(x, -y); both Schubert routes agree."""
     res = SuiteResult("cor-double-schub")
-    for n in range(2, nmax + 1):
-        for w in all_perms(n):
-            ds = families.double_schubert(w)
-            res.check(
-                ds == families.double_schubert_via_lowest(w),
-                f"schubert recursion != lowest-degree route at w={format_perm(w)}",
-            )
-            res.check(
-                families.script_S(rothe(w)) == ds.negate_y(),
-                f"script_S != negate_y(double_schubert) at w={format_perm(w)}",
-            )
+    for w in _perms(nmax):
+        ds = families.double_schubert(w)
+        res.check(
+            ds == families.double_schubert_via_lowest(w),
+            f"schubert recursion != lowest-degree route at w={format_perm(w)}",
+        )
+        res.check(
+            families.script_S(rothe(w)) == ds.negate_y(),
+            f"script_S != negate_y(double_schubert) at w={format_perm(w)}",
+        )
     return res
 
 
@@ -78,59 +89,51 @@ def _sorted_window_sets(w: Permutation):
 def suite_prop_os1(nmax: int) -> SuiteResult:
     """Difference-set formula, sequence-data equalities, and factorization."""
     res = SuiteResult("prop-os1")
-    for n in range(2, nmax + 1):
-        for w in all_perms(n):
-            ws = sortorder.sort_of(w)
-            pcd, S, lam = _sorted_window_sets(w)
-            Dw = set(rothe(w).cells())
-            Dws = set(rothe(ws).cells())
-            expected_diff = {
-                (pcd.alpha + a, pcd.h - pcd.beta + b)
-                for b in range(1, pcd.beta + 1)
-                for a in range(1, lam[b - 1] + 1)
-            }
-            res.check(
-                Dws <= Dw and Dw - Dws == expected_diff,
-                f"difference-set mismatch at w={format_perm(w)}",
-            )
+    for w in _perms(nmax):
+        n = len(w)
+        ws = sortorder.sort_of(w)
+        pcd, S, lam = _sorted_window_sets(w)
+        Dw = set(rothe(w).cells())
+        Dws = set(rothe(ws).cells())
+        expected_diff = {
+            (pcd.alpha + a, pcd.h - pcd.beta + b)
+            for b in range(1, pcd.beta + 1)
+            for a in range(1, lam[b - 1] + 1)
+        }
+        res.check(
+            Dws <= Dw and Dw - Dws == expected_diff,
+            f"difference-set mismatch at w={format_perm(w)}",
+        )
 
-            seq_w = diagrams.orthodontic_sequence(rothe(w))
-            seq_s = diagrams.orthodontic_sequence(rothe(ws))
-            res.check(
-                (seq_w.i, seq_w.j, seq_w.M) == (seq_s.i, seq_s.j, seq_s.M),
-                f"(i,j,M) sequence mismatch at w={format_perm(w)}",
-            )
-            ok = True
-            for j in range(1, n + 1):
-                Kp = seq_s.K[j - 1]
-                if pcd.alpha > 0 and j == pcd.alpha:
-                    zero_cols = {
-                        pcd.h - pcd.beta + b for b in range(1, pcd.beta + 1) if lam[b - 1] == 0
-                    }
-                    expect = (Kp - S) | zero_cols
-                elif pcd.alpha < j <= pcd.i1:
-                    Sa = {
-                        pcd.h - pcd.beta + b
-                        for b in range(1, pcd.beta + 1)
-                        if lam[b - 1] == j - pcd.alpha
-                    }
-                    expect = Kp | Sa
-                else:
-                    expect = Kp
-                ok = ok and seq_w.K[j - 1] == frozenset(expect)
-            res.check(ok, f"K-transformation mismatch at w={format_perm(w)}")
+        seq_w = diagrams.orthodontic_sequence(rothe(w))
+        seq_s = diagrams.orthodontic_sequence(rothe(ws))
+        res.check(
+            (seq_w.i, seq_w.j, seq_w.M) == (seq_s.i, seq_s.j, seq_s.M),
+            f"(i,j,M) sequence mismatch at w={format_perm(w)}",
+        )
+        ok = True
+        for j, Kp in enumerate(seq_s.K, 1):
+            # the window columns whose sigma(w) column has j - alpha cells
+            Sa = {pcd.h - pcd.beta + b for b in range(1, pcd.beta + 1)
+                  if lam[b - 1] == j - pcd.alpha}
+            if pcd.alpha > 0 and j == pcd.alpha:
+                expect = (Kp - S) | Sa
+            elif pcd.alpha < j <= pcd.i1:
+                expect = Kp | Sa
+            else:
+                expect = Kp
+            ok = ok and seq_w.K[j - 1] == frozenset(expect)
+        res.check(ok, f"K-transformation mismatch at w={format_perm(w)}")
 
-            # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
-            # holds exactly when prod divides G_w with quotient G_{w_sort}
-            prod = Polynomial.one(n, n)
-            for a, b in sorted(Dw - Dws):
-                x = Polynomial.var_x(a, n, n)
-                y = Polynomial.var_y(b, n, n)
-                prod = prod * (x + y - x * y)
-            res.check(
-                families.double_grothendieck(w) == prod * families.double_grothendieck(ws),
-                f"factorization fails at w={format_perm(w)}",
-            )
+        # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
+        # holds exactly when prod divides G_w with quotient G_{w_sort}
+        prod = Polynomial.one(n, n)
+        for a, b in sorted(Dw - Dws):
+            prod = prod * _cell(a, b, n, n)
+        res.check(
+            families.double_grothendieck(w) == prod * families.double_grothendieck(ws),
+            f"factorization fails at w={format_perm(w)}",
+        )
     return res
 
 
@@ -166,31 +169,25 @@ def sorted_cover_check(w: Permutation, endpoint: str) -> bool:
     b = pcd.beta
     if (seq2.i, seq2.j, seq2.M) != (seq.i[b:], seq.j[b:], seq.M[b:]):
         return False
-    K = list(seq.K)
+    expect = list(seq.K)  # S moves from K_alpha to K_{alpha+1}, joined by M_beta
     if pcd.alpha > 0:
-        expect = (
-            K[: pcd.alpha - 1]
-            + [K[pcd.alpha - 1] - S, S | seq.M[b - 1]]
-            + K[pcd.alpha + 1 :]
-        )
-    else:
-        expect = [S | seq.M[b - 1]] + K[1:]
-    return list(seq2.K) == [frozenset(e) for e in expect]
+        expect[pcd.alpha - 1] -= S
+    expect[pcd.alpha] = S | seq.M[b - 1]
+    return list(seq2.K) == expect
 
 
 def suite_thm_os2(nmax: int, endpoint: str = "alpha-plus-one") -> SuiteResult:
     """Sorted-case structure, parts (1)-(6), for sorted nonidentity w."""
     res = SuiteResult("thm-os2")
-    for n in range(2, nmax + 1):
-        for w in all_perms(n):
-            if w == permcomb.identity(n) or not sortorder.is_sorted_perm(w):
-                continue
-            bad = sorted_structure_parts(w)
-            res.check(not bad, "; ".join(bad))
-            res.check(
-                sorted_cover_check(w, endpoint),
-                f"part 6 ({endpoint}) fails at w={format_perm(w)}",
-            )
+    for w in _perms(nmax):
+        if w == permcomb.identity(len(w)) or not sortorder.is_sorted_perm(w):
+            continue
+        bad = sorted_structure_parts(w)
+        res.check(not bad, "; ".join(bad), w)
+        res.check(
+            sorted_cover_check(w, endpoint),
+            f"part 6 ({endpoint}) fails at w={format_perm(w)}", w,
+        )
     return res
 
 
@@ -211,19 +208,19 @@ def random_polynomial(rng: random.Random, n: int, m: int, maxdeg: int = 4, nterm
     return Polynomial(n, m, {mon: c for mon, c in terms.items() if c})
 
 
-def suite_operators(nmax: int = 4, count: int = 500, seed: int = 2024) -> SuiteResult:
-    """Braid/commutation relations plus nilpotence and idempotence, n in [3, nmax]."""
+def suite_operators(nmax: int) -> SuiteResult:
+    """Braid/commutation relations, nilpotence and idempotence: 500 trials, n in [3, nmax]."""
     if nmax < 3:
         raise ValueError(f"operators needs nmax >= 3 (braid relations need n >= 3), got {nmax}")
     res = SuiteResult("operators")
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     ops = {
         "d": diffops.divided_difference,
         "dbar": diffops.isobaric,
         "pi": diffops.demazure,
         "pibar": diffops.demazure_lascoux,
     }
-    for t in range(count):
+    for t in range(500):
         n = rng.randint(3, nmax)
         m = rng.choice([0, 2])
         f = random_polynomial(rng, n, m)
@@ -243,63 +240,56 @@ def suite_operators(nmax: int = 4, count: int = 500, seed: int = 2024) -> SuiteR
             diffops.divided_difference(diffops.divided_difference(f, j), j).is_zero(),
             f"d_i d_i != 0 at trial {t}",
         )
-        g = diffops.demazure(f, j)
-        res.check(diffops.demazure(g, j) == g, f"pi_i not idempotent at trial {t}")
-        gb = diffops.demazure_lascoux(f, j)
-        res.check(
-            diffops.demazure_lascoux(gb, j) == gb, f"pibar_i not idempotent at trial {t}"
-        )
+        for name in ("pi", "pibar"):
+            g = ops[name](f, j)
+            res.check(ops[name](g, j) == g, f"{name}_i not idempotent at trial {t}")
     return res
 
 
 def _elementary_symmetric(r: int, lo: int, hi: int, n: int, m: int) -> Polynomial:
     """e_r in the variables x_lo..x_hi, in ambient (n, m)."""
-    from itertools import combinations
-
-    out = Polynomial.zero(n, m)
-    for sub in combinations(range(lo, hi + 1), r):
-        xe = [0] * n
-        for j in sub:
-            xe[j - 1] = 1
-        out = out + Polynomial(n, m, {(tuple(xe), (0,) * m): 1})
-    return out
+    return Polynomial(n, m, {(tuple(int(j in sub) for j in range(1, n + 1)), (0,) * m): 1
+                             for sub in combinations(range(lo, hi + 1), r)})
 
 
-def suite_lemma4(nmax: int = 4, count: int = 200, seed: int = 77) -> SuiteResult:
-    """Specialization/intertwining identities (n in [2, nmax]) and the pi-to-del lemma."""
+def _cell(a: int, b: int, n: int, m: int) -> Polynomial:
+    """The factor x_a + y_b - x_a y_b of a crossed cell (a, b)."""
+    x, y = Polynomial.var_x(a, n, m), Polynomial.var_y(b, n, m)
+    return x + y - x * y
+
+
+def suite_lemma4(nmax: int) -> SuiteResult:
+    """Specialization/intertwining identities (200 trials, n in [2, nmax]) and pi-to-del (40)."""
     if nmax < 2:
         raise ValueError(f"lemma4 needs nmax >= 2, got {nmax}")
     res = SuiteResult("lemma4")
-    rng = random.Random(seed)
+    rng = random.Random(77)
 
-    for t in range(count):
+    for t in range(200):
         n = rng.randint(2, nmax)
         m = rng.randint(1, 3)
         i = rng.randint(1, n)
         M = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
+        xm1 = [Polynomial.var_x(j, n, 0) - Polynomial.one(n, 0) for j in range(1, n + 1)]
+        below = Polynomial.one(n, 0)  # prod_{j <= i} (x_j - 1)
+        for factor in xm1[:i]:
+            below = below * factor
         # omega-spec
         lhs = diffops.omega(i, M, False, n, m).substitute_y(-1)
         rhs = Polynomial.one(n, 0)
-        for j in range(1, i + 1):
-            factor = Polynomial.var_x(j, n, 0) - Polynomial.one(n, 0)
-            for _ in range(len(M)):
-                rhs = rhs * factor
+        for _ in M:
+            rhs = rhs * below
         res.check(lhs == rhs, f"omega-spec fails at trial {t}")
 
         # omega-int and pi-int act on y-free polynomials under a degree cap
         mcap = rng.randint(1, 3)
         f = random_polynomial(rng, n, 0, maxdeg=mcap, nterms=4)
-        prod = f
-        for j in range(1, i + 1):
-            prod = prod * (Polynomial.var_x(j, n, 0) - Polynomial.one(n, 0))
         res.check(
-            prod.flip(mcap + 1) == diffops.phi(f.flip(mcap), n - i),
+            (f * below).flip(mcap + 1) == diffops.phi(f.flip(mcap), n - i),
             f"omega-int fails at trial {t}",
         )
         if i <= n - 1:
-            di = diffops.divided_difference(
-                (Polynomial.var_x(i, n, 0) - Polynomial.one(n, 0)) * f, i
-            )
+            di = diffops.divided_difference(xm1[i - 1] * f, i)
             res.check(
                 di.flip(mcap) == diffops.demazure_lascoux(f.flip(mcap), n - i),
                 f"pi-int fails at trial {t}",
@@ -310,9 +300,7 @@ def suite_lemma4(nmax: int = 4, count: int = 200, seed: int = 77) -> SuiteResult
         ii = rng.randint(1, n - 1)
         jj = rng.randint(1, m)
         lhs = diffops.pi_double(g, ii, jj).substitute_y(-1)
-        rhs = diffops.divided_difference(
-            (Polynomial.var_x(ii, n, 0) - Polynomial.one(n, 0)) * g.substitute_y(-1), ii
-        )
+        rhs = diffops.divided_difference(xm1[ii - 1] * g.substitute_y(-1), ii)
         res.check(lhs == rhs, f"pi-spec fails at trial {t}")
 
     # pi-to-del: g symmetric in x_{i+1}..x_{i+k+1} so the d-vanishing holds
@@ -339,22 +327,20 @@ def suite_lemma4(nmax: int = 4, count: int = 200, seed: int = 77) -> SuiteResult
             lhs = diffops.pibar_double(lhs, i + a, js[a])
         rhs = g
         for a in range(k + 1):
-            x = Polynomial.var_x(i, n, m)
-            y = Polynomial.var_y(js[a], n, m)
-            rhs = rhs * (x + y - x * y)
+            rhs = rhs * _cell(i, js[a], n, m)
         for a in range(k + 1):
             rhs = diffops.isobaric(rhs, i + a)
         res.check(lhs == rhs, f"pi-to-del fails at trial {t} (k={k})")
     return res
 
 
-def suite_triangularity(nmax: int = 4, maxentry: int = 4, roundtrips: int = 200, seed: int = 11) -> SuiteResult:
-    """The premises underwriting the Lascoux expander, plus round-trips, n in [1, nmax]."""
+def suite_triangularity(nmax: int) -> SuiteResult:
+    """The Lascoux expander's premises for entries <= 4, and 200 round-trips, n in [1, nmax]."""
     if nmax < 1:
         raise ValueError(f"triangularity needs nmax >= 1, got {nmax}")
     res = SuiteResult("triangularity")
     for n in range(1, nmax + 1):
-        for beta in product(range(maxentry + 1), repeat=n):
+        for beta in product(range(5), repeat=n):
             L = families.lascoux(beta)
             res.check(
                 L.coefficient(beta) == 1,
@@ -374,8 +360,8 @@ def suite_triangularity(nmax: int = 4, maxentry: int = 4, roundtrips: int = 200,
                 L.max_exponent() <= cap,
                 f"per-variable degree exceeds max entry at beta={beta}",
             )
-    rng = random.Random(seed)
-    for t in range(roundtrips):
+    rng = random.Random(11)
+    for t in range(200):
         n = rng.randint(1, nmax)
         f = random_polynomial(rng, n, 0, maxdeg=3, nterms=4)
         e = lascouxbasis.lascoux_expand(f)
@@ -394,85 +380,60 @@ SUITES = {
 }
 
 
-def run_suite(name: str, nmax: int) -> SuiteResult:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](nmax)
-
-
 # -- ambiguity resolution report ------------------------------------------
 
 
-def ambiguity_report(nmax_omega: int = 4, nmax_endpoint: int = 5) -> str:
+def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
     """One-page report pinning down the two notational ambiguities.
 
     Records which inner-omega barring makes the orthodontia evaluator
-    reproduce the recursion, which product endpoint makes the sorted-case
-    sequence transformation hold, and the observed lowest-degree relation
-    between the two evaluators.  A section with no w to check is a ValueError.
+    reproduce the recursion (``suite_thm11`` once per barring), which
+    product endpoint makes the sorted-case sequence transformation hold
+    (``suite_thm_os2`` once per endpoint), and the observed lowest-degree
+    relation between the two evaluators.  A section with no w to check is a
+    ValueError, raised before any polynomial is built.
     """
-    omega_ws = [w for n in range(2, nmax_omega + 1) for w in all_perms(n)]
-    endpoint_ws = [w for n in range(2, nmax_endpoint + 1) for w in all_perms(n)
-                   if w != permcomb.identity(n) and sortorder.is_sorted_perm(w)]
-    for section, ws, nmax in (("omega", omega_ws, nmax_omega),
-                              ("endpoint", endpoint_ws, nmax_endpoint)):
-        if not ws:
+    # thm-os2 builds no polynomial, so it runs first; thm11 builds one for every
+    # w it sweeps, so its section is empty exactly when _perms yields no w
+    endpoint = {e: suite_thm_os2(nmax_endpoint, e) for e in ("alpha-plus-one", "alpha")}
+    for section, nmax, empty in (("omega", nmax_omega, next(_perms(nmax_omega), None) is None),
+                                 ("endpoint", nmax_endpoint, endpoint["alpha"].checked == 0)):
+        if empty:
             raise ValueError(f"the {section} section checks nothing at nmax_{section}={nmax}")
+    omega = {barred: suite_thm11(nmax_omega, barred) for barred in (True, False)}
+    sections = {  # heading: (result, subject, what holds, failure verb) per reading
+        "Inner omega factors: barred vs unbarred": [
+            (res, f"{'barred' if barred else 'unbarred'} inner omegas",
+             f"reproduce the recursion for all w up to S_{nmax_omega}", "FAIL")
+            for barred, res in omega.items()],
+        "Sorted-case product endpoint: alpha vs alpha+1": [
+            (res, f"endpoint {e}",
+             f"satisfies the sequence transformation up to S_{nmax_endpoint}", "FAILS")
+            for e, res in endpoint.items()],
+    }
     lines = ["# Ambiguity resolution report", ""]
-
-    lines.append("## Inner omega factors: barred vs unbarred")
-    for variant in (True, False):
-        bad = next((format_perm(w) for w in omega_ws
-                    if families.script_G(rothe(w), barred_inner_omega=variant)
-                    != families.double_grothendieck(w)), None)
-        tag = "barred" if variant else "unbarred"
-        if bad is None:
-            lines.append(
-                f"- {tag} inner omegas reproduce the recursion for all w up to S_{nmax_omega}"
-            )
-        else:
-            lines.append(f"- {tag} inner omegas FAIL; first counterexample w={bad}")
-    lines.append("")
-
-    lines.append("## Sorted-case product endpoint: alpha vs alpha+1")
-    for endpoint in ("alpha-plus-one", "alpha"):
-        bad = next((format_perm(w) for w in endpoint_ws if not sorted_cover_check(w, endpoint)),
-                   None)
-        if bad is None:
-            lines.append(
-                f"- endpoint {endpoint} satisfies the sequence transformation up to S_{nmax_endpoint}"
-            )
-        else:
-            lines.append(f"- endpoint {endpoint} FAILS; first counterexample w={bad}")
-    lines.append("")
+    for heading, readings in sections.items():
+        lines.append(f"## {heading}")
+        for res, subject, holds, fails in readings:
+            bad = None if res.passed else format_perm(res.first_failing)
+            lines.append(f"- {subject} {holds}" if bad is None
+                         else f"- {subject} {fails}; first counterexample w={bad}")
+        lines.append("")
 
     lines.append("## Lowest-degree relation between the two evaluators")
-    plain = negated = True
-    plain_bad = negated_bad = None
-    skipped = 0
-    for D in diagrams.all_diagrams(3, 3):
-        if not diagrams.is_percent_avoiding(D):
-            continue
+    pairs, skipped = [], 0
+    for D in lascouxbasis.conj14_items(3, 3):
         try:
-            sS = families.script_S(D)
-            sG = families.script_G(D)
+            pairs.append((D, families.script_S(D), families.script_G(D)))
         except ValueError:
             # recorded column index outside [1, m]: unspecialized
             # evaluators undefined for this diagram
             skipped += 1
-            continue
-        if plain and sS != sG.lowest_degree_part():
-            plain, plain_bad = False, diagrams.format_diagram(D)
-        if negated and sS != sG.negate_y().lowest_degree_part():
-            negated, negated_bad = False, diagrams.format_diagram(D)
-    lines.append(
-        "- script_S = lowest_degree_part(script_G) "
-        + ("holds for all %-avoiding D in [3]x[3]" if plain else f"fails at {plain_bad}")
-    )
-    lines.append(
-        "- script_S = lowest_degree_part(negate_y(script_G)) "
-        + ("holds for all %-avoiding D in [3]x[3]" if negated else f"fails at {negated_bad}")
-    )
+    for name, side in (("script_G", lambda G: G), ("negate_y(script_G)", Polynomial.negate_y)):
+        bad = next((diagrams.format_diagram(D) for D, sS, sG in pairs
+                    if sS != side(sG).lowest_degree_part()), None)
+        lines.append(f"- script_S = lowest_degree_part({name}) " + (
+            "holds for all %-avoiding D in [3]x[3]" if bad is None else f"fails at {bad}"))
     lines.append(
         f"- {skipped} diagrams skipped (column index outside [1,m]; evaluators undefined)"
     )

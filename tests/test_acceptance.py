@@ -136,14 +136,14 @@ def test_criterion_06_conjecture_scans(capsys):
 
 
 def test_criterion_07_operator_identity_suites(capsys):
-    ops = suites.suite_operators(nmax=4, count=500)
-    lem = suites.suite_lemma4(count=200)
+    ops = suites.suite_operators(4)
+    lem = suites.suite_lemma4(4)
     _report(capsys, 7, ops.passed and lem.passed)
 
 
 def test_criterion_08_structural_suites(capsys):
-    ok = suites.run_suite("prop-os1", 5).passed
-    ok = ok and suites.run_suite("thm-os2", 5).passed
+    ok = suites.suite_prop_os1(5).passed
+    ok = ok and suites.suite_thm_os2(5).passed
     # forced crosses: every pipe dream of w contains C_w
     for w in permcomb.all_perms(4):
         pcd = sortorder.primary_column_data(w)
@@ -160,7 +160,7 @@ def test_criterion_08_structural_suites(capsys):
 
 
 def test_criterion_09_triangularity(capsys):
-    res = suites.suite_triangularity(nmax=4, maxentry=4, roundtrips=200)
+    res = suites.suite_triangularity(4)
     _report(capsys, 9, res.passed)
 
 

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from orthodontia import families
-from orthodontia.cli import EXIT_CRASH, main
+from orthodontia import families, pipedreams, suites
+from orthodontia.cli import EXIT_CRASH, FAMILIES, SCANS, main
 from orthodontia.polyring import EXP_LIMIT, Polynomial
 
 
@@ -224,6 +226,34 @@ def test_verify_nmax_below_suite_minimum_is_a_usage_error(runner, suite, nmax):
     assert f"got {nmax}" in r.output
 
 
+def test_verify_unknown_suite_is_a_usage_error(runner):
+    r = runner.invoke(main, ["verify", "nope"])
+    assert r.exit_code == 2
+    assert "'nope' is not one of" in r.output
+
+
+def _count_double_grothendieck(monkeypatch) -> list:
+    calls = []
+    real = families.double_grothendieck
+    monkeypatch.setattr(families, "double_grothendieck", lambda w: calls.append(w) or real(w))
+    return calls
+
+
+def test_verify_thm11_beyond_the_pipe_dream_walk_refuses_before_any_work(runner, monkeypatch):
+    monkeypatch.setattr(pipedreams, "MAX_N", 3)
+    calls = _count_double_grothendieck(monkeypatch)
+    r = runner.invoke(main, ["verify", "thm11", "--nmax", "4"])
+    assert r.exit_code == 2, r.output
+    assert calls == []
+    assert "thm11 needs nmax <= 3" in r.output and "got 4" in r.output
+
+
+def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner):
+    r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", str(pipedreams.MAX_N + 1)])
+    assert r.exit_code == 2
+    assert f"got {pipedreams.MAX_N + 1}" in r.output
+
+
 def test_scan_command(runner):
     r = runner.invoke(main, ["scan", "conj15", "--n", "2", "--max-entry", "1", "--json"])
     assert r.exit_code == 0
@@ -289,6 +319,14 @@ def test_report_that_checks_nothing_is_a_usage_error(runner, omega, endpoint, me
     assert message in r.output
 
 
+def test_report_with_an_empty_endpoint_section_builds_no_polynomial(runner, monkeypatch):
+    calls = _count_double_grothendieck(monkeypatch)
+    r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", "6", "--nmax-endpoint", "2"])
+    assert r.exit_code == 2
+    assert "the endpoint section checks nothing at nmax_endpoint=2" in r.output
+    assert calls == []
+
+
 def test_report_at_the_smallest_bounds_that_check_something(runner):
     r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", "2", "--nmax-endpoint", "3"])
     assert r.exit_code == 0
@@ -329,3 +367,68 @@ def test_stdout_matches_frozen_digests(runner, queries):
         if r.exit_code != 0 or _digest(r.stdout_bytes) != q["sha256"]:
             mismatched.append(" ".join(q["argv"]))
     assert mismatched == [], f"{len(mismatched)} of {len(queries)} differ"
+
+
+# -- fuzzing: generated options only ever exit 0, 1 or 2 ---------------------
+
+# Texts of at most 5 characters keep permutations within S_5: a cold S_6 G_w
+# takes over a second and the family memos would keep every one of them.
+TEXT = st.one_of(
+    st.text("0123456789,;n=-", max_size=5),
+    st.integers(1, 5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda w: "".join(map(str, w))),
+    st.builds(lambda n, cols: f"n={n}" + "".join(";" + ",".join(map(str, c)) for c in cols),
+              st.integers(0, 3), st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=3)),
+)
+FLAG = None
+# command: (first argument choices, {option: value strategy, or FLAG})
+COMMANDS = {
+    "poly": (sorted(FAMILIES), {"--w": TEXT, "--alpha": TEXT, "--diagram": TEXT,
+                                "--nvars": st.integers(-1, 3).map(str),
+                                "--unbarred-inner-omega": FLAG, "--json": FLAG, "--latex": FLAG}),
+    "pipedreams": ([], {"--w": TEXT, "--count": FLAG, "--emit-json": FLAG}),
+    "orthodontia": ([], {"--diagram": TEXT, "--force": FLAG, "--json": FLAG}),
+    "sortorder": ([], {"--w": TEXT, "--os-endpoint": st.sampled_from(["alpha", "alpha-plus-one"])}),
+    "check": (["thm12"], {"--diagram": TEXT, "--no-require-inclusion": FLAG, "--json": FLAG}),
+    "scan": (sorted(SCANS), {"--workers": st.sampled_from(["0", "1"]), "--json": FLAG}),
+    "verify": (sorted(suites.SUITES), {"--json": FLAG}),
+    "report": (["ambiguities"], {}),
+}
+# sizes, given when read: scans at most 2, verify and report at most 3
+SIZES = {"scan": ("--n", "--m", "--max-entry", "--nmax"),
+         "verify": ("--nmax",), "report": ("--nmax-omega", "--nmax-endpoint")}
+
+
+REQUIRED = {"pipedreams": "--w", "sortorder": "--w", "orthodontia": "--diagram", "check": "--diagram"}
+
+
+def _reads(argv: list[str]) -> tuple[str, ...]:
+    """The valued options that the command, or its poly family or scan target, reads."""
+    table = {"poly": FAMILIES, "scan": SCANS}.get(argv[0])
+    if table:
+        return tuple("--" + name.replace("_", "-") for name in table[argv[1]][0])
+    return (REQUIRED[argv[0]],) if argv[0] in REQUIRED else ()
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    firsts, options = COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(firsts))] if firsts else [])
+    reads = _reads(argv)
+    # an option that is read is usually given, a flag now and then, any other seldom
+    for name, values in options.items():
+        if draw(st.integers(0, 9)) < (8 if name in reads else 4 if values is FLAG else 2):
+            argv += [name] if values is FLAG else [name, draw(values)]
+    for name in SIZES.get(command, ()):
+        if name in reads or not reads or draw(st.integers(0, 9)) == 0:
+            argv += [name, str(draw(st.integers(-1, 2 if command == "scan" else 3)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_generated_options_exit_0_1_or_2(argv):
+    r = CliRunner().invoke(main, argv)
+    assert r.exit_code in (0, 1, 2), (argv, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit), (argv, r.exception)

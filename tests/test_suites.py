@@ -3,18 +3,27 @@
 import pytest
 
 from orthodontia import suites
+from orthodontia.permcomb import format_perm
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_suite_passes_at_n3(name):
-    res = suites.run_suite(name, 3)
+    res = suites.SUITES[name](3)
     assert res.checked > 0
     assert res.failures == []
+    assert res.first_failing is None
 
 
-def test_run_suite_unknown_name():
-    with pytest.raises(KeyError):
-        suites.run_suite("nope", 3)
+def test_failing_suite_carries_its_first_failing_item():
+    res = suites.suite_thm11(3, barred_inner_omega=False)
+    assert res.first_failing == (1, 3, 2)
+    assert res.failures[0] == "script_G != double_grothendieck at w=132"
+    res = suites.suite_thm_os2(4, "alpha")
+    assert res.failures[0] == f"part 6 (alpha) fails at w={format_perm(res.first_failing)}"
+
+
+def test_perms_sweeps_s2_to_nmax():
+    assert [len(list(suites._perms(n))) for n in (-1, 1, 2, 3, 4)] == [0, 0, 2, 8, 32]
 
 
 def test_ambiguity_report_contents():
