@@ -397,8 +397,6 @@ COMMANDS = {
 # sizes, given when read: scans at most 2, verify and report at most 3
 SIZES = {"scan": ("--n", "--m", "--max-entry", "--nmax"),
          "verify": ("--nmax",), "report": ("--nmax-omega", "--nmax-endpoint")}
-
-
 REQUIRED = {"pipedreams": "--w", "sortorder": "--w", "orthodontia": "--diagram", "check": "--diagram"}
 
 
