@@ -22,6 +22,15 @@ def test_failing_suite_carries_its_first_failing_item():
     assert res.failures[0] == f"part 6 (alpha) fails at w={format_perm(res.first_failing)}"
 
 
+def test_unbarred_thm11_reports_every_failure_in_lexicographic_order():
+    # frozen from the lexicographic sweep; in S_3 only 132 fails, so only S_4 can show
+    # a suite that reports its failures in any other order
+    res = suites.suite_thm11(4, barred_inner_omega=False)
+    assert (res.checked, res.first_failing) == (64, (1, 3, 2))
+    assert res.failures == [f"script_G != double_grothendieck at w={w}" for w in (
+        "132", "1243", "1324", "1342", "1423", "1432", "2143", "2413", "2431", "3142", "4132")]
+
+
 def test_perms_sweeps_s2_to_nmax():
     assert [len(list(suites._perms(n))) for n in (-1, 1, 2, 3, 4)] == [0, 0, 2, 8, 32]
 
