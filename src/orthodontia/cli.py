@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from importlib.metadata import version as pkg_version
 
 import click
 from click.core import ParameterSource
@@ -17,6 +16,9 @@ EXIT_CRASH = 3
 
 
 def _version() -> str:
+    # imported here: only the scan --json summary reads it, and the import costs every start-up
+    from importlib.metadata import version as pkg_version
+
     try:
         return pkg_version("orthodontia")
     except Exception:

@@ -4,7 +4,9 @@ Double and single Grothendieck and Schubert polynomials and Lascoux and
 key polynomials by divided difference recursions, each walked along one
 chain from the index to a base case (`_chain`), stable Grothendieck
 polynomials, and the orthodontia evaluators for diagrams.  Every value
-the walks compute is memoized module-wide.
+a single query's walk computes is memoized module-wide; a sweep over all
+of S_n (`double_grothendieck_sweep`, `double_schubert_sweep`) walks the
+same chains with a memo of its own that holds two length levels at most.
 """
 
 from __future__ import annotations
@@ -50,6 +52,27 @@ def _chain(index: tuple[int, ...], memo: dict, base, step) -> Polynomial:
     return f
 
 
+def _sweep(n: int, base, step):
+    """(w, f(w)) for every w in S_n, f as in `_chain`, by non-increasing length.
+
+    Within a length, w comes in lexicographic order.  The first ascent of w
+    leads one length up, so once a length is done the one above it is
+    dropped from the sweep's own memo, which never holds more than two
+    adjacent lengths.
+    """
+    levels = [[] for _ in range(n * (n - 1) // 2 + 1)]
+    for w in permcomb.all_perms(n):
+        levels[permcomb.length(w)].append(w)
+    memo = {}
+    above = []
+    for level in reversed(levels):
+        for w in level:
+            yield w, _chain(w, memo, base, step)
+        for u in above:
+            del memo[u]
+        above = level
+
+
 def _staircase_double(n: int, barred: bool) -> Polynomial:
     """prod_{i+j<=n} (x_i + y_j - x_i y_j) (barred) or (x_i - y_j)."""
     out = Polynomial.one(n, n)
@@ -77,9 +100,14 @@ def double_schubert(w: Permutation) -> Polynomial:
     )
 
 
-def double_schubert_via_lowest(w: Permutation) -> Polynomial:
-    """S_w(x, y) as the lowest degree part of G_w(x, -y)."""
-    return double_grothendieck(w).negate_y().lowest_degree_part()
+def double_grothendieck_sweep(n: int):
+    """(w, G_w) for every w in S_n, as `_sweep` orders them; no module memo is read or filled."""
+    yield from _sweep(n, lambda w0: _staircase_double(n, barred=True), diffops.isobaric)
+
+
+def double_schubert_sweep(n: int):
+    """(w, S_w) for every w in S_n, in the order of `double_grothendieck_sweep`."""
+    yield from _sweep(n, lambda w0: _staircase_double(n, barred=False), diffops.divided_difference)
 
 
 def _staircase_single(w0: Permutation) -> Polynomial:

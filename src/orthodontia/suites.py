@@ -44,38 +44,52 @@ def _perms(nmax: int):
         yield from all_perms(n)
 
 
+def _replay(name: str, nmax: int, sweep, messages: tuple[str, ...]) -> SuiteResult:
+    """The checks of every w in S_2..S_nmax, recorded in the order of `_perms`.
+
+    sweep(n) yields (w, oks) for every w in S_n, in any order, with one
+    boolean in oks per message; a message names w through its {w} field.
+    """
+    outcome = {}
+    for n in range(2, nmax + 1):
+        outcome.update(sweep(n))
+    res = SuiteResult(name)
+    for w in _perms(nmax):
+        for ok, msg in zip(outcome[w], messages):
+            res.check(ok, msg.format(w=format_perm(w)), w)
+    return res
+
+
 def suite_thm11(nmax: int, barred_inner_omega: bool = True) -> SuiteResult:
     """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
     if nmax > pipedreams.MAX_N:
         raise ValueError(f"thm11 needs nmax <= {pipedreams.MAX_N} (pipe-dream walk), got {nmax}")
-    res = SuiteResult("thm11")
-    for w in _perms(nmax):
-        dg = families.double_grothendieck(w)
-        res.check(
-            pipedreams.weight_sum(w) == dg,
-            f"weight_sum != double_grothendieck at w={format_perm(w)}", w,
-        )
-        res.check(
-            families.script_G(rothe(w), barred_inner_omega) == dg,
-            f"script_G != double_grothendieck at w={format_perm(w)}", w,
-        )
-    return res
+
+    def sweep(n):
+        for w, dg in families.double_grothendieck_sweep(n):
+            yield w, (pipedreams.weight_sum(w) == dg,
+                      families.script_G(rothe(w), barred_inner_omega) == dg)
+
+    return _replay("thm11", nmax, sweep, (
+        "weight_sum != double_grothendieck at w={w}",
+        "script_G != double_grothendieck at w={w}",
+    ))
 
 
 def suite_cor_double_schub(nmax: int) -> SuiteResult:
     """script_S(rothe(w)) = S_w(x, -y); both Schubert routes agree."""
-    res = SuiteResult("cor-double-schub")
-    for w in _perms(nmax):
-        ds = families.double_schubert(w)
-        res.check(
-            ds == families.double_schubert_via_lowest(w),
-            f"schubert recursion != lowest-degree route at w={format_perm(w)}",
-        )
-        res.check(
-            families.script_S(rothe(w)) == ds.negate_y(),
-            f"script_S != negate_y(double_schubert) at w={format_perm(w)}",
-        )
-    return res
+
+    def sweep(n):
+        for (w, dg), (_, ds) in zip(families.double_grothendieck_sweep(n),
+                                    families.double_schubert_sweep(n)):
+            # the lowest-degree route: S_w(x, y) is the lowest degree part of G_w(x, -y)
+            yield w, (ds == dg.negate_y().lowest_degree_part(),
+                      families.script_S(rothe(w)) == ds.negate_y())
+
+    return _replay("cor-double-schub", nmax, sweep, (
+        "schubert recursion != lowest-degree route at w={w}",
+        "script_S != negate_y(double_schubert) at w={w}",
+    ))
 
 
 def _sorted_window_sets(w: Permutation):

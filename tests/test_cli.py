@@ -232,20 +232,36 @@ def test_verify_unknown_suite_is_a_usage_error(runner):
     assert "'nope' is not one of" in r.output
 
 
-def _count_double_grothendieck(monkeypatch) -> list:
+def _refuse_staircases(monkeypatch) -> list:
+    """Record and refuse every staircase product, the first polynomial of any G_w or S_w."""
     calls = []
-    real = families.double_grothendieck
-    monkeypatch.setattr(families, "double_grothendieck", lambda w: calls.append(w) or real(w))
+
+    def refuse(n, barred):
+        calls.append(n)
+        raise RuntimeError("a staircase was built")
+
+    monkeypatch.setattr(families, "_staircase_double", refuse)
     return calls
 
 
 def test_verify_thm11_beyond_the_pipe_dream_walk_refuses_before_any_work(runner, monkeypatch):
     monkeypatch.setattr(pipedreams, "MAX_N", 3)
-    calls = _count_double_grothendieck(monkeypatch)
+    calls = _refuse_staircases(monkeypatch)
     r = runner.invoke(main, ["verify", "thm11", "--nmax", "4"])
     assert r.exit_code == 2, r.output
     assert calls == []
     assert "thm11 needs nmax <= 3" in r.output and "got 4" in r.output
+
+
+@pytest.mark.parametrize("suite", ["thm11", "cor-double-schub"])
+def test_permutation_suites_leave_the_module_memos_empty(runner, monkeypatch, suite):
+    memos = {attr: {} for attr in ("_double_groth", "_double_schub")}
+    for attr, memo in memos.items():
+        monkeypatch.setattr(families, attr, memo)
+    r = runner.invoke(main, ["verify", suite, "--nmax", "4"])
+    assert r.exit_code == 0, r.output
+    assert "64 checked, 0 failed" in r.output
+    assert memos == {"_double_groth": {}, "_double_schub": {}}
 
 
 def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner):
@@ -320,7 +336,7 @@ def test_report_that_checks_nothing_is_a_usage_error(runner, omega, endpoint, me
 
 
 def test_report_with_an_empty_endpoint_section_builds_no_polynomial(runner, monkeypatch):
-    calls = _count_double_grothendieck(monkeypatch)
+    calls = _refuse_staircases(monkeypatch)
     r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", "6", "--nmax-endpoint", "2"])
     assert r.exit_code == 2
     assert "the endpoint section checks nothing at nmax_endpoint=2" in r.output

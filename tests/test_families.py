@@ -86,9 +86,52 @@ def test_double_schubert_321():
     assert families.double_schubert((3, 2, 1)) == expected
 
 
+def double_schubert_via_lowest(w):
+    """S_w(x, y) as the lowest degree part of G_w(x, -y)."""
+    return families.double_grothendieck(w).negate_y().lowest_degree_part()
+
+
 def test_double_schubert_via_lowest_agrees():
     for w in permcomb.all_perms(4):
-        assert families.double_schubert(w) == families.double_schubert_via_lowest(w)
+        assert families.double_schubert(w) == double_schubert_via_lowest(w)
+
+
+@pytest.mark.parametrize("sweep, query", [
+    (families.double_grothendieck_sweep, families.double_grothendieck),
+    (families.double_schubert_sweep, families.double_schubert),
+])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sweep_yields_each_w_once_by_non_increasing_length(sweep, query, n):
+    pairs = list(sweep(n))
+    ws = [w for w, _ in pairs]
+    assert sorted(ws) == list(permcomb.all_perms(n))
+    lengths = [permcomb.length(w) for w in ws]
+    assert lengths == sorted(lengths, reverse=True)
+    assert all(f == query(w) for w, f in pairs)
+
+
+def test_the_two_sweeps_enumerate_s_n_alike():
+    assert ([w for w, _ in families.double_grothendieck_sweep(4)]
+            == [w for w, _ in families.double_schubert_sweep(4)])
+
+
+@pytest.mark.parametrize("sweep", [families.double_grothendieck_sweep,
+                                   families.double_schubert_sweep])
+def test_sweep_memo_spans_at_most_two_adjacent_lengths(sweep, monkeypatch):
+    spans = []
+    chain = families._chain
+
+    def recording(index, memo, base, step):
+        spans.append({permcomb.length(u) for u in memo})
+        f = chain(index, memo, base, step)
+        spans.append({permcomb.length(u) for u in memo})
+        return f
+
+    monkeypatch.setattr(families, "_chain", recording)
+    assert len(list(sweep(5))) == 120
+    assert len(spans) == 240
+    assert all(len(s) <= 2 and max(s, default=0) - min(s, default=0) <= 1 for s in spans)
+    assert {frozenset(s) for s in spans} >= {frozenset({9, 10}), frozenset({0, 1})}
 
 
 def test_single_schubert_examples():
