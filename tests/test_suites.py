@@ -23,8 +23,8 @@ def test_failing_suite_carries_its_first_failing_item():
 
 
 def test_unbarred_thm11_reports_every_failure_in_lexicographic_order():
-    # frozen from the lexicographic sweep; in S_3 only 132 fails, so only S_4 can show
-    # a suite that reports its failures in any other order
+    # in S_3 only 132 fails, so only S_4 shows whether the failures come in
+    # lexicographic order, whatever order the suite computes them in
     res = suites.suite_thm11(4, barred_inner_omega=False)
     assert (res.checked, res.first_failing) == (64, (1, 3, 2))
     assert res.failures == [f"script_G != double_grothendieck at w={w}" for w in (
