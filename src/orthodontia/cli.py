@@ -46,8 +46,20 @@ COMP = _Parsed("composition", permcomb.parse_comp)
 DIAGRAM = _Parsed("diagram", diagrams.parse_diagram)
 
 
+class _Command(click.Command):
+    """A subcommand: a ValueError the engine raises is a usage error of this command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
 class _Main(click.Group):
     """The command group: an unexpected exception exits EXIT_CRASH with a one-line message."""
+
+    command_class = _Command
 
     def invoke(self, ctx):
         try:
@@ -110,10 +122,7 @@ def cmd_poly(family, as_json, latex, **options):
         raise click.UsageError("--json and --latex cannot be used together")
     reads, compute = FAMILIES[family]
     values = _read(family, reads, options)
-    try:
-        p = compute(*values)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    p = compute(*values)
     if as_json:
         click.echo(p.to_json())
     else:
@@ -128,10 +137,7 @@ def cmd_pipedreams(perm, count_only, emit_json):
     """Enumerate pipe dreams with Demazure product w."""
     if count_only and emit_json:
         raise click.UsageError("--count and --emit-json cannot be used together")
-    try:
-        pds = pipedreams.enumerate_pd(perm)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    pds = pipedreams.enumerate_pd(perm)
     if count_only:
         click.echo(str(len(pds)))
         return
@@ -149,10 +155,7 @@ def cmd_pipedreams(perm, count_only, emit_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_orthodontia(D, force, as_json):
     """Print the double orthodontic sequence (K, i, j, M) of a diagram."""
-    try:
-        seq = diagrams.orthodontic_sequence(D, force=force)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    seq = diagrams.orthodontic_sequence(D, force=force)
     if as_json:
         click.echo(json.dumps({"K": [sorted(k) for k in seq.K], "i": list(seq.i),
                                "j": list(seq.j), "M": [sorted(m) for m in seq.M]}))
@@ -205,10 +208,7 @@ def _report(command: str, checked: int, records: list[dict], as_json: bool, t0: 
 def cmd_verify(suite, nmax, as_json):
     """Run one invariant suite for all indices up to --nmax."""
     t0 = time.monotonic()
-    try:
-        res = suites.SUITES[suite](nmax)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    res = suites.SUITES[suite](nmax)
     if res.checked == 0:
         raise click.UsageError(f"{suite} checks nothing at this nmax, got {nmax}")
     records = [{"item": {"suite": suite, "failure": f}, "verdict": "violation"}
@@ -259,10 +259,7 @@ def cmd_scan(target, workers, as_json, **options):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(what, D, no_require_inclusion, as_json):
     """Run the graded-positivity pipeline on one diagram."""
-    try:
-        res = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    res = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
     record = lascouxbasis.scan_record(
         {"diagram": diagrams.format_diagram(D)}, res.expansion, res.verdict)
     if as_json:
@@ -281,11 +278,7 @@ def cmd_check(what, D, no_require_inclusion, as_json):
 @click.option("--nmax-endpoint", default=4, show_default=True)
 def cmd_report(what, nmax_omega, nmax_endpoint):
     """Emit the one-page report resolving the notation ambiguities."""
-    try:
-        report = suites.ambiguity_report(nmax_omega, nmax_endpoint)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(report, nl=False)
+    click.echo(suites.ambiguity_report(nmax_omega, nmax_endpoint), nl=False)
 
 
 if __name__ == "__main__":

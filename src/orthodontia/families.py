@@ -84,30 +84,29 @@ def _staircase_double(n: int, barred: bool) -> Polynomial:
     return out
 
 
+# (base, step) of the double recursions, as `_chain` and `_sweep` take them
+_DOUBLE_G = (lambda w0: _staircase_double(len(w0), barred=True), diffops.isobaric)
+_DOUBLE_S = (lambda w0: _staircase_double(len(w0), barred=False), diffops.divided_difference)
+
+
 def double_grothendieck(w: Permutation) -> Polynomial:
     """G_w(x, y), ambient (n, n)."""
-    return _chain(
-        tuple(permcomb.check_perm(w)), _double_groth,
-        lambda w0: _staircase_double(len(w0), barred=True), diffops.isobaric,
-    )
+    return _chain(tuple(permcomb.check_perm(w)), _double_groth, *_DOUBLE_G)
 
 
 def double_schubert(w: Permutation) -> Polynomial:
     """S_w(x, y), ambient (n, n), by the direct d_i recursion."""
-    return _chain(
-        tuple(permcomb.check_perm(w)), _double_schub,
-        lambda w0: _staircase_double(len(w0), barred=False), diffops.divided_difference,
-    )
+    return _chain(tuple(permcomb.check_perm(w)), _double_schub, *_DOUBLE_S)
 
 
 def double_grothendieck_sweep(n: int):
     """(w, G_w) for every w in S_n, as `_sweep` orders them; no module memo is read or filled."""
-    yield from _sweep(n, lambda w0: _staircase_double(n, barred=True), diffops.isobaric)
+    yield from _sweep(n, *_DOUBLE_G)
 
 
 def double_schubert_sweep(n: int):
     """(w, S_w) for every w in S_n, in the order of `double_grothendieck_sweep`."""
-    yield from _sweep(n, lambda w0: _staircase_double(n, barred=False), diffops.divided_difference)
+    yield from _sweep(n, *_DOUBLE_S)
 
 
 def _staircase_single(w0: Permutation) -> Polynomial:
@@ -168,7 +167,10 @@ def _evaluate(seq: OrthodonticSequence, n: int, m: int, inner_omega, outer_omega
     return t
 
 
-def _check_j_range(seq: OrthodonticSequence, m: int) -> None:
+def _evaluate_diagram(D: Diagram, inner_barred: bool, outer_barred: bool, step) -> Polynomial:
+    """`_evaluate` over the orthodontic sequence of D, its omegas those of `diffops.omega`."""
+    n, m = D.nrows, D.ncols
+    seq = orthodontic_sequence(D)
     bad = [j for j in seq.j if not 1 <= j <= m]
     if bad:
         raise ValueError(
@@ -176,6 +178,12 @@ def _check_j_range(seq: OrthodonticSequence, m: int) -> None:
             "unspecialized evaluator is undefined here (the y -> -1 "
             "specialization script_S_neg1 still is)"
         )
+    return _evaluate(
+        seq, n, m,
+        lambda i, M: diffops.omega(i, M, inner_barred, n, m),
+        lambda a, K: diffops.omega(a, K, outer_barred, n, m),
+        step,
+    )
 
 
 def script_G(D: Diagram, barred_inner_omega: bool = True) -> Polynomial:
@@ -186,27 +194,12 @@ def script_G(D: Diagram, barred_inner_omega: bool = True) -> Polynomial:
     barred by default (the variant validated against the recursion); pass
     barred_inner_omega=False for the unbarred-inner variant.
     """
-    n, m = D.nrows, D.ncols
-    seq = orthodontic_sequence(D)
-    _check_j_range(seq, m)
-    return _evaluate(
-        seq, n, m,
-        lambda i, M: diffops.omega(i, M, barred_inner_omega, n, m),
-        lambda a, K: diffops.omega(a, K, True, n, m),
-        diffops.pibar_double,
-    )
+    return _evaluate_diagram(D, barred_inner_omega, True, diffops.pibar_double)
 
 
 def script_S(D: Diagram) -> Polynomial:
     """The all-unbarred orthodontia evaluator (double Schubert side)."""
-    n, m = D.nrows, D.ncols
-    seq = orthodontic_sequence(D)
-    _check_j_range(seq, m)
-
-    def omega(i, M):
-        return diffops.omega(i, M, False, n, m)
-
-    return _evaluate(seq, n, m, omega, omega, diffops.pi_double)
+    return _evaluate_diagram(D, False, False, diffops.pi_double)
 
 
 @functools.cache

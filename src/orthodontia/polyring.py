@@ -102,6 +102,17 @@ def _layout(n: int, m: int) -> _Layout:
     return _Layout(n, m)
 
 
+def _axpy(terms: dict[int, int], g: dict[int, int], c: int) -> None:
+    """terms += c g on packed keys, in place, for c != 0; a cancelled key is deleted."""
+    get = terms.get
+    for k, v in g.items():
+        new = get(k, 0) + c * v
+        if new:
+            terms[k] = new
+        else:
+            del terms[k]
+
+
 def _from_keys(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
     """A polynomial on packed keys; the caller guarantees nonzero coefficients."""
     out = object.__new__(Polynomial)
@@ -132,16 +143,8 @@ class Remainder:
         if g._lay is not self._lay:
             raise AmbientMismatch(f"ambient mismatch: ({g.n},{g.m}) vs a remainder in "
                                   f"({self._lay.n},{self._lay.m})")
-        if not c:
-            return
-        terms = self.terms
-        get = terms.get
-        for k, v in g.terms.items():
-            new = get(k, 0) - c * v
-            if new:
-                terms[k] = new
-            else:
-                del terms[k]
+        if c:  # c = 0 leaves r as it is; _axpy needs c != 0
+            _axpy(self.terms, g.terms, -c)
 
 
 class Polynomial:
@@ -211,19 +214,17 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
         terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            new = terms.get(mon, 0) + c
-            if new:
-                terms[mon] = new
-            else:
-                terms.pop(mon, None)
+        _axpy(terms, other.terms, 1)
         return _from_keys(self._lay, terms)
 
     def __neg__(self) -> "Polynomial":
-        return _from_keys(self._lay, {mon: -c for mon, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        self._check_ambient(other)
+        terms = dict(self.terms)
+        _axpy(terms, other.terms, -1)
+        return _from_keys(self._lay, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ambient(other)
@@ -339,12 +340,8 @@ class Polynomial:
         for k, coeff in self.terms.items():
             xe, ye = _decode(lay, k)
             mon = _encode(out, xe, ())
-            new = terms.get(mon, 0) + coeff * c ** sum(ye)
-            if new:
-                terms[mon] = new
-            else:
-                terms.pop(mon, None)
-        return _from_keys(out, terms)
+            terms[mon] = terms.get(mon, 0) + coeff * c ** sum(ye)
+        return _from_keys(out, {k: v for k, v in terms.items() if v})
 
     def negate_y(self) -> "Polynomial":
         """y_j -> -y_j for all j."""

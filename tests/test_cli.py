@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from orthodontia import families, pipedreams, suites
+from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder, suites
 from orthodontia.cli import EXIT_CRASH, FAMILIES, SCANS, main
 from orthodontia.polyring import EXP_LIMIT, Polynomial
 
@@ -140,6 +140,43 @@ def test_unexpected_error_exits_3_with_one_line(runner, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main.main(args=["poly", "schubert", "--w", "21"], standalone_mode=False)
     assert exc.value.code == EXIT_CRASH
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_exponent_over_limit_is_a_usage_error(runner, workers):
+    # phi multiplies L_(32767) by x_1, which raises ExponentRangeError (a ValueError) in the
+    # worker; a pool re-raises it in the parent, so both paths exit 2
+    r = runner.invoke(main, ["scan", "conj15", "--n", "1", "--max-entry", "32767",
+                             "--workers", workers])
+    assert r.exit_code == 2, r.output
+    assert f"Error: a product exponent reaches {EXP_LIMIT}" in r.output
+
+
+@pytest.mark.parametrize("argv, owner, attr", [
+    pytest.param(argv, owner, attr, id=argv[0]) for argv, owner, attr in [
+        (["poly", "schubert", "--w", "21"], families, "schubert"),
+        (["pipedreams", "--w", "21"], pipedreams, "enumerate_pd"),
+        (["orthodontia", "--diagram", "n=2;1;"], diagrams, "orthodontic_sequence"),
+        (["sortorder", "--w", "21"], sortorder, "primary_column_data"),
+        (["verify", "thm11"], suites.SUITES, "thm11"),
+        (["scan", "conj15", "--n", "1", "--max-entry", "1"], lascouxbasis, "conj15_item"),
+        (["check", "thm12", "--diagram", "n=2;1;"], lascouxbasis, "theorem12_check"),
+        (["report", "ambiguities"], suites, "ambiguity_report"),
+    ]
+])
+def test_engine_value_error_exits_2_from_every_command(runner, monkeypatch, argv, owner, attr):
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, attr, broken)
+    else:
+        monkeypatch.setattr(owner, attr, broken)
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith(f"Usage: main {argv[0]} ")
+    assert r.stderr.endswith("\nError: injected\n")
+    assert r.stdout == ""
 
 
 def test_poly_script_families(runner):

@@ -1,5 +1,6 @@
 """Tests for the polynomial family generators."""
 
+import re
 from itertools import product
 
 import pytest
@@ -221,8 +222,10 @@ def test_script_S_neg1_agrees_where_both_defined():
 def test_script_S_rejects_out_of_range_column_index():
     # single column {2}: the recorded j index is 0
     D = diagrams.from_cells(2, 1, [(2, 1)])
-    with pytest.raises(ValueError):
-        families.script_S(D)
+    for evaluate in (families.script_S, families.script_G,
+                     lambda D: families.script_G(D, barred_inner_omega=False)):
+        with pytest.raises(ValueError, match=re.escape("fall outside [1,1]")):
+            evaluate(D)
     # but the specialized evaluator still works
     assert not families.script_S_neg1(diagrams.orthodontic_sequence(D), 2).is_zero()
 
