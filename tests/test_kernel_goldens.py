@@ -8,8 +8,11 @@ of ``scan conj15 --n 3 --m 2``, every ``conj14_item`` record of ``scan conj14
 (``json.dumps(record, sort_keys=True)``, as the scan prints it), and of the stdout of ``pipedreams --w <w> --emit-json`` and
 ``pipedreams --w <w> --count`` for every w in S_1..S_5, of ``report
 ambiguities`` at five (--nmax-omega, --nmax-endpoint) pairs and of ``verify
-<suite> --nmax 4`` for every suite.  A change to the arithmetic kernel, to
-the pipe-dream walk or to the suites must reproduce them all.
+<suite> --nmax 4`` for every suite, and of the stdout of ``scan
+thm12-vexillary --nmax 6 --json`` with its version blanked, the deepest
+y = -1 operator sequences any scan evaluates.  A change to the arithmetic
+kernel, to the pipe-dream walk, to the evaluators or to the suites must
+reproduce them all.
 
 Re-freeze (only after a deliberate change of answers) with
 ``PYTHONPATH=src python tests/test_kernel_goldens.py``.
@@ -21,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from itertools import product
 from pathlib import Path
 
@@ -32,10 +36,22 @@ GOLDENS = Path(__file__).with_name("kernel_goldens.json")
 PERM_FAMILIES = ("double_grothendieck", "double_schubert", "grothendieck", "schubert")
 COMP_FAMILIES = ("lascoux", "key_via_pi")
 REPORT_BOUNDS = ((2, 3), (3, 3), (4, 4), (4, 5), (5, 6))  # (--nmax-omega, --nmax-endpoint)
+SCAN_THM12_S6 = ["scan", "thm12-vexillary", "--nmax", "6", "--json"]
+_VERSION = re.compile(r'"version": "[^"]*"')
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def scan_sha(stdout: str) -> str:
+    """sha of a ``scan --json`` stdout, version blanked and trailing newlines stripped.
+
+    The digest of ``bench/workloads.digest``: the package version in the
+    summary line is provenance, not an answer.
+    """
+    head, sep, last = stdout.rstrip("\n").rpartition("\n")
+    return sha(head + sep + _VERSION.sub('"version": ""', last))
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -74,6 +90,7 @@ def digests() -> dict[str, str]:
             ["report", "ambiguities", "--nmax-omega", str(omega), "--nmax-endpoint", str(endpoint)]))
     for suite in sorted(suites.SUITES):
         out[f"verify {suite} --nmax 4"] = sha(stdout_of(["verify", suite, "--nmax", "4"]))
+    out[" ".join(SCAN_THM12_S6)] = scan_sha(stdout_of(SCAN_THM12_S6))
     return out
 
 
