@@ -74,7 +74,9 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Exact Schubert/Grothendieck/Lascoux polynomial computations."""
-    lascouxbasis._theorem12.clear()  # each command expands its own signatures, as a fresh process
+    # each command expands its own signatures and builds its own suffixes, as a fresh process
+    lascouxbasis._theorem12.clear()
+    families._neg1_suffix.clear()
 
 
 def _flag(name: str) -> str:

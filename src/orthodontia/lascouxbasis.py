@@ -11,7 +11,8 @@ ncols) is a function of (n, ncols, the rows i_k, the sizes |M_k|, the
 sizes |K_a|) alone, and diagrams that share this key share the expansion
 exactly.  The memo holds expansions, no polynomial, one per distinct key
 (3527 for the %-avoiding diagrams in [4] x [4]); each CLI command starts
-it empty.
+it empty.  A key that misses it still shares the inner operator product of
+every suffix of its sequence with earlier keys (`families.script_S_neg1`).
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ Demazure (0-Hecke) product of the letters of its crosses is w.  The walk
 keeps one value per Demazure product u of the cells read so far, and drops
 u unless u <= w <= Dem(u, rest of the word) in Bruhat order.  Demazure
 products only go up, so no dropped state could have ended at w.
+Dem(u, rest of the word) depends only on (n, k, u), k the cells read, so it
+is memoized module-wide; within one walk each u <= w and each w <= Dem(...)
+is tested once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from .permcomb import Permutation
 from .polyring import Polynomial
 
 MAX_N = 7
+
+# (n, k, v) -> Dem(v, letters k+1.. of the staircase word of S_n)
+_dem_rest: dict[tuple, Permutation] = {}
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,14 @@ class PipeDream:
         return tuple(sorted(self.crosses))
 
 
+def _rest(n: int, k: int, v: Permutation, word: list[int]) -> Permutation:
+    """Dem(v, word[k+1:]), word the staircase word of S_n; memoized in `_dem_rest`."""
+    rest = _dem_rest.get((n, k, v))
+    if rest is None:
+        rest = _dem_rest[n, k, v] = reduce(permcomb.demazure_star, word[k + 1:], v)
+    return rest
+
+
 def _walk(w: Permutation, start, cross):
     """Sum over the fillings with Demazure product w, one cell at a time.
 
@@ -48,12 +62,21 @@ def _walk(w: Permutation, start, cross):
     cells = [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)]
     word = [i + j - 1 for i, j in cells]
     states = {permcomb.identity(n): start}
+    below: dict[Permutation, bool] = {}  # v -> v <= w
+    above: dict[Permutation, bool] = {}  # r -> w <= r
     for k, (i, j) in enumerate(cells):
         nxt = {}
         for u, value in states.items():
             for v, crossed in ((u, False), (permcomb.demazure_star(u, word[k]), True)):
-                if permcomb.bruhat_le(v, w) and permcomb.bruhat_le(
-                        w, reduce(permcomb.demazure_star, word[k + 1:], v)):
+                ok = below.get(v)
+                if ok is None:
+                    ok = below[v] = permcomb.bruhat_le(v, w)
+                if ok:
+                    r = _rest(n, k, v, word)
+                    ok = above.get(r)
+                    if ok is None:
+                        ok = above[r] = permcomb.bruhat_le(w, r)
+                if ok:
                     val = cross(value, i, j) if crossed else value
                     nxt[v] = nxt[v] + val if v in nxt else val
         states = nxt

@@ -4,7 +4,8 @@ Each entry of ``SUITES`` is a function of ``nmax`` alone: it sweeps an
 index range (S_2..S_nmax for the permutation suites), checks exact
 identities, and returns a count, the failure descriptions and the item of
 the first failure.  The CLI `verify` subcommand, the acceptance tests and
-the ambiguity report (from thm11 and thm-os2) all run these.
+the ambiguity report (from thm11, both barrings in one sweep, and thm-os2)
+all run these.
 """
 
 from __future__ import annotations
@@ -44,15 +45,20 @@ def _perms(nmax: int):
         yield from all_perms(n)
 
 
-def _replay(name: str, nmax: int, sweep, messages: tuple[str, ...]) -> SuiteResult:
-    """The checks of every w in S_2..S_nmax, recorded in the order of `_perms`.
-
-    sweep(n) yields (w, oks) for every w in S_n, in any order, with one
-    boolean in oks per message; a message names w through its {w} field.
-    """
+def _outcomes(nmax: int, sweep) -> dict:
+    """w -> oks for every w in S_2..S_nmax; sweep(n) yields (w, oks) for every w in S_n, in any order."""
     outcome = {}
     for n in range(2, nmax + 1):
         outcome.update(sweep(n))
+    return outcome
+
+
+def _replay(name: str, nmax: int, outcome: dict, messages: tuple[str, ...]) -> SuiteResult:
+    """The checks of every w in S_2..S_nmax, recorded in the order of `_perms`.
+
+    outcome[w] holds one boolean per message; a message names w through its
+    {w} field.
+    """
     res = SuiteResult(name)
     for w in _perms(nmax):
         for ok, msg in zip(outcome[w], messages):
@@ -60,20 +66,31 @@ def _replay(name: str, nmax: int, sweep, messages: tuple[str, ...]) -> SuiteResu
     return res
 
 
-def suite_thm11(nmax: int, barred_inner_omega: bool = True) -> SuiteResult:
-    """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
+def thm11_by_barring(nmax: int, barrings: tuple[bool, ...]) -> dict[bool, SuiteResult]:
+    """The thm11 result for each inner-omega barring, from one sweep.
+
+    G_w and weight_sum(w) are computed once per w, script_G once per w and
+    barring.
+    """
     if nmax > pipedreams.MAX_N:
         raise ValueError(f"thm11 needs nmax <= {pipedreams.MAX_N} (pipe-dream walk), got {nmax}")
 
     def sweep(n):
         for w, dg in families.double_grothendieck_sweep(n):
             yield w, (pipedreams.weight_sum(w) == dg,
-                      families.script_G(rothe(w), barred_inner_omega) == dg)
+                      *(families.script_G(rothe(w), barred) == dg for barred in barrings))
 
-    return _replay("thm11", nmax, sweep, (
-        "weight_sum != double_grothendieck at w={w}",
-        "script_G != double_grothendieck at w={w}",
-    ))
+    outcome = _outcomes(nmax, sweep)
+    messages = ("weight_sum != double_grothendieck at w={w}",
+                "script_G != double_grothendieck at w={w}")
+    return {barred: _replay("thm11", nmax, {w: (oks[0], oks[b]) for w, oks in outcome.items()},
+                            messages)
+            for b, barred in enumerate(barrings, 1)}
+
+
+def suite_thm11(nmax: int, barred_inner_omega: bool = True) -> SuiteResult:
+    """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
+    return thm11_by_barring(nmax, (barred_inner_omega,))[barred_inner_omega]
 
 
 def suite_cor_double_schub(nmax: int) -> SuiteResult:
@@ -86,7 +103,7 @@ def suite_cor_double_schub(nmax: int) -> SuiteResult:
             yield w, (ds == dg.negate_y().lowest_degree_part(),
                       families.script_S(rothe(w)) == ds.negate_y())
 
-    return _replay("cor-double-schub", nmax, sweep, (
+    return _replay("cor-double-schub", nmax, _outcomes(nmax, sweep), (
         "schubert recursion != lowest-degree route at w={w}",
         "script_S != negate_y(double_schubert) at w={w}",
     ))
@@ -401,7 +418,7 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
     """One-page report pinning down the two notational ambiguities.
 
     Records which inner-omega barring makes the orthodontia evaluator
-    reproduce the recursion (``suite_thm11`` once per barring), which
+    reproduce the recursion (``thm11_by_barring``, one sweep for both), which
     product endpoint makes the sorted-case sequence transformation hold
     (``suite_thm_os2`` once per endpoint), and the observed lowest-degree
     relation between the two evaluators.  A section with no w to check is a
@@ -414,7 +431,7 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
                                  ("endpoint", nmax_endpoint, endpoint["alpha"].checked == 0)):
         if empty:
             raise ValueError(f"the {section} section checks nothing at nmax_{section}={nmax}")
-    omega = {barred: suite_thm11(nmax_omega, barred) for barred in (True, False)}
+    omega = thm11_by_barring(nmax_omega, (True, False))
     sections = {  # heading: (result, subject, what holds, failure verb) per reading
         "Inner omega factors: barred vs unbarred": [
             (res, f"{'barred' if barred else 'unbarred'} inner omegas",

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from orthodontia import diagrams, families, lascouxbasis
+from orthodontia import diagrams, diffops, families, lascouxbasis
 from orthodontia.lascouxbasis import LascouxExpansion, graded_positive, lascoux_expand
 from orthodontia.polyring import Polynomial
 
@@ -87,7 +87,24 @@ def _theorem12_key(D):
 
 
 def _script_S_neg1(D):
-    return families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
+    """script_S_neg1(D) built from nothing: `_evaluate` with no suffix memo."""
+    seq, n = diagrams.orthodontic_sequence(D), D.nrows
+
+    def omega(i, M):
+        return families._omega_neg1(i, len(M), n)
+
+    return families._evaluate(seq, n, 0, omega, omega, lambda f, i, j: diffops.pi_double_neg1(f, i))
+
+
+def test_script_S_neg1_suffix_memo_matches_unshared_reference():
+    # n = 3 and n = 4 sequences share (i, |M|) suffixes, so a key without n would mix ambients
+    families._neg1_suffix.clear()
+    items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
+    random.Random(13).shuffle(items)
+    for D in items:
+        got = families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
+        assert got == _script_S_neg1(D), diagrams.format_diagram(D)
+    assert {n for n, _, _ in families._neg1_suffix} == {3, 4}
 
 
 def test_theorem12_memo_matches_fresh_expansion():
@@ -130,12 +147,17 @@ def test_each_cli_command_starts_from_an_empty_memo():
     from orthodontia.cli import main
 
     lascouxbasis._theorem12.clear()
+    families._neg1_suffix.clear()
     for D in lascouxbasis.conj14_items(3, 3):
         lascouxbasis.theorem12_check(D, require_inclusion=False)
     assert len(lascouxbasis._theorem12) == 118
-    r = CliRunner().invoke(main, ["check", "thm12", "--diagram", "n=3;1;1,2;"])
+    assert len(families._neg1_suffix) > 1
+    r = CliRunner().invoke(main, ["check", "thm12", "--diagram", "n=3;2,3;3;3"])
     assert r.exit_code == 0, r.output
     assert len(lascouxbasis._theorem12) == 1
+    # one suffix per step of the diagram's sequence (i = 1,2,1, |M| = 0,1,2), no other
+    assert sorted(families._neg1_suffix) == [
+        (3, (1,), (2,)), (3, (1, 2, 1), (0, 1, 2)), (3, (2, 1), (1, 2))]
 
 
 def test_conj15_item_record():
