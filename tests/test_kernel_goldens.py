@@ -24,12 +24,12 @@ import contextlib
 import hashlib
 import io
 import json
-import re
 from itertools import product
 from pathlib import Path
 
 from orthodontia import diagrams, families, lascouxbasis, permcomb, suites
 from orthodontia.cli import main
+from test_cli import _digest as scan_digest  # the digest of bench/workloads.digest: version blanked
 
 GOLDENS = Path(__file__).with_name("kernel_goldens.json")
 
@@ -37,21 +37,10 @@ PERM_FAMILIES = ("double_grothendieck", "double_schubert", "grothendieck", "schu
 COMP_FAMILIES = ("lascoux", "key_via_pi")
 REPORT_BOUNDS = ((2, 3), (3, 3), (4, 4), (4, 5), (5, 6))  # (--nmax-omega, --nmax-endpoint)
 SCAN_THM12_S6 = ["scan", "thm12-vexillary", "--nmax", "6", "--json"]
-_VERSION = re.compile(r'"version": "[^"]*"')
 
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def scan_sha(stdout: str) -> str:
-    """sha of a ``scan --json`` stdout, version blanked and trailing newlines stripped.
-
-    The digest of ``bench/workloads.digest``: the package version in the
-    summary line is provenance, not an answer.
-    """
-    head, sep, last = stdout.rstrip("\n").rpartition("\n")
-    return sha(head + sep + _VERSION.sub('"version": ""', last))
 
 
 def stdout_of(argv: list[str]) -> str:
@@ -90,7 +79,7 @@ def digests() -> dict[str, str]:
             ["report", "ambiguities", "--nmax-omega", str(omega), "--nmax-endpoint", str(endpoint)]))
     for suite in sorted(suites.SUITES):
         out[f"verify {suite} --nmax 4"] = sha(stdout_of(["verify", suite, "--nmax", "4"]))
-    out[" ".join(SCAN_THM12_S6)] = scan_sha(stdout_of(SCAN_THM12_S6))
+    out[" ".join(SCAN_THM12_S6)] = scan_digest(stdout_of(SCAN_THM12_S6).encode())
     return out
 
 
