@@ -261,16 +261,15 @@ def cmd_scan(target, workers, as_json, **options):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(what, D, no_require_inclusion, as_json):
     """Run the graded-positivity pipeline on one diagram."""
-    res = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
-    record = lascouxbasis.scan_record(
-        {"diagram": diagrams.format_diagram(D)}, res.expansion, res.verdict)
+    e = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
+    record = lascouxbasis.scan_record({"diagram": diagrams.format_diagram(D)}, e)
     if as_json:
         click.echo(json.dumps(record, sort_keys=True))
     else:
         click.echo(f"verdict: {record['verdict']} (d0={record['d0']})")
         for t in record["expansion"]:
             click.echo(f"  L_{','.join(map(str, t['alpha']))}: {t['c']}")
-    if not res.verdict.positive:
+    if record["verdict"] != "positive":
         sys.exit(EXIT_MATH_FAILURE)
 
 

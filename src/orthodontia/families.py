@@ -3,10 +3,12 @@
 Double and single Grothendieck and Schubert polynomials and Lascoux and
 key polynomials by divided difference recursions, each walked along one
 chain from the index to a base case (`_chain`), stable Grothendieck
-polynomials, and the orthodontia evaluators for diagrams.  Every value
-a single query's walk computes is memoized module-wide; a sweep over all
-of S_n (`double_grothendieck_sweep`, `double_schubert_sweep`) walks the
-same chains with a memo of its own that holds two length levels at most.
+polynomials, and the orthodontia evaluators for diagrams.  A query for one
+permutation walks its chain with a memo of its own, kept for that call
+only; a sweep over all of S_n (`double_grothendieck_sweep`,
+`double_schubert_sweep`) walks the same chains with a memo that holds two
+length levels at most.  Only the Lascoux polynomials, which every
+expansion peels, are memoized module-wide.
 The y = -1 evaluator memoizes the inner product of each operator suffix
 (n, i_k.., |M_k|..), so sequences that end alike share those steps; the
 CLI empties that memo at the start of every command.
@@ -21,11 +23,7 @@ from .diagrams import Diagram, OrthodonticSequence, orthodontic_sequence
 from .permcomb import Composition, Permutation
 from .polyring import Polynomial
 
-# memos, keyed by index
-_double_groth: dict[Permutation, Polynomial] = {}
-_double_schub: dict[Permutation, Polynomial] = {}
-_groth_x: dict[Permutation, Polynomial] = {}
-_schub_x: dict[Permutation, Polynomial] = {}
+# L_alpha, keyed by alpha
 _lascoux: dict[Composition, Polynomial] = {}
 # (n, i_k.., |M_k|..) -> the y = -1 inner product of that suffix (`script_S_neg1`)
 _neg1_suffix: dict[tuple, Polynomial] = {}
@@ -96,16 +94,16 @@ _DOUBLE_S = (lambda w0: _staircase_double(len(w0), barred=False), diffops.divide
 
 def double_grothendieck(w: Permutation) -> Polynomial:
     """G_w(x, y), ambient (n, n)."""
-    return _chain(tuple(permcomb.check_perm(w)), _double_groth, *_DOUBLE_G)
+    return _chain(tuple(permcomb.check_perm(w)), {}, *_DOUBLE_G)
 
 
 def double_schubert(w: Permutation) -> Polynomial:
     """S_w(x, y), ambient (n, n), by the direct d_i recursion."""
-    return _chain(tuple(permcomb.check_perm(w)), _double_schub, *_DOUBLE_S)
+    return _chain(tuple(permcomb.check_perm(w)), {}, *_DOUBLE_S)
 
 
 def double_grothendieck_sweep(n: int):
-    """(w, G_w) for every w in S_n, as `_sweep` orders them; no module memo is read or filled."""
+    """(w, G_w) for every w in S_n, as `_sweep` orders them."""
     yield from _sweep(n, *_DOUBLE_G)
 
 
@@ -121,14 +119,12 @@ def _staircase_single(w0: Permutation) -> Polynomial:
 
 def grothendieck(w: Permutation) -> Polynomial:
     """Ordinary Grothendieck polynomial G_w(x), ambient (n, 0)."""
-    return _chain(tuple(permcomb.check_perm(w)), _groth_x, _staircase_single, diffops.isobaric)
+    return _chain(tuple(permcomb.check_perm(w)), {}, _staircase_single, diffops.isobaric)
 
 
 def schubert(w: Permutation) -> Polynomial:
     """Ordinary Schubert polynomial S_w(x), ambient (n, 0)."""
-    return _chain(
-        tuple(permcomb.check_perm(w)), _schub_x, _staircase_single, diffops.divided_difference
-    )
+    return _chain(tuple(permcomb.check_perm(w)), {}, _staircase_single, diffops.divided_difference)
 
 
 def _dominant_monomial(alpha: Composition) -> Polynomial:

@@ -17,7 +17,7 @@ every suffix of its sequence with earlier keys (`families.script_S_neg1`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from . import diagrams, families, permcomb
@@ -50,12 +50,6 @@ class LascouxExpansion:
         return [{"alpha": list(a), "c": c} for a, c in self.sorted_items()]
 
 
-@dataclass
-class PositivityVerdict:
-    positive: bool
-    violations: list[Composition] = field(default_factory=list)
-
-
 def lascoux_expand(f: Polynomial) -> LascouxExpansion:
     """Unique coefficients c_alpha with sum c_alpha L_alpha = f."""
     if f.m != 0:
@@ -80,28 +74,18 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
     )
 
 
-def graded_positive(e: LascouxExpansion) -> PositivityVerdict:
-    """Check sign(c_alpha) = (-1)^(|alpha| - d0) for every coefficient."""
-    violations = [
-        alpha
-        for alpha, c in e.sorted_items()
-        if (c > 0) != ((sum(alpha) - e.baseline_degree) % 2 == 0)
-    ]
-    return PositivityVerdict(not violations, violations)
-
-
-@dataclass
-class Theorem12Result:
-    verdict: PositivityVerdict
-    expansion: LascouxExpansion
+def graded_positive(e: LascouxExpansion) -> bool:
+    """Does sign(c_alpha) = (-1)^(|alpha| - d0) hold for every coefficient?"""
+    return all((c > 0) == ((sum(alpha) - e.baseline_degree) % 2 == 0)
+               for alpha, c in e.coeffs.items())
 
 
 # (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S_neg1(D), ncols)
 _theorem12: dict[tuple, LascouxExpansion] = {}
 
 
-def theorem12_check(D: Diagram, require_inclusion: bool = True) -> Theorem12Result:
-    """Expand flip(script_S(D)|_{y -> -1}, ncols) and check graded positivity.
+def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpansion:
+    """Expand flip(script_S(D)|_{y -> -1}, ncols); Theorem 12 says it is graded positive.
 
     The expansion is memoized (see the module docstring); each call
     returns its own copy of the coefficient dict.
@@ -114,17 +98,17 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> Theorem12Resu
     if e is None:
         # flip raises ValueError if an x-degree of the specialisation exceeds ncols
         e = _theorem12[key] = lascoux_expand(families.script_S_neg1(seq, D.nrows).flip(D.ncols))
-    return Theorem12Result(graded_positive(e), LascouxExpansion(e.n, dict(e.coeffs), e.baseline_degree))
+    return LascouxExpansion(e.n, dict(e.coeffs), e.baseline_degree)
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
 
 
-def scan_record(item: dict, e: LascouxExpansion, verdict: PositivityVerdict) -> dict:
+def scan_record(item: dict, e: LascouxExpansion) -> dict:
     """The JSON record of one scanned item: its expansion and graded-positivity verdict."""
     return {
         "item": item,
-        "verdict": "positive" if verdict.positive else "violation",
+        "verdict": "positive" if graded_positive(e) else "violation",
         "expansion": e.to_json_list(),
         "d0": e.baseline_degree,
     }
@@ -133,7 +117,7 @@ def scan_record(item: dict, e: LascouxExpansion, verdict: PositivityVerdict) -> 
 def conj15_item(args: tuple[Composition, int]) -> dict:
     alpha, i = args
     e = lascoux_expand(phi(families.lascoux(alpha), i))
-    return scan_record({"alpha": list(alpha), "i": i}, e, graded_positive(e))
+    return scan_record({"alpha": list(alpha), "i": i}, e)
 
 
 def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
@@ -145,8 +129,8 @@ def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
 
 
 def conj14_item(D: Diagram) -> dict:
-    res = theorem12_check(D, require_inclusion=False)
-    return scan_record({"diagram": diagrams.format_diagram(D)}, res.expansion, res.verdict)
+    return scan_record({"diagram": diagrams.format_diagram(D)},
+                       theorem12_check(D, require_inclusion=False))
 
 
 def conj14_items(n: int, m: int) -> list[Diagram]:
@@ -154,8 +138,8 @@ def conj14_items(n: int, m: int) -> list[Diagram]:
 
 
 def thm12_vexillary_item(w) -> dict:
-    res = theorem12_check(diagrams.rothe(w), require_inclusion=False)
-    return scan_record({"w": permcomb.format_perm(w)}, res.expansion, res.verdict)
+    return scan_record({"w": permcomb.format_perm(w)},
+                       theorem12_check(diagrams.rothe(w), require_inclusion=False))
 
 
 def thm12_vexillary_items(nmax: int) -> list:

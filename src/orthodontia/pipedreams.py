@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from . import permcomb
+from . import diffops, permcomb
 from .permcomb import Permutation
 from .polyring import Polynomial
 
@@ -100,8 +100,7 @@ def weight_sum(w: Permutation) -> Polynomial:
     n = len(w)
 
     def cross(f: Polynomial, i: int, j: int) -> Polynomial:
-        x, y = Polynomial.var_x(i, n, n), Polynomial.var_y(j, n, n)
-        return f * (x * y - x - y)
+        return f * -diffops._xy_factor(i, j, n, n, barred=True)
 
     total = _walk(w, Polynomial.one(n, n), cross)
     return -total if permcomb.length(w) % 2 else total

@@ -202,9 +202,6 @@ class Polynomial:
             return NotImplemented
         return self.n == other.n and self.m == other.m and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, self.m, frozenset(self.terms.items())))
-
     def _check_ambient(self, other: "Polynomial"):
         if self.n != other.n or self.m != other.m:
             raise AmbientMismatch(

@@ -117,10 +117,26 @@ def _sorted_window_sets(w: Permutation):
     return pcd, S, lam_sizes
 
 
+def sorted_grothendieck(w: Permutation, g: Polynomial) -> Polynomial:
+    """G_{w_sort} from g = G_w: bubble-sort the window alpha+1..i1 of w.
+
+    Each swap at a descent j of u is the recursion's own step
+    G_{u s_j} = dbar_j G_u, so a sorted w gives back g.
+    """
+    pcd = sortorder.primary_column_data(w)
+    u = list(w)
+    for top in range(pcd.i1 - 1, pcd.alpha, -1):
+        for j in range(pcd.alpha + 1, top + 1):
+            if u[j - 1] > u[j]:
+                u[j - 1], u[j] = u[j], u[j - 1]
+                g = diffops.isobaric(g, j)
+    return g
+
+
 def suite_prop_os1(nmax: int) -> SuiteResult:
     """Difference-set formula, sequence-data equalities, and factorization."""
-    res = SuiteResult("prop-os1")
-    for w in _perms(nmax):
+
+    def checks(w: Permutation, g: Polynomial) -> tuple[bool, ...]:
         n = len(w)
         ws = sortorder.sort_of(w)
         pcd, S, lam = _sorted_window_sets(w)
@@ -131,18 +147,9 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
             for b in range(1, pcd.beta + 1)
             for a in range(1, lam[b - 1] + 1)
         }
-        res.check(
-            Dws <= Dw and Dw - Dws == expected_diff,
-            f"difference-set mismatch at w={format_perm(w)}",
-        )
-
         seq_w = diagrams.orthodontic_sequence(rothe(w))
         seq_s = diagrams.orthodontic_sequence(rothe(ws))
-        res.check(
-            (seq_w.i, seq_w.j, seq_w.M) == (seq_s.i, seq_s.j, seq_s.M),
-            f"(i,j,M) sequence mismatch at w={format_perm(w)}",
-        )
-        ok = True
+        k_ok = True
         for j, Kp in enumerate(seq_s.K, 1):
             # the window columns whose sigma(w) column has j - alpha cells
             Sa = {pcd.h - pcd.beta + b for b in range(1, pcd.beta + 1)
@@ -153,19 +160,27 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
                 expect = Kp | Sa
             else:
                 expect = Kp
-            ok = ok and seq_w.K[j - 1] == frozenset(expect)
-        res.check(ok, f"K-transformation mismatch at w={format_perm(w)}")
-
+            k_ok = k_ok and seq_w.K[j - 1] == frozenset(expect)
         # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
         # holds exactly when prod divides G_w with quotient G_{w_sort}
         prod = Polynomial.one(n, n)
         for a, b in sorted(Dw - Dws):
-            prod = prod * _cell(a, b, n, n)
-        res.check(
-            families.double_grothendieck(w) == prod * families.double_grothendieck(ws),
-            f"factorization fails at w={format_perm(w)}",
-        )
-    return res
+            prod = prod * diffops._xy_factor(a, b, n, n, barred=True)
+        return (Dws <= Dw and Dw - Dws == expected_diff,
+                (seq_w.i, seq_w.j, seq_w.M) == (seq_s.i, seq_s.j, seq_s.M),
+                k_ok,
+                g == prod * sorted_grothendieck(w, g))
+
+    def sweep(n):
+        for w, g in families.double_grothendieck_sweep(n):
+            yield w, checks(w, g)
+
+    return _replay("prop-os1", nmax, _outcomes(nmax, sweep), (
+        "difference-set mismatch at w={w}",
+        "(i,j,M) sequence mismatch at w={w}",
+        "K-transformation mismatch at w={w}",
+        "factorization fails at w={w}",
+    ))
 
 
 def sorted_structure_parts(w: Permutation) -> list[str]:
@@ -283,12 +298,6 @@ def _elementary_symmetric(r: int, lo: int, hi: int, n: int, m: int) -> Polynomia
                              for sub in combinations(range(lo, hi + 1), r)})
 
 
-def _cell(a: int, b: int, n: int, m: int) -> Polynomial:
-    """The factor x_a + y_b - x_a y_b of a crossed cell (a, b)."""
-    x, y = Polynomial.var_x(a, n, m), Polynomial.var_y(b, n, m)
-    return x + y - x * y
-
-
 def suite_lemma4(nmax: int) -> SuiteResult:
     """Specialization/intertwining identities (200 trials, n in [2, nmax]) and pi-to-del (40)."""
     if nmax < 2:
@@ -358,7 +367,7 @@ def suite_lemma4(nmax: int) -> SuiteResult:
             lhs = diffops.pibar_double(lhs, i + a, js[a])
         rhs = g
         for a in range(k + 1):
-            rhs = rhs * _cell(i, js[a], n, m)
+            rhs = rhs * diffops._xy_factor(i, js[a], n, m, barred=True)
         for a in range(k + 1):
             rhs = diffops.isobaric(rhs, i + a)
         res.check(lhs == rhs, f"pi-to-del fails at trial {t} (k={k})")

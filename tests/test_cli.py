@@ -290,15 +290,21 @@ def test_verify_thm11_beyond_the_pipe_dream_walk_refuses_before_any_work(runner,
     assert "thm11 needs nmax <= 3" in r.output and "got 4" in r.output
 
 
-@pytest.mark.parametrize("suite", ["thm11", "cor-double-schub"])
-def test_permutation_suites_leave_the_module_memos_empty(runner, monkeypatch, suite):
-    memos = {attr: {} for attr in ("_double_groth", "_double_schub")}
-    for attr, memo in memos.items():
-        monkeypatch.setattr(families, attr, memo)
+def _family_memos() -> dict:
+    """The entry count of every private dict of `families`."""
+    return {attr: len(obj) for attr, obj in vars(families).items()
+            if attr.startswith("_") and isinstance(obj, dict)}
+
+
+@pytest.mark.parametrize("suite", ["thm11", "cor-double-schub", "prop-os1"])
+def test_permutation_suites_leave_the_module_memos_empty(runner, suite):
+    # each sweeps S_n with a memo of its own, so no G_w or S_w outlives the command
+    before = _family_memos()
     r = runner.invoke(main, ["verify", suite, "--nmax", "4"])
     assert r.exit_code == 0, r.output
-    assert "64 checked, 0 failed" in r.output
-    assert memos == {"_double_groth": {}, "_double_schub": {}}
+    checked = {"thm11": 64, "cor-double-schub": 64, "prop-os1": 128}[suite]
+    assert f"{checked} checked, 0 failed" in r.output
+    assert _family_memos() == before
 
 
 def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner):

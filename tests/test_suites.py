@@ -2,7 +2,7 @@
 
 import pytest
 
-from orthodontia import suites
+from orthodontia import families, sortorder, suites
 from orthodontia.permcomb import format_perm
 
 
@@ -29,6 +29,19 @@ def test_unbarred_thm11_reports_every_failure_in_lexicographic_order():
     assert (res.checked, res.first_failing) == (64, (1, 3, 2))
     assert res.failures == [f"script_G != double_grothendieck at w={w}" for w in (
         "132", "1243", "1324", "1342", "1423", "1432", "2143", "2413", "2431", "3142", "4132")]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_prop_os1_derives_the_sorted_grothendieck_from_g_w(n):
+    # the factorization check of prop-os1 reads G_{w_sort} from the G_w its sweep yields.  The
+    # sweep yields w before its shorter w_sort, so each w_sort is queried once, on its first
+    # unsorted w, and a sorted w (no step) meets the query of itself if one was made
+    queried = {}
+    for w, g in families.double_grothendieck_sweep(n):
+        ws = sortorder.sort_of(w)
+        if ws not in queried:
+            queried[ws] = g if ws == w else families.double_grothendieck(ws)
+        assert suites.sorted_grothendieck(w, g) == queried[ws], format_perm(w)
 
 
 def test_perms_sweeps_s2_to_nmax():
