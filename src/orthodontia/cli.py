@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -74,9 +75,9 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Exact Schubert/Grothendieck/Lascoux polynomial computations."""
-    # each command expands its own signatures and builds its own suffixes, as a fresh process
+    # each command expands its own signatures and phi products, as a fresh process
     lascouxbasis._theorem12.clear()
-    families._neg1_suffix.clear()
+    lascouxbasis._phi.clear()
 
 
 def _flag(name: str) -> str:
@@ -238,6 +239,9 @@ SIZE = click.IntRange(min=0)
 def cmd_scan(target, workers, as_json, **options):
     """Scan a conjecture/theorem family and report counterexamples."""
     t0 = time.monotonic()
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise click.UsageError(f"--workers {workers} exceeds the CPU count ({cpus})")
     reads, builder, worker = SCANS[target]
     values = _read(target, reads, options)
     cmd = " ".join(["scan", target, *(f"{_flag(k)} {v}" for k, v in zip(reads, values))])

@@ -8,10 +8,10 @@ permutation walks its chain with a memo of its own, kept for that call
 only; a sweep over all of S_n (`double_grothendieck_sweep`,
 `double_schubert_sweep`) walks the same chains with a memo that holds two
 length levels at most.  Only the Lascoux polynomials, which every
-expansion peels, are memoized module-wide.
-The y = -1 evaluator memoizes the inner product of each operator suffix
-(n, i_k.., |M_k|..), so sequences that end alike share those steps; the
-CLI empties that memo at the start of every command.
+expansion peels, are memoized module-wide.  The y = -1 evaluator
+`script_S_neg1` keeps no memo: the Theorem 12 pipeline runs in the Lascoux
+basis (`lascouxbasis.theorem12_check`), and this polynomial is its
+independent reference.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .polyring import Polynomial
 
 # L_alpha, keyed by alpha
 _lascoux: dict[Composition, Polynomial] = {}
-# (n, i_k.., |M_k|..) -> the y = -1 inner product of that suffix (`script_S_neg1`)
-_neg1_suffix: dict[tuple, Polynomial] = {}
 
 
 def _chain(index: tuple[int, ...], memo: dict, base, step) -> Polynomial:
@@ -149,32 +147,20 @@ def key_via_pi(alpha: Composition) -> Polynomial:
     return _chain(tuple(alpha), {}, _dominant_monomial, diffops.demazure)
 
 
-def _evaluate(seq: OrthodonticSequence, n: int, m: int, inner_omega, outer_omega, step,
-              memo: dict | None = None, key=None) -> Polynomial:
+def _evaluate(seq: OrthodonticSequence, n: int, m: int, inner_omega, outer_omega,
+              step) -> Polynomial:
     """The nested operator product over an orthodontic sequence.
 
     prod_a outer_omega(a, K_a) * step(inner_omega(i_1, M_1) * ...
     step(inner_omega(i_l, M_l), i_l, j_l) ..., i_1, j_1), in ambient (n, m).
     An omega over an empty M or K is 1, so it is skipped.
-
-    With a memo, key(k) names the inner product of steps k+1..l by what
-    those steps read.  The walk starts from the longest suffix in the memo
-    (or from 1) and memoizes every suffix it builds on the way out.
     """
-    start, t = seq.nsteps, Polynomial.one(n, m)
-    if memo is not None:
-        for k in range(seq.nsteps):
-            f = memo.get(key(k))
-            if f is not None:
-                start, t = k, f
-                break
-    for k in range(start, 0, -1):
+    t = Polynomial.one(n, m)
+    for k in range(seq.nsteps, 0, -1):
         i, M = seq.i[k - 1], seq.M[k - 1]
         if M:
             t = inner_omega(i, M) * t
         t = step(t, i, seq.j[k - 1])
-        if memo is not None:
-            memo[key(k - 1)] = t
     for a in range(1, n + 1):
         if seq.K[a - 1]:
             t = outer_omega(a, seq.K[a - 1]) * t
@@ -235,15 +221,13 @@ def script_S_neg1(seq: OrthodonticSequence, n: int) -> Polynomial:
     indices j drop out of the specialized operators, so this evaluator is
     defined for every %-avoiding diagram, including those whose recorded
     j indices fall outside [1, m].  It reads only n, the rows i_k and the
-    sizes |M_k| and |K_a| of seq.  Ambient (n, 0).  The inner product of
-    each suffix is memoized in `_neg1_suffix` on (n, i_k.., |M_k|..).
+    sizes |M_k| and |K_a| of seq.  Ambient (n, 0).
     """
 
     def omega(i, M):
         return _omega_neg1(i, len(M), n)
 
-    return _evaluate(seq, n, 0, omega, omega, lambda f, i, j: diffops.pi_double_neg1(f, i),
-                     _neg1_suffix, lambda k: (n, seq.i[k:], tuple(map(len, seq.M[k:]))))
+    return _evaluate(seq, n, 0, omega, omega, lambda f, i, j: diffops.pi_double_neg1(f, i))
 
 
 def stable_grothendieck(w: Permutation, nvars: int) -> Polynomial:

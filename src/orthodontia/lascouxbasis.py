@@ -5,14 +5,18 @@ of the remainder, and subtracts its multiple of L_beta from a mutable
 ``Remainder`` in place.  Termination rests on the triangularity of the
 basis, which the test suite verifies as a premise rather than assuming.
 
-``theorem12_check`` memoizes each expansion on what it reads.  At y = -1
-the column indices drop out of the evaluator, so flip(script_S_neg1(D),
-ncols) is a function of (n, ncols, the rows i_k, the sizes |M_k|, the
-sizes |K_a|) alone, and diagrams that share this key share the expansion
-exactly.  The memo holds expansions, no polynomial, one per distinct key
-(3527 for the %-avoiding diagrams in [4] x [4]); each CLI command starts
-it empty.  A key that misses it still shares the inner operator product of
-every suffix of its sequence with earlier keys (`families.script_S_neg1`).
+``theorem12_check`` never builds a polynomial of its own.  By Lemma 4's
+intertwinings, flip(script_S_neg1(D), ncols) is the orthodontic word of
+phi_{n-i} and pibar_{n-i} operators applied to L_{0^n}, times
+(x_1 ... x_n)^(ncols - c), c the number of nonempty columns.  The walk
+applies that word to a dict alpha -> c_alpha: pibar_i moves an index
+(`_pibar`), phi_i reads its expansion of L_alpha from the memo `_phi`,
+and the last factor adds ncols - c to every part (L_{alpha + 1^n} =
+x_1 ... x_n L_alpha).  The word reads only (n, ncols, the rows i_k, the
+sizes |M_k|, the sizes |K_a|), so `_theorem12` memoizes each expansion
+on that key (3527 of them for the %-avoiding diagrams in [4] x [4]).
+``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  Each CLI
+command starts both memos empty.
 """
 
 from __future__ import annotations
@@ -80,6 +84,40 @@ def graded_positive(e: LascouxExpansion) -> bool:
                for alpha, c in e.coeffs.items())
 
 
+# (alpha, i) -> expansion of phi_i(L_alpha)
+_phi: dict[tuple[Composition, int], LascouxExpansion] = {}
+
+
+def _phi_expansion(alpha: Composition, i: int) -> LascouxExpansion:
+    """The expansion of phi_i(L_alpha), memoized in `_phi`; callers must not edit it."""
+    e = _phi.get((alpha, i))
+    if e is None:
+        e = _phi[alpha, i] = lascoux_expand(phi(families.lascoux(alpha), i))
+    return e
+
+
+def _pibar(alpha: Composition, i: int) -> Composition:
+    """The index of pibar_i(L_alpha): alpha s_i if alpha_i > alpha_{i+1}, else alpha."""
+    swapped = permcomb.right_multiply_s(alpha, i)
+    return swapped if alpha[i - 1] > alpha[i] else alpha
+
+
+def _accumulate(pairs) -> dict[Composition, int]:
+    """The (alpha, c) pairs summed per alpha, zero sums dropped."""
+    out: dict[Composition, int] = {}
+    for alpha, c in pairs:
+        out[alpha] = out.get(alpha, 0) + c
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+def _times_phi(coeffs: dict[Composition, int], i: int, times: int) -> dict[Composition, int]:
+    """The expansion of phi_i^times applied to sum c_alpha L_alpha."""
+    for _ in range(times):
+        coeffs = _accumulate((beta, c * b) for alpha, c in coeffs.items()
+                             for beta, b in _phi_expansion(alpha, i).coeffs.items())
+    return coeffs
+
+
 # (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S_neg1(D), ncols)
 _theorem12: dict[tuple, LascouxExpansion] = {}
 
@@ -87,17 +125,26 @@ _theorem12: dict[tuple, LascouxExpansion] = {}
 def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpansion:
     """Expand flip(script_S(D)|_{y -> -1}, ncols); Theorem 12 says it is graded positive.
 
-    The expansion is memoized (see the module docstring); each call
-    returns its own copy of the coefficient dict.
+    The expansion is built in the Lascoux basis and memoized (see the
+    module docstring); each call returns its own copy of the coefficient dict.
     """
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion (pass require_inclusion=False)")
     seq = diagrams.orthodontic_sequence(D)
-    key = (D.nrows, D.ncols, seq.i, tuple(map(len, seq.M)), tuple(map(len, seq.K)))
+    n, M, K = D.nrows, tuple(map(len, seq.M)), tuple(map(len, seq.K))
+    key = (n, D.ncols, seq.i, M, K)
     e = _theorem12.get(key)
     if e is None:
-        # flip raises ValueError if an x-degree of the specialisation exceeds ncols
-        e = _theorem12[key] = lascoux_expand(families.script_S_neg1(seq, D.nrows).flip(D.ncols))
+        # the order of families._evaluate: steps l..1, then the outer omegas
+        coeffs = {(0,) * n: 1}
+        for i, size in zip(reversed(seq.i), reversed(M)):
+            coeffs = _times_phi(coeffs, n - i, size)
+            coeffs = _accumulate((_pibar(alpha, n - i), c) for alpha, c in coeffs.items())
+        for a, size in enumerate(K, 1):
+            coeffs = _times_phi(coeffs, n - a, size)
+        empty = D.ncols - sum(M) - sum(K)
+        coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
+        e = _theorem12[key] = LascouxExpansion(n, coeffs, min(map(sum, coeffs), default=0))
     return LascouxExpansion(e.n, dict(e.coeffs), e.baseline_degree)
 
 
@@ -116,8 +163,7 @@ def scan_record(item: dict, e: LascouxExpansion) -> dict:
 
 def conj15_item(args: tuple[Composition, int]) -> dict:
     alpha, i = args
-    e = lascoux_expand(phi(families.lascoux(alpha), i))
-    return scan_record({"alpha": list(alpha), "i": i}, e)
+    return scan_record({"alpha": list(alpha), "i": i}, _phi_expansion(alpha, i))
 
 
 def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:

@@ -162,14 +162,18 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
                 expect = Kp
             k_ok = k_ok and seq_w.K[j - 1] == frozenset(expect)
         # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
-        # holds exactly when prod divides G_w with quotient G_{w_sort}
-        prod = Polynomial.one(n, n)
-        for a, b in sorted(Dw - Dws):
-            prod = prod * diffops._xy_factor(a, b, n, n, barred=True)
+        # holds exactly when prod divides G_w with quotient G_{w_sort}.  With
+        # no crossed cell prod is 1, and the product is G_{w_sort} itself.
+        factored = sorted_grothendieck(w, g)
+        if Dw - Dws:
+            prod = Polynomial.one(n, n)
+            for a, b in sorted(Dw - Dws):
+                prod = prod * diffops._xy_factor(a, b, n, n, barred=True)
+            factored = prod * factored
         return (Dws <= Dw and Dw - Dws == expected_diff,
                 (seq_w.i, seq_w.j, seq_w.M) == (seq_s.i, seq_s.j, seq_s.M),
                 k_ok,
-                g == prod * sorted_grothendieck(w, g))
+                g == factored)
 
     def sweep(n):
         for w, g in families.double_grothendieck_sweep(n):

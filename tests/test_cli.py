@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -143,9 +145,10 @@ def test_unexpected_error_exits_3_with_one_line(runner, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_scan_exponent_over_limit_is_a_usage_error(runner, workers):
+def test_scan_exponent_over_limit_is_a_usage_error(runner, monkeypatch, workers):
     # phi multiplies L_(32767) by x_1, which raises ExponentRangeError (a ValueError) in the
     # worker; a pool re-raises it in the parent, so both paths exit 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = runner.invoke(main, ["scan", "conj15", "--n", "1", "--max-entry", "32767",
                              "--workers", workers])
     assert r.exit_code == 2, r.output
@@ -323,10 +326,27 @@ def test_scan_command(runner):
     assert body["summary"]["checked"] == len(records)
 
 
-def test_scan_workers(runner):
+def test_scan_workers(runner, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     r = runner.invoke(main, ["scan", "conj14", "--n", "2", "--m", "2", "--workers", "2"])
     assert r.exit_code == 0
     assert "15 checked, 0 failed" in r.output
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 3), (4, 64), (None, 2)])
+def test_scan_workers_above_the_cpu_count_are_refused_before_any_pool(
+        runner, monkeypatch, cpus, workers):
+    # an unknown CPU count counts as one
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    r = runner.invoke(main, ["scan", "conj14", "--n", "2", "--m", "2",
+                             "--workers", str(workers)])
+    assert r.exit_code == 2, r.output
+    assert f"--workers {workers} exceeds the CPU count ({cpus or 1})" in r.output
+    assert "checked" not in r.output
 
 
 def test_check_thm12(runner):

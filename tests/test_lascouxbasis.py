@@ -87,28 +87,30 @@ def _theorem12_key(D):
 
 
 def _script_S_neg1(D):
-    """script_S_neg1(D) built from nothing: `_evaluate` with no suffix memo."""
-    seq, n = diagrams.orthodontic_sequence(D), D.nrows
-
-    def omega(i, M):
-        return families._omega_neg1(i, len(M), n)
-
-    return families._evaluate(seq, n, 0, omega, omega, lambda f, i, j: diffops.pi_double_neg1(f, i))
+    """script_S_neg1(D), the y = -1 polynomial the basis route never builds."""
+    return families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
 
 
-def test_script_S_neg1_suffix_memo_matches_unshared_reference():
-    # n = 3 and n = 4 sequences share (i, |M|) suffixes, so a key without n would mix ambients
-    families._neg1_suffix.clear()
-    items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
-    random.Random(13).shuffle(items)
-    for D in items:
-        got = families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
-        assert got == _script_S_neg1(D), diagrams.format_diagram(D)
-    assert {n for n, _, _ in families._neg1_suffix} == {3, 4}
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lascoux_basis_rules_of_the_theorem12_route(n):
+    top = Polynomial.monomial((1,) * n)
+    for alpha in product(range(4), repeat=n):
+        L = families.lascoux(alpha)
+        # pibar_i L_alpha = L_{alpha s_i} if alpha_i > alpha_{i+1}, else L_alpha
+        for i in range(1, n):
+            beta = list(alpha)
+            if beta[i - 1] > beta[i]:
+                beta[i - 1], beta[i] = beta[i], beta[i - 1]
+            beta = tuple(beta)
+            assert diffops.demazure_lascoux(L, i) == families.lascoux(beta), (alpha, i)
+            assert lascouxbasis._pibar(alpha, i) == beta
+        # x_1 ... x_n L_alpha = L_{alpha + 1^n}
+        assert top * L == families.lascoux(tuple(a + 1 for a in alpha)), alpha
 
 
 def test_theorem12_memo_matches_fresh_expansion():
     lascouxbasis._theorem12.clear()
+    lascouxbasis._phi.clear()
     items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
     for D in items:
         memoized = lascouxbasis.theorem12_check(D, require_inclusion=False)
@@ -147,17 +149,18 @@ def test_each_cli_command_starts_from_an_empty_memo():
     from orthodontia.cli import main
 
     lascouxbasis._theorem12.clear()
-    families._neg1_suffix.clear()
+    lascouxbasis._phi.clear()
     for D in lascouxbasis.conj14_items(3, 3):
         lascouxbasis.theorem12_check(D, require_inclusion=False)
     assert len(lascouxbasis._theorem12) == 118
-    assert len(families._neg1_suffix) > 1
+    assert len(lascouxbasis._phi) == 77
     r = CliRunner().invoke(main, ["check", "thm12", "--diagram", "n=3;2,3;3;3"])
     assert r.exit_code == 0, r.output
     assert len(lascouxbasis._theorem12) == 1
-    # one suffix per step of the diagram's sequence (i = 1,2,1, |M| = 0,1,2), no other
-    assert sorted(families._neg1_suffix) == [
-        (3, (1,), (2,)), (3, (1, 2, 1), (0, 1, 2)), (3, (2, 1), (1, 2))]
+    # the phi products of this diagram's word alone (i = 1,2,1, |M| = 0,1,2, every K empty):
+    # phi_2 twice from L_000, then phi_1 once on what pibar_2 left
+    assert sorted(lascouxbasis._phi) == [((0, 0, 0), 2), ((1, 1, 0), 2), ((1, 1, 1), 2),
+                                         ((2, 0, 2), 1), ((2, 1, 2), 1), ((2, 2, 2), 1)]
 
 
 def test_conj15_item_record():
