@@ -3,51 +3,10 @@
 Three independent routes to the same polynomials (divided-difference
 recursion, pipe-dream weight sums, orthodontia operator formulas), plus
 expansion in the Lascoux basis with graded-positivity verdicts.
+
+The package exports its modules, not their names: import a submodule
+(``from orthodontia import families``), so that a process loads only the
+engine it runs.  ``__version__`` is the one source of the package version.
 """
 
-from .diagrams import (
-    Diagram,
-    OrthodonticSequence,
-    orthodontic_sequence,
-    rothe,
-    skyline,
-)
-from .families import (
-    double_grothendieck,
-    double_schubert,
-    grothendieck,
-    key,
-    lascoux,
-    schubert,
-    script_G,
-    script_S,
-    stable_grothendieck,
-)
-from .lascouxbasis import LascouxExpansion, graded_positive, lascoux_expand, theorem12_check
-from .pipedreams import PipeDream, enumerate_pd, weight_sum
-from .polyring import Polynomial
-
-__all__ = [
-    "Diagram",
-    "OrthodonticSequence",
-    "LascouxExpansion",
-    "PipeDream",
-    "Polynomial",
-    "double_grothendieck",
-    "double_schubert",
-    "enumerate_pd",
-    "graded_positive",
-    "grothendieck",
-    "key",
-    "lascoux",
-    "lascoux_expand",
-    "orthodontic_sequence",
-    "rothe",
-    "schubert",
-    "script_G",
-    "script_S",
-    "skyline",
-    "stable_grothendieck",
-    "theorem12_check",
-    "weight_sum",
-]
+__version__ = "0.1.0"

@@ -1,7 +1,17 @@
-"""Command-line interface: computation, verification, and conjecture scans."""
+"""Command-line interface: computation, verification, and conjecture scans.
+
+Start-up is paid by every run, so this module imports only what every
+command needs, and each command imports the engine modules it runs:
+``--help`` loads no engine module but ``permcomb``, ``poly`` loads
+``families`` and what it uses, and ``scan``/``check`` load
+``lascouxbasis`` but neither ``suites`` nor ``pipedreams``.  The engine
+builds no reference cycles, so ``main`` turns the cyclic garbage collector
+off for the command and back on when the command's context closes.
+"""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -10,20 +20,10 @@ import time
 import click
 from click.core import ParameterSource
 
-from . import diagrams, families, lascouxbasis, permcomb, pipedreams, sortorder, suites
+from . import __version__, permcomb
 
 EXIT_MATH_FAILURE = 1
 EXIT_CRASH = 3
-
-
-def _version() -> str:
-    # imported here: only the scan --json summary reads it, and the import costs every start-up
-    from importlib.metadata import version as pkg_version
-
-    try:
-        return pkg_version("orthodontia")
-    except Exception:
-        return "unknown"
 
 
 class _Parsed(click.ParamType):
@@ -44,7 +44,15 @@ class _Parsed(click.ParamType):
 
 PERM = _Parsed("permutation", permcomb.parse_perm)
 COMP = _Parsed("composition", permcomb.parse_comp)
-DIAGRAM = _Parsed("diagram", diagrams.parse_diagram)
+
+
+def _parse_diagram(text: str):
+    from .diagrams import parse_diagram
+
+    return parse_diagram(text)
+
+
+DIAGRAM = _Parsed("diagram", _parse_diagram)
 
 
 class _Command(click.Command):
@@ -73,11 +81,13 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-def main():
+@click.pass_context
+def main(ctx):
     """Exact Schubert/Grothendieck/Lascoux polynomial computations."""
-    # each command expands its own signatures and phi products, as a fresh process
-    lascouxbasis._theorem12.clear()
-    lascouxbasis._phi.clear()
+    # no collection finds garbage in a cycle-free engine; an in-process caller gets it back
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
 
 
 def _flag(name: str) -> str:
@@ -95,18 +105,18 @@ def _read(what: str, reads: tuple[str, ...], options: dict) -> list:
     return [options[name] for name in reads]
 
 
-# family: (options read, index first; its polynomial, families.* late-bound for patching)
+# family: (options read, index first; its polynomial, given the families module)
 FAMILIES = {
-    "double-grothendieck": (("w",), lambda w: families.double_grothendieck(w)),
-    "double-schubert": (("w",), lambda w: families.double_schubert(w)),
-    "grothendieck": (("w",), lambda w: families.grothendieck(w)),
-    "schubert": (("w",), lambda w: families.schubert(w)),
-    "lascoux": (("alpha",), lambda alpha: families.lascoux(alpha)),
-    "key": (("alpha",), lambda alpha: families.key(alpha)),
-    "stable-grothendieck": (("w", "nvars"), lambda w, n: families.stable_grothendieck(w, n)),
+    "double-grothendieck": (("w",), lambda fam, w: fam.double_grothendieck(w)),
+    "double-schubert": (("w",), lambda fam, w: fam.double_schubert(w)),
+    "grothendieck": (("w",), lambda fam, w: fam.grothendieck(w)),
+    "schubert": (("w",), lambda fam, w: fam.schubert(w)),
+    "lascoux": (("alpha",), lambda fam, alpha: fam.lascoux(alpha)),
+    "key": (("alpha",), lambda fam, alpha: fam.key(alpha)),
+    "stable-grothendieck": (("w", "nvars"), lambda fam, w, n: fam.stable_grothendieck(w, n)),
     "script-G": (("diagram", "unbarred_inner_omega"),
-                 lambda D, unbarred: families.script_G(D, barred_inner_omega=not unbarred)),
-    "script-S": (("diagram",), lambda D: families.script_S(D)),
+                 lambda fam, D, unbarred: fam.script_G(D, barred_inner_omega=not unbarred)),
+    "script-S": (("diagram",), lambda fam, D: fam.script_S(D)),
 }
 
 
@@ -123,9 +133,11 @@ def cmd_poly(family, as_json, latex, **options):
     """Print one polynomial of the named family in canonical term order."""
     if as_json and latex:
         raise click.UsageError("--json and --latex cannot be used together")
+    from . import families
+
     reads, compute = FAMILIES[family]
     values = _read(family, reads, options)
-    p = compute(*values)
+    p = compute(families, *values)
     if as_json:
         click.echo(p.to_json())
     else:
@@ -140,6 +152,8 @@ def cmd_pipedreams(perm, count_only, emit_json):
     """Enumerate pipe dreams with Demazure product w."""
     if count_only and emit_json:
         raise click.UsageError("--count and --emit-json cannot be used together")
+    from . import pipedreams
+
     pds = pipedreams.enumerate_pd(perm)
     if count_only:
         click.echo(str(len(pds)))
@@ -158,6 +172,8 @@ def cmd_pipedreams(perm, count_only, emit_json):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_orthodontia(D, force, as_json):
     """Print the double orthodontic sequence (K, i, j, M) of a diagram."""
+    from . import diagrams
+
     seq = diagrams.orthodontic_sequence(D, force=force)
     if as_json:
         click.echo(json.dumps({"K": [sorted(k) for k in seq.K], "i": list(seq.i),
@@ -175,6 +191,8 @@ def cmd_orthodontia(D, force, as_json):
               default="alpha-plus-one", show_default=True)
 def cmd_sortorder(perm, os_endpoint):
     """Primary column data, sigma(w), w_sort, and sort-order predecessors."""
+    from . import sortorder
+
     pcd = sortorder.primary_column_data(perm)
     click.echo(
         f"primary column data: h={pcd.h}, C={sorted(pcd.C) or '{}'}, "
@@ -190,10 +208,11 @@ def _report(command: str, checked: int, records: list[dict], as_json: bool, t0: 
     """Print the records and the summary; exit EXIT_MATH_FAILURE on a violation."""
     failed = [r["item"] for r in records if r["verdict"] != "positive"]
     if as_json:
-        for r in records:
-            click.echo(json.dumps(r, sort_keys=True))
+        # through the stream's buffer: click.echo flushes after every line
+        sys.stdout.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        sys.stdout.flush()  # click.echo may write through a wrapper of its own
         summary = {"checked": checked, "passed": checked - len(failed), "failed": len(failed)}
-        click.echo(json.dumps({"command": command, "version": _version(), "summary": summary,
+        click.echo(json.dumps({"command": command, "version": __version__, "summary": summary,
                                "counterexamples": failed}, sort_keys=True))
     else:
         click.echo(f"{command}: {checked} checked, {len(failed)} failed")
@@ -204,12 +223,19 @@ def _report(command: str, checked: int, records: list[dict], as_json: bool, t0: 
         sys.exit(EXIT_MATH_FAILURE)
 
 
+# sorted(suites.SUITES), spelled out so that --help need not import the suites
+SUITE_NAMES = ("cor-double-schub", "lemma4", "operators", "prop-os1", "thm-os2", "thm11",
+               "triangularity")
+
+
 @main.command("verify")
-@click.argument("suite", type=click.Choice(sorted(suites.SUITES)))
+@click.argument("suite", type=click.Choice(SUITE_NAMES))
 @click.option("--nmax", default=4, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(suite, nmax, as_json):
     """Run one invariant suite for all indices up to --nmax."""
+    from . import suites
+
     t0 = time.monotonic()
     res = suites.SUITES[suite](nmax)
     if res.checked == 0:
@@ -217,6 +243,15 @@ def cmd_verify(suite, nmax, as_json):
     records = [{"item": {"suite": suite, "failure": f}, "verdict": "violation"}
                for f in res.failures]
     _report(f"verify {suite} --nmax {nmax}", res.checked, records, as_json, t0)
+
+
+def _lascouxbasis():
+    """The lascouxbasis module, its memos emptied: a command expands as a fresh process would."""
+    from . import lascouxbasis
+
+    lascouxbasis._theorem12.clear()
+    lascouxbasis._phi.clear()
+    return lascouxbasis
 
 
 # target: (options read; lascouxbasis names of its item builder and picklable worker)
@@ -245,6 +280,7 @@ def cmd_scan(target, workers, as_json, **options):
     reads, builder, worker = SCANS[target]
     values = _read(target, reads, options)
     cmd = " ".join(["scan", target, *(f"{_flag(k)} {v}" for k, v in zip(reads, values))])
+    lascouxbasis = _lascouxbasis()
     items, worker = getattr(lascouxbasis, builder)(*values), getattr(lascouxbasis, worker)
     if not items:
         raise click.UsageError(f"{cmd} checks nothing")
@@ -265,6 +301,9 @@ def cmd_scan(target, workers, as_json, **options):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(what, D, no_require_inclusion, as_json):
     """Run the graded-positivity pipeline on one diagram."""
+    from . import diagrams
+
+    lascouxbasis = _lascouxbasis()
     e = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
     record = lascouxbasis.scan_record({"diagram": diagrams.format_diagram(D)}, e)
     if as_json:
@@ -283,6 +322,8 @@ def cmd_check(what, D, no_require_inclusion, as_json):
 @click.option("--nmax-endpoint", default=4, show_default=True)
 def cmd_report(what, nmax_omega, nmax_endpoint):
     """Emit the one-page report resolving the notation ambiguities."""
+    from . import suites
+
     click.echo(suites.ambiguity_report(nmax_omega, nmax_endpoint), nl=False)
 
 

@@ -10,6 +10,7 @@ f + g d_i(f) with g = s_i(L); the kernel forms that in one pass, never L f.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 from .polyring import Polynomial
@@ -86,15 +87,21 @@ def omega(i: int, M: Iterable[int], barred: bool, n: int, m: int) -> Polynomial:
     return out
 
 
+@functools.cache
+def _phi_factor(i: int, n: int) -> Polynomial:
+    """x_1 ... x_i (1 - x_{i+1}) ... (1 - x_n), built once per (i, n); callers must not edit it."""
+    out = Polynomial.one(n, 0)
+    for j in range(1, i + 1):
+        out = out * Polynomial.var_x(j, n, 0)
+    for j in range(i + 1, n + 1):
+        out = out * _one_minus_x(j, n, 0)
+    return out
+
+
 def phi(f: Polynomial, i: int) -> Polynomial:
-    """phi_i(f) = x_1 ... x_i (1 - x_{i+1}) ... (1 - x_n) f."""
+    """phi_i(f) = x_1 ... x_i (1 - x_{i+1}) ... (1 - x_n) f, in one product."""
     if f.m != 0:
         raise ValueError("phi requires a polynomial without y variables")
     if not 0 <= i <= f.n:
         raise IndexError(f"phi_{i} out of range for n={f.n}")
-    out = f
-    for j in range(1, i + 1):
-        out = out * Polynomial.var_x(j, f.n, 0)
-    for j in range(i + 1, f.n + 1):
-        out = out * _one_minus_x(j, f.n, 0)
-    return out
+    return f * _phi_factor(i, f.n)

@@ -15,8 +15,8 @@ and the last factor adds ncols - c to every part (L_{alpha + 1^n} =
 x_1 ... x_n L_alpha).  The word reads only (n, ncols, the rows i_k, the
 sizes |M_k|, the sizes |K_a|), so `_theorem12` memoizes each expansion
 on that key (3527 of them for the %-avoiding diagrams in [4] x [4]).
-``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  Each CLI
-command starts both memos empty.
+``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  The CLI
+commands that fill the memos, ``scan`` and ``check``, start both empty.
 """
 
 from __future__ import annotations

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,8 +17,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import orthodontia
 from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder, suites
-from orthodontia.cli import EXIT_CRASH, FAMILIES, SCANS, main
+from orthodontia.cli import EXIT_CRASH, FAMILIES, SCANS, SUITE_NAMES, main
 from orthodontia.polyring import EXP_LIMIT, Polynomial
 
 
@@ -310,6 +316,67 @@ def test_permutation_suites_leave_the_module_memos_empty(runner, suite):
     assert _family_memos() == before
 
 
+def test_verify_choices_are_the_suites():
+    assert list(SUITE_NAMES) == sorted(suites.SUITES)
+
+
+ENGINE = {"diagrams", "diffops", "families", "lascouxbasis", "pipedreams", "polyring",
+          "sortorder", "suites"}
+# prints the package modules a run loaded, once the command has exited
+LOADED = ("import atexit, sys\n"
+          "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+          "from orthodontia.cli import main\n"
+          "main()\n")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    pytest.param(["--help"], set(), id="help"),
+    pytest.param(["poly", "script-G", "--diagram", "n=2;1;"],
+                 {"diagrams", "diffops", "families", "polyring"}, id="poly"),
+    pytest.param(["scan", "conj14", "--n", "2", "--m", "2"],
+                 {"diagrams", "diffops", "families", "lascouxbasis", "polyring"}, id="scan"),
+])
+def test_each_subcommand_loads_only_the_engine_it_runs(argv, loads):
+    # a fresh process each: this one has imported every module
+    src = str(Path(orthodontia.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m.removeprefix("orthodontia.") for m in proc.stderr.split()
+              if m.startswith("orthodontia.")}
+    assert loaded & ENGINE == loads
+    assert {"cli", "permcomb"} <= loaded
+
+
+# every subcommand once, at a small size and without a pool
+SMALL_RUNS = [
+    ["poly", "double-grothendieck", "--w", "321", "--json"],
+    ["poly", "script-G", "--diagram", "n=3;1;1,2;"],
+    ["pipedreams", "--w", "1423"],
+    ["orthodontia", "--diagram", "n=3;1;1,2;"],
+    ["sortorder", "--w", "2413"],
+    *(["verify", suite, "--nmax", "3"] for suite in SUITE_NAMES),
+    ["scan", "conj15", "--n", "2", "--max-entry", "1", "--json", "--workers", "1"],
+    ["scan", "conj14", "--n", "3", "--m", "2", "--json", "--workers", "1"],
+    ["scan", "thm12-vexillary", "--nmax", "3", "--json", "--workers", "1"],
+    ["check", "thm12", "--diagram", "n=3;1;1,2;"],
+    ["report", "ambiguities", "--nmax-omega", "3", "--nmax-endpoint", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(a, id=" ".join(a[:2])) for a in SMALL_RUNS])
+def test_subcommands_make_no_reference_cycles(argv):
+    # main runs each command with the cyclic collector off, which holds only while the engine
+    # leaves no cycle for it to find
+    gc.collect()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main.main(args=argv, prog_name="orthodontia", standalone_mode=False)
+    assert gc.isenabled()
+    assert gc.collect() == 0
+
+
 def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner):
     r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", str(pipedreams.MAX_N + 1)])
     assert r.exit_code == 2
@@ -324,6 +391,7 @@ def test_scan_command(runner):
     (body,) = [d for d in jsons if "summary" in d]
     assert all(rec["verdict"] == "positive" for rec in records)
     assert body["summary"]["checked"] == len(records)
+    assert body["version"] == orthodontia.__version__
 
 
 def test_scan_workers(runner, monkeypatch):
@@ -419,8 +487,8 @@ _VERSION = re.compile(rb'"version": "[^"]*"')
 def _digest(stdout: bytes) -> str:
     """sha256 of stdout with the package version in the last line blanked.
 
-    The summary line of ``scan --json`` reports the installed package
-    version; that is provenance, not an answer, so the frozen digests omit it.
+    The summary line of ``scan --json`` reports the package version; that
+    is provenance, not an answer, so the frozen digests omit it.
     """
     head, sep, last = stdout.rstrip(b"\n").rpartition(b"\n")
     return hashlib.sha256(head + sep + _VERSION.sub(b'"version": ""', last)).hexdigest()

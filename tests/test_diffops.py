@@ -107,5 +107,15 @@ def test_phi():
     one = Polynomial.one(3)
     assert diffops.phi(f, 1) == x1 * (one - x2) * (one - x3)
     assert diffops.phi(f, 3) == x1 * x2 * x3
+    # one product by the cached factor equals the factor-by-factor product
+    rng = random.Random(24)
+    for n in range(5):
+        for i in range(n + 1):
+            f = random_polynomial(rng, n, 0) if n else Polynomial.const(rng.randint(-5, 5), 0)
+            want = f
+            for j in range(1, n + 1):
+                xj = Polynomial.var_x(j, n)
+                want = want * (xj if j <= i else Polynomial.one(n) - xj)
+            assert diffops.phi(f, i) == want, (n, i)
     with pytest.raises(ValueError):
         diffops.phi(Polynomial.one(2, 1), 1)
