@@ -69,11 +69,6 @@ def pibar_double(f: Polynomial, i: int, j: int) -> Polynomial:
         _one_minus_x(i, f.n, f.m) * _xy_factor(i + 1, j, f.n, f.m, barred=True), i)
 
 
-def pi_double_neg1(f: Polynomial, i: int) -> Polynomial:
-    """pi_{i,j} at y_j = -1: d_i((x_i - 1) f) = f + (x_{i+1} - 1) d_i(f)."""
-    return f.add_times_divided_difference(-_one_minus_x(i + 1, f.n, f.m), i)
-
-
 def omega(i: int, M: Iterable[int], barred: bool, n: int, m: int) -> Polynomial:
     """Product over j in [i], s in M of x_j + y_s (- x_j y_s when barred)."""
     if not 0 <= i <= n:

@@ -8,18 +8,15 @@ permutation walks its chain with a memo of its own, kept for that call
 only; a sweep over all of S_n (`double_grothendieck_sweep`,
 `double_schubert_sweep`) walks the same chains with a memo that holds two
 length levels at most.  Only the Lascoux polynomials, which every
-expansion peels, are memoized module-wide.  The y = -1 evaluator
-`script_S_neg1` keeps no memo: the Theorem 12 pipeline runs in the Lascoux
-basis (`lascouxbasis.theorem12_check`), and this polynomial is its
-independent reference.
+expansion peels, are memoized module-wide.  `_evaluate_diagram` is the one
+evaluator of the orthodontic word; its y = -1 specialization is walked in
+the Lascoux basis by `lascouxbasis.theorem12_check`.
 """
 
 from __future__ import annotations
 
-import functools
-
 from . import diffops, permcomb
-from .diagrams import Diagram, OrthodonticSequence, orthodontic_sequence
+from .diagrams import Diagram, orthodontic_sequence
 from .permcomb import Composition, Permutation
 from .polyring import Polynomial
 
@@ -147,43 +144,30 @@ def key_via_pi(alpha: Composition) -> Polynomial:
     return _chain(tuple(alpha), {}, _dominant_monomial, diffops.demazure)
 
 
-def _evaluate(seq: OrthodonticSequence, n: int, m: int, inner_omega, outer_omega,
-              step) -> Polynomial:
-    """The nested operator product over an orthodontic sequence.
-
-    prod_a outer_omega(a, K_a) * step(inner_omega(i_1, M_1) * ...
-    step(inner_omega(i_l, M_l), i_l, j_l) ..., i_1, j_1), in ambient (n, m).
-    An omega over an empty M or K is 1, so it is skipped.
-    """
-    t = Polynomial.one(n, m)
-    for k in range(seq.nsteps, 0, -1):
-        i, M = seq.i[k - 1], seq.M[k - 1]
-        if M:
-            t = inner_omega(i, M) * t
-        t = step(t, i, seq.j[k - 1])
-    for a in range(1, n + 1):
-        if seq.K[a - 1]:
-            t = outer_omega(a, seq.K[a - 1]) * t
-    return t
-
-
 def _evaluate_diagram(D: Diagram, inner_barred: bool, outer_barred: bool, step) -> Polynomial:
-    """`_evaluate` over the orthodontic sequence of D, its omegas those of `diffops.omega`."""
+    """The nested operator product over the orthodontic sequence of D, ambient (nrows, ncols).
+
+    prod_a omega_a^{K_a} * step(omega_{i_1}^{M_1} * ... step(omega_{i_l}^{M_l}, i_l, j_l)
+    ..., i_1, j_1), the omegas those of `diffops.omega`, barred inside as
+    inner_barred and outside as outer_barred say.  An omega over an empty M
+    or K is 1, so it is skipped.
+    """
     n, m = D.nrows, D.ncols
     seq = orthodontic_sequence(D)
     bad = [j for j in seq.j if not 1 <= j <= m]
     if bad:
-        raise ValueError(
-            f"orthodontic column indices {bad} fall outside [1,{m}]; the "
-            "unspecialized evaluator is undefined here (the y -> -1 "
-            "specialization script_S_neg1 still is)"
-        )
-    return _evaluate(
-        seq, n, m,
-        lambda i, M: diffops.omega(i, M, inner_barred, n, m),
-        lambda a, K: diffops.omega(a, K, outer_barred, n, m),
-        step,
-    )
+        raise ValueError(f"orthodontic column indices {bad} fall outside [1,{m}]; the "
+                         "unspecialized evaluator is undefined here (`orthodontia check thm12` "
+                         "checks its y -> -1 specialization)")
+    t = Polynomial.one(n, m)
+    for i, j, M in zip(reversed(seq.i), reversed(seq.j), reversed(seq.M)):
+        if M:
+            t = diffops.omega(i, M, inner_barred, n, m) * t
+        t = step(t, i, j)
+    for a, K in enumerate(seq.K, 1):
+        if K:
+            t = diffops.omega(a, K, outer_barred, n, m) * t
+    return t
 
 
 def script_G(D: Diagram, barred_inner_omega: bool = True) -> Polynomial:
@@ -200,34 +184,6 @@ def script_G(D: Diagram, barred_inner_omega: bool = True) -> Polynomial:
 def script_S(D: Diagram) -> Polynomial:
     """The all-unbarred orthodontia evaluator (double Schubert side)."""
     return _evaluate_diagram(D, False, False, diffops.pi_double)
-
-
-@functools.cache
-def _omega_neg1(i: int, k: int, n: int) -> Polynomial:
-    """omega_i^M at y = -1 with |M| = k: prod_{j<=i} (x_j - 1)^k, ambient (n, 0)."""
-    one = Polynomial.one(n, 0)
-    out = one
-    for j in range(1, i + 1):
-        factor = Polynomial.var_x(j, n, 0) - one
-        for _ in range(k):
-            out = out * factor
-    return out
-
-
-def script_S_neg1(seq: OrthodonticSequence, n: int) -> Polynomial:
-    """script_S(D) with every y variable already specialized to -1.
-
-    Takes seq = orthodontic_sequence(D) and n = D.nrows.  The column
-    indices j drop out of the specialized operators, so this evaluator is
-    defined for every %-avoiding diagram, including those whose recorded
-    j indices fall outside [1, m].  It reads only n, the rows i_k and the
-    sizes |M_k| and |K_a| of seq.  Ambient (n, 0).
-    """
-
-    def omega(i, M):
-        return _omega_neg1(i, len(M), n)
-
-    return _evaluate(seq, n, 0, omega, omega, lambda f, i, j: diffops.pi_double_neg1(f, i))
 
 
 def stable_grothendieck(w: Permutation, nvars: int) -> Polynomial:

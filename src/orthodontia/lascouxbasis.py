@@ -6,7 +6,7 @@ of the remainder, and subtracts its multiple of L_beta from a mutable
 basis, which the test suite verifies as a premise rather than assuming.
 
 ``theorem12_check`` never builds a polynomial of its own.  By Lemma 4's
-intertwinings, flip(script_S_neg1(D), ncols) is the orthodontic word of
+intertwinings, flip(script_S(D)|_{y -> -1}, ncols) is the orthodontic word of
 phi_{n-i} and pibar_{n-i} operators applied to L_{0^n}, times
 (x_1 ... x_n)^(ncols - c), c the number of nonempty columns.  The walk
 applies that word to a dict alpha -> c_alpha: pibar_i moves an index
@@ -118,7 +118,7 @@ def _times_phi(coeffs: dict[Composition, int], i: int, times: int) -> dict[Compo
     return coeffs
 
 
-# (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S_neg1(D), ncols)
+# (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S(D)|_{y -> -1}, ncols)
 _theorem12: dict[tuple, LascouxExpansion] = {}
 
 
@@ -135,7 +135,7 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpans
     key = (n, D.ncols, seq.i, M, K)
     e = _theorem12.get(key)
     if e is None:
-        # the order of families._evaluate: steps l..1, then the outer omegas
+        # the order of families._evaluate_diagram: steps l..1, then the outer omegas
         coeffs = {(0,) * n: 1}
         for i, size in zip(reversed(seq.i), reversed(M)):
             coeffs = _times_phi(coeffs, n - i, size)

@@ -45,65 +45,52 @@ def _perms(nmax: int):
         yield from all_perms(n)
 
 
-def _outcomes(nmax: int, sweep) -> dict:
-    """w -> oks for every w in S_2..S_nmax; sweep(n) yields (w, oks) for every w in S_n, in any order."""
+def _sweep(nmax: int, checks, *sweeps) -> dict:
+    """w -> checks(w, f_1(w), ...) for every w in S_2..S_nmax, in the order of `_perms`.
+
+    Each sweep (the G sweep by default) yields (w, f(w)) over S_n, all in one order.
+    """
+    sweeps = sweeps or (families.double_grothendieck_sweep,)
     outcome = {}
     for n in range(2, nmax + 1):
-        outcome.update(sweep(n))
-    return outcome
+        for (w, f), *rest in zip(*(sweep(n) for sweep in sweeps)):
+            outcome[w] = checks(w, f, *(g for _, g in rest))
+    return {w: outcome[w] for w in _perms(nmax)}
 
 
-def _replay(name: str, nmax: int, outcome: dict, messages: tuple[str, ...]) -> SuiteResult:
-    """The checks of every w in S_2..S_nmax, recorded in the order of `_perms`.
-
-    outcome[w] holds one boolean per message; a message names w through its
-    {w} field.
-    """
+def _result(name: str, outcome: dict, messages: tuple[str, ...]) -> SuiteResult:
+    """The checks of `outcome` (w -> one boolean per message); a message names w by {w}."""
     res = SuiteResult(name)
-    for w in _perms(nmax):
-        for ok, msg in zip(outcome[w], messages):
+    for w, oks in outcome.items():
+        for ok, msg in zip(oks, messages):
             res.check(ok, msg.format(w=format_perm(w)), w)
     return res
 
 
-def thm11_by_barring(nmax: int, barrings: tuple[bool, ...]) -> dict[bool, SuiteResult]:
-    """The thm11 result for each inner-omega barring, from one sweep.
+_THM11 = ("weight_sum != double_grothendieck at w={w}",
+          "script_G != double_grothendieck at w={w}")
 
-    G_w and weight_sum(w) are computed once per w, script_G once per w and
-    barring.
-    """
+
+def _thm11_checks(nmax: int, barrings: tuple[bool, ...]):
+    """(w, G_w) -> (weight_sum(w) == G_w, script_G(rothe(w)) == G_w per inner-omega barring)."""
     if nmax > pipedreams.MAX_N:
         raise ValueError(f"thm11 needs nmax <= {pipedreams.MAX_N} (pipe-dream walk), got {nmax}")
-
-    def sweep(n):
-        for w, dg in families.double_grothendieck_sweep(n):
-            yield w, (pipedreams.weight_sum(w) == dg,
-                      *(families.script_G(rothe(w), barred) == dg for barred in barrings))
-
-    outcome = _outcomes(nmax, sweep)
-    messages = ("weight_sum != double_grothendieck at w={w}",
-                "script_G != double_grothendieck at w={w}")
-    return {barred: _replay("thm11", nmax, {w: (oks[0], oks[b]) for w, oks in outcome.items()},
-                            messages)
-            for b, barred in enumerate(barrings, 1)}
+    return lambda w, dg: (pipedreams.weight_sum(w) == dg,
+                          *(families.script_G(rothe(w), barred) == dg for barred in barrings))
 
 
 def suite_thm11(nmax: int, barred_inner_omega: bool = True) -> SuiteResult:
     """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
-    return thm11_by_barring(nmax, (barred_inner_omega,))[barred_inner_omega]
+    return _result("thm11", _sweep(nmax, _thm11_checks(nmax, (barred_inner_omega,))), _THM11)
 
 
 def suite_cor_double_schub(nmax: int) -> SuiteResult:
     """script_S(rothe(w)) = S_w(x, -y); both Schubert routes agree."""
-
-    def sweep(n):
-        for (w, dg), (_, ds) in zip(families.double_grothendieck_sweep(n),
-                                    families.double_schubert_sweep(n)):
-            # the lowest-degree route: S_w(x, y) is the lowest degree part of G_w(x, -y)
-            yield w, (ds == dg.negate_y().lowest_degree_part(),
-                      families.script_S(rothe(w)) == ds.negate_y())
-
-    return _replay("cor-double-schub", nmax, _outcomes(nmax, sweep), (
+    # the lowest-degree route: S_w(x, y) is the lowest degree part of G_w(x, -y)
+    outcome = _sweep(nmax, lambda w, dg, ds: (ds == dg.negate_y().lowest_degree_part(),
+                                              families.script_S(rothe(w)) == ds.negate_y()),
+                     families.double_grothendieck_sweep, families.double_schubert_sweep)
+    return _result("cor-double-schub", outcome, (
         "schubert recursion != lowest-degree route at w={w}",
         "script_S != negate_y(double_schubert) at w={w}",
     ))
@@ -175,11 +162,7 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
                 k_ok,
                 g == factored)
 
-    def sweep(n):
-        for w, g in families.double_grothendieck_sweep(n):
-            yield w, checks(w, g)
-
-    return _replay("prop-os1", nmax, _outcomes(nmax, sweep), (
+    return _result("prop-os1", _sweep(nmax, checks), (
         "difference-set mismatch at w={w}",
         "(i,j,M) sequence mismatch at w={w}",
         "K-transformation mismatch at w={w}",
@@ -431,7 +414,7 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
     """One-page report pinning down the two notational ambiguities.
 
     Records which inner-omega barring makes the orthodontia evaluator
-    reproduce the recursion (``thm11_by_barring``, one sweep for both), which
+    reproduce the recursion (the thm11 checks, one G sweep for both), which
     product endpoint makes the sorted-case sequence transformation hold
     (``suite_thm_os2`` once per endpoint), and the observed lowest-degree
     relation between the two evaluators.  A section with no w to check is a
@@ -444,12 +427,13 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
                                  ("endpoint", nmax_endpoint, endpoint["alpha"].checked == 0)):
         if empty:
             raise ValueError(f"the {section} section checks nothing at nmax_{section}={nmax}")
-    omega = thm11_by_barring(nmax_omega, (True, False))
+    both = _sweep(nmax_omega, _thm11_checks(nmax_omega, (True, False)))
     sections = {  # heading: (result, subject, what holds, failure verb) per reading
         "Inner omega factors: barred vs unbarred": [
-            (res, f"{'barred' if barred else 'unbarred'} inner omegas",
+            (_result("thm11", {w: (oks[0], oks[b]) for w, oks in both.items()}, _THM11),
+             f"{reading} inner omegas",
              f"reproduce the recursion for all w up to S_{nmax_omega}", "FAIL")
-            for barred, res in omega.items()],
+            for b, reading in ((1, "barred"), (2, "unbarred"))],
         "Sorted-case product endpoint: alpha vs alpha+1": [
             (res, f"endpoint {e}",
              f"satisfies the sequence transformation up to S_{nmax_endpoint}", "FAILS")

@@ -17,8 +17,10 @@ from orthodontia import (
     sortorder,
     suites,
 )
-from orthodontia.diagrams import orthodontic_sequence, rothe
+from orthodontia.diagrams import rothe
 from orthodontia.polyring import Polynomial
+
+from neg1 import script_S_neg1
 
 
 def _report(capsys, k, ok):
@@ -122,10 +124,10 @@ def test_criterion_06_conjecture_scans(capsys):
 
             target = phi(families.lascoux(alpha), i)
         elif kind == "conj14":
-            target = families.script_S_neg1(orthodontic_sequence(item), item.nrows).flip(item.ncols)
+            target = script_S_neg1(item).flip(item.ncols)
         else:
             D = rothe(item)
-            target = families.script_S_neg1(orthodontic_sequence(D), D.nrows).flip(D.ncols)
+            target = script_S_neg1(D).flip(D.ncols)
         e = lascouxbasis.lascoux_expand(target)
         want = {tuple(t["alpha"]): t["c"] for t in records[idx]["expansion"]}
         if e.coeffs != want:

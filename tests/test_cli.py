@@ -196,6 +196,21 @@ def test_poly_script_families(runner):
     assert r.output.strip() == "y1 + x1"
 
 
+@pytest.mark.parametrize("family", ["script-S", "script-G"])
+def test_script_evaluator_is_refused_where_a_column_index_is_out_of_range(runner, family):
+    # the single nonempty column {2} records j = 0; the message names the command that does
+    # check such a diagram, at y = -1
+    r = runner.invoke(main, ["poly", family, "--diagram", "n=2;2;"])
+    assert r.exit_code == 2, r.output
+    assert r.stderr.endswith(
+        "\nError: orthodontic column indices [0] fall outside [1,2]; the unspecialized evaluator "
+        "is undefined here (`orthodontia check thm12` checks its y -> -1 specialization)\n")
+    assert r.stdout == ""
+    r = runner.invoke(main, ["check", "thm12", "--diagram", "n=2;2;"])
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("verdict: positive")
+
+
 def test_poly_stable(runner):
     r = runner.invoke(main, ["poly", "stable-grothendieck", "--w", "21", "--nvars", "2"])
     assert r.exit_code == 0

@@ -8,6 +8,8 @@ import pytest
 from orthodontia import diagrams, diffops, families, permcomb
 from orthodontia.polyring import Polynomial
 
+from neg1 import script_S_neg1
+
 
 def longest(n):
     """The longest permutation w0 = n, n-1, ..., 1."""
@@ -216,7 +218,7 @@ def test_script_S_neg1_agrees_where_both_defined():
             s = families.script_S(D).substitute_y(-1)
         except ValueError:
             continue
-        assert families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows) == s
+        assert script_S_neg1(D) == s
 
 
 def test_script_S_rejects_out_of_range_column_index():
@@ -227,7 +229,7 @@ def test_script_S_rejects_out_of_range_column_index():
         with pytest.raises(ValueError, match=re.escape("fall outside [1,1]")):
             evaluate(D)
     # but the specialized evaluator still works
-    assert not families.script_S_neg1(diagrams.orthodontic_sequence(D), 2).is_zero()
+    assert not script_S_neg1(D).is_zero()
 
 
 def test_stable_grothendieck_21():

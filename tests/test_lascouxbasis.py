@@ -9,6 +9,8 @@ from orthodontia import diagrams, diffops, families, lascouxbasis
 from orthodontia.lascouxbasis import LascouxExpansion, graded_positive, lascoux_expand
 from orthodontia.polyring import Polynomial
 
+from neg1 import script_S_neg1
+
 
 def test_expand_single_lascoux():
     e = lascoux_expand(families.lascoux((0, 2, 1)))
@@ -68,8 +70,7 @@ def test_theorem12_check_small_diagram():
     e = lascouxbasis.theorem12_check(D)
     assert graded_positive(e)
     # the flipped specialization reconstructs from the expansion
-    s = families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
-    assert e.reconstruct() == s.flip(D.ncols)
+    assert e.reconstruct() == script_S_neg1(D).flip(D.ncols)
 
 
 def test_theorem12_check_requires_inclusion_order():
@@ -84,11 +85,6 @@ def test_theorem12_check_requires_inclusion_order():
 def _theorem12_key(D):
     seq = diagrams.orthodontic_sequence(D)
     return (D.nrows, D.ncols, seq.i, tuple(map(len, seq.M)), tuple(map(len, seq.K)))
-
-
-def _script_S_neg1(D):
-    """script_S_neg1(D), the y = -1 polynomial the basis route never builds."""
-    return families.script_S_neg1(diagrams.orthodontic_sequence(D), D.nrows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -114,7 +110,7 @@ def test_theorem12_memo_matches_fresh_expansion():
     items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
     for D in items:
         memoized = lascouxbasis.theorem12_check(D, require_inclusion=False)
-        fresh = lascoux_expand(_script_S_neg1(D).flip(D.ncols))
+        fresh = lascoux_expand(script_S_neg1(D).flip(D.ncols))
         assert memoized.coeffs == fresh.coeffs, diagrams.format_diagram(D)
         assert memoized.baseline_degree == fresh.baseline_degree
     # one expansion per key (118 in [3]x[3], 797 in [4]x[3]), and no polynomial
@@ -130,8 +126,8 @@ def test_theorem12_key_is_exact():
     # the key forgets j and the column sets, and some diagrams differ only there
     assert any(len({diagrams.orthodontic_sequence(D).j for D in g}) > 1 for g in shared)
     for g in shared:
-        first = _script_S_neg1(g[0])
-        assert all(_script_S_neg1(D) == first for D in g[1:])
+        first = script_S_neg1(g[0])
+        assert all(script_S_neg1(D) == first for D in g[1:])
 
 
 def test_theorem12_check_returns_its_own_coefficients():

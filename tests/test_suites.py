@@ -48,6 +48,20 @@ def test_perms_sweeps_s2_to_nmax():
     assert [len(list(suites._perms(n))) for n in (-1, 1, 2, 3, 4)] == [0, 0, 2, 8, 32]
 
 
+def test_ambiguity_report_sweeps_each_s_n_once(monkeypatch):
+    # both inner-omega barrings are read off one G sweep of each S_n
+    swept = []
+    sweep = families.double_grothendieck_sweep
+
+    def counted(n):
+        swept.append(n)
+        return sweep(n)
+
+    monkeypatch.setattr(families, "double_grothendieck_sweep", counted)
+    suites.ambiguity_report(4, 4)
+    assert swept == [2, 3, 4]
+
+
 def test_ambiguity_report_contents():
     report = suites.ambiguity_report(nmax_omega=3, nmax_endpoint=4)
     assert "barred inner omegas reproduce the recursion" in report
