@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import permcomb
-from .permcomb import Composition, Permutation
+from .permcomb import Permutation
 
 
 @dataclass(frozen=True)
@@ -53,17 +53,6 @@ def rothe(w: Permutation) -> Diagram:
     cols = []
     for j in range(1, n + 1):
         cols.append(frozenset(i for i in range(1, winv[j - 1]) if j < w[i - 1]))
-    return Diagram(n, tuple(cols))
-
-
-def skyline(alpha: Composition) -> Diagram:
-    """Skyline diagram of a composition: column j = {i : alpha_i >= j}."""
-    n = len(alpha)
-    width = max(alpha, default=0)
-    cols = [
-        frozenset(i for i in range(1, n + 1) if alpha[i - 1] >= j)
-        for j in range(1, width + 1)
-    ]
     return Diagram(n, tuple(cols))
 
 
@@ -110,10 +99,6 @@ class OrthodonticSequence:
     j: tuple[int, ...]
     M: tuple[frozenset[int], ...]
 
-    @property
-    def nsteps(self) -> int:
-        return len(self.i)
-
 
 def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence:
     """Run the double orthodontia algorithm on a %-avoiding diagram.
@@ -125,7 +110,8 @@ def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence
     force=True to run on other diagrams at your own risk.
     """
     if not force and not is_percent_avoiding(D):
-        raise ValueError("diagram is not %-avoiding (pass force=True to override)")
+        raise ValueError("diagram is not %-avoiding "
+                         "(`orthodontia orthodontia --force` runs the algorithm anyway)")
     n = D.nrows
     cols: list[frozenset[int]] = list(D.columns)
 

@@ -59,7 +59,7 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
     if f.m != 0:
         raise ValueError("lascoux_expand requires a polynomial without y variables")
     n = f.n
-    if f.is_zero():
+    if not f:
         return LascouxExpansion(n, {}, 0)
     d0 = f.min_degree()
     cap = (f.max_exponent() + 1) ** n
@@ -129,7 +129,8 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpans
     module docstring); each call returns its own copy of the coefficient dict.
     """
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
-        raise ValueError("columns are not ordered by inclusion (pass require_inclusion=False)")
+        raise ValueError("columns are not ordered by inclusion "
+                         "(`orthodontia check thm12 --no-require-inclusion` skips this check)")
     seq = diagrams.orthodontic_sequence(D)
     n, M, K = D.nrows, tuple(map(len, seq.M)), tuple(map(len, seq.K))
     key = (n, D.ncols, seq.i, M, K)

@@ -49,7 +49,7 @@ class _Layout:
     """Field positions of the packed keys of one ambient (n, m)."""
 
     __slots__ = ("n", "m", "shifts", "deg_shift", "deg_one", "guard", "low_mask", "nbytes",
-                 "low_bytes", "unpack", "x_shift", "x_mask", "y_mask", "x_fields", "y_fields")
+                 "unpack", "x_shift", "x_mask", "y_mask", "x_fields", "y_fields")
 
     def __init__(self, n: int, m: int):
         nvars = n + m
@@ -61,7 +61,6 @@ class _Layout:
         self.guard = sum(1 << (s + EXP_BITS - 1) for s in self.shifts)
         self.low_mask = self.deg_one - 1
         self.nbytes = 2 * nvars
-        self.low_bytes = sum(0xFF << s for s in self.shifts)  # the low byte of every field
         self.unpack = struct.Struct(f">{nvars}H").unpack  # EXP_BITS == 16
         # the x part of a key is (key >> x_shift) & x_mask, its y part key & y_mask
         self.x_shift = EXP_BITS * m
@@ -102,6 +101,11 @@ def _layout(n: int, m: int) -> _Layout:
     return _Layout(n, m)
 
 
+def _same_ambient(a: _Layout, b: _Layout) -> None:
+    if a is not b:  # _layout caches one layout per ambient
+        raise AmbientMismatch(f"ambient mismatch: ({a.n},{a.m}) vs ({b.n},{b.m})")
+
+
 def _axpy(terms: dict[int, int], g: dict[int, int], c: int) -> None:
     """terms += c g on packed keys, in place, for c != 0; a cancelled key is deleted."""
     get = terms.get
@@ -140,9 +144,7 @@ class Remainder:
 
     def subtract(self, g: "Polynomial", c: int) -> None:
         """Replace the remainder r by r - c g."""
-        if g._lay is not self._lay:
-            raise AmbientMismatch(f"ambient mismatch: ({g.n},{g.m}) vs a remainder in "
-                                  f"({self._lay.n},{self._lay.m})")
+        _same_ambient(self._lay, g._lay)
         if c:  # c = 0 leaves r as it is; _axpy needs c != 0
             _axpy(self.terms, g.terms, -c)
 
@@ -191,9 +193,6 @@ class Polynomial:
 
     # -- basics ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -202,14 +201,8 @@ class Polynomial:
             return NotImplemented
         return self.n == other.n and self.m == other.m and self.terms == other.terms
 
-    def _check_ambient(self, other: "Polynomial"):
-        if self.n != other.n or self.m != other.m:
-            raise AmbientMismatch(
-                f"ambient mismatch: ({self.n},{self.m}) vs ({other.n},{other.m})"
-            )
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ambient(other)
+        _same_ambient(self._lay, other._lay)
         terms = dict(self.terms)
         _axpy(terms, other.terms, 1)
         return _from_keys(self._lay, terms)
@@ -218,13 +211,13 @@ class Polynomial:
         return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ambient(other)
+        _same_ambient(self._lay, other._lay)
         terms = dict(self.terms)
         _axpy(terms, other.terms, -1)
         return _from_keys(self._lay, terms)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ambient(other)
+        _same_ambient(self._lay, other._lay)
         terms: dict[int, int] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -254,7 +247,7 @@ class Polynomial:
         g = s_i(L), by the Leibniz rule d_i(L f) = d_i(L) f + s_i(L) d_i(f).
         Only an exponent of the result at EXP_LIMIT raises ExponentRangeError.
         """
-        self._check_ambient(g)
+        _same_ambient(self._lay, g._lay)
         if not 1 <= i < self.n:
             raise IndexError(f"d_{i} out of range for n={self.n}")
         return self._add_divided_difference(dict(self.terms), g.terms, i)
@@ -328,24 +321,26 @@ class Polynomial:
         fields = array("H", b"".join([(k & low).to_bytes(nbytes, order) for k in self.terms]))
         return max(fields, default=0)
 
-    # -- specializations ---------------------------------------------------
+    # -- changes of variables ----------------------------------------------
+
+    def _remap(self, out: _Layout, fn) -> "Polynomial":
+        """Each term c x^xe y^ye as factor c x^xe' y^ye' in layout out, where fn(xe, ye) is
+        (xe', ye', factor), or None to drop the term; images that meet are summed."""
+        lay, terms = self._lay, {}
+        for k, c in self.terms.items():
+            if (image := fn(*_decode(lay, k))) is not None:
+                xe, ye, factor = image
+                mon = _encode(out, xe, ye)
+                terms[mon] = terms.get(mon, 0) + c * factor
+        return _from_keys(out, {k: v for k, v in terms.items() if v})
 
     def substitute_y(self, c: int) -> "Polynomial":
         """Replace every y_j by the integer c; result has m = 0."""
-        lay, out = self._lay, _layout(self.n, 0)
-        terms: dict[int, int] = {}
-        for k, coeff in self.terms.items():
-            xe, ye = _decode(lay, k)
-            mon = _encode(out, xe, ())
-            terms[mon] = terms.get(mon, 0) + coeff * c ** sum(ye)
-        return _from_keys(out, {k: v for k, v in terms.items() if v})
+        return self._remap(_layout(self.n, 0), lambda xe, ye: (xe, (), c ** sum(ye)))
 
     def negate_y(self) -> "Polynomial":
         """y_j -> -y_j for all j."""
-        lay = self._lay
-        return _from_keys(lay, {
-            k: (-c if sum(_decode(lay, k)[1]) % 2 else c) for k, c in self.terms.items()
-        })
+        return self._remap(self._lay, lambda xe, ye: (xe, ye, -1 if sum(ye) % 2 else 1))
 
     def flip(self, mcap: int) -> "Polynomial":
         """The involution r_{mcap,n}: x_1^mcap ... x_n^mcap f(x_n^-1, ..., x_1^-1).
@@ -354,32 +349,19 @@ class Polynomial:
         """
         if self.m != 0:
             raise ValueError("flip requires a polynomial without y variables")
-        lay = self._lay
-        low, nbytes, guard, low_bytes = lay.low_mask, lay.nbytes, lay.guard, lay.low_bytes
-        # x^e goes to x^(mcap - reversed e).  Reading the fields little-endian
-        # reverses their order and swaps the two bytes inside each; the masks
-        # swap them back.  Subtracting from the all-mcap key with the guard
-        # bits set borrows nothing: a field above mcap clears its guard bit.
-        top = _encode(lay, (mcap,) * self.n, ()) | guard
-        terms: dict[int, int] = {}
-        for k, c in self.terms.items():
-            r = int.from_bytes((k & low).to_bytes(nbytes, "big"), "little")
-            key = top - (k - (k & low)) - ((r & low_bytes) << 8 | (r >> 8) & low_bytes)
-            if key & guard != guard:
-                raise ValueError(f"per-variable degree exceeds cap {mcap}: {_decode(lay, k)[0]}")
-            terms[key ^ guard] = c
-        return _from_keys(lay, terms)
+        _encode(self._lay, (mcap,) * self.n, ())  # mcap must itself be an exponent
+
+        def reflect(xe, ye):
+            if max(xe, default=0) > mcap:
+                raise ValueError(f"per-variable degree exceeds cap {mcap}: {xe}")
+            return tuple(mcap - e for e in reversed(xe)), ye, 1
+
+        return self._remap(self._lay, reflect)
 
     def restrict_x(self, p: int) -> "Polynomial":
         """Set x_i = 0 for i > p and re-ambient to p x-variables (pad if p > n)."""
-        lay, out = self._lay, _layout(p, self.m)
-        terms: dict[int, int] = {}
-        for k, c in self.terms.items():
-            xe, ye = _decode(lay, k)
-            if any(e != 0 for e in xe[p:]):
-                continue
-            terms[_encode(out, xe[:p] + (0,) * max(0, p - self.n), ye)] = c
-        return _from_keys(out, terms)
+        out, pad = _layout(p, self.m), (0,) * max(0, p - self.n)
+        return self._remap(out, lambda xe, ye: None if any(xe[p:]) else (xe[:p] + pad, ye, 1))
 
     def coefficient(self, xexp: Iterable[int], yexp: Iterable[int] = ()) -> int:
         ye = tuple(yexp) if yexp else (0,) * self.m

@@ -211,6 +211,20 @@ def test_script_evaluator_is_refused_where_a_column_index_is_out_of_range(runner
     assert r.output.startswith("verdict: positive")
 
 
+@pytest.mark.parametrize("argv", [
+    "orthodontia --diagram n=2;2;1",
+    "poly script-G --diagram n=2;2;1",
+    "check thm12 --diagram n=2;2;1 --no-require-inclusion",
+    "check thm12 --diagram n=2;2;1",
+])
+def test_refusals_name_command_line_flags(runner, argv):
+    # n=2;2;1 is not %-avoiding, and its columns are not ordered by inclusion; the message
+    # names what a user can run, not a keyword argument of the engine
+    r = runner.invoke(main, argv.split())
+    assert r.exit_code == 2, r.output
+    assert "=True" not in r.output and "=False" not in r.output
+
+
 def test_poly_stable(runner):
     r = runner.invoke(main, ["poly", "stable-grothendieck", "--w", "21", "--nvars", "2"])
     assert r.exit_code == 0

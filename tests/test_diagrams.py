@@ -51,13 +51,6 @@ def test_rothe_dominant_gives_partition_columns():
     assert [sorted(c) for c in D.columns] == [[1, 2], [1], []]
 
 
-def test_skyline():
-    D = diagrams.skyline((0, 2, 1))
-    assert [sorted(c) for c in D.columns] == [[2, 3], [2]]
-    assert diagrams.skyline((0, 0)).ncols == 0
-    assert row_counts(D) == (0, 2, 1)
-
-
 def test_percent_avoiding():
     # forbidden pattern: cell (i2,j1) and (i1,j2) with the complements absent
     bad = diagrams.from_cells(2, 2, [(2, 1), (1, 2)])
@@ -76,7 +69,8 @@ def test_inclusion_ordered_implies_percent_avoiding():
 
 
 def test_skyline_columns_ordered_by_inclusion():
-    assert diagrams.columns_ordered_by_inclusion(diagrams.skyline((1, 3, 2)))
+    # the skyline diagram of (1, 3, 2): column j holds the rows i with alpha_i >= j
+    assert diagrams.columns_ordered_by_inclusion(diagrams.parse_diagram("n=3;1,2,3;2,3;2"))
     assert not diagrams.columns_ordered_by_inclusion(
         diagrams.from_cells(2, 2, [(1, 1), (2, 2)])
     )
@@ -96,19 +90,19 @@ def test_orthodontic_sequence_31542():
     assert seq.i == (2, 3, 1)
     assert seq.j == (1, 1, 3)
     assert seq.M == (frozenset(), frozenset({2}), frozenset({4}))
-    assert seq.nsteps == 3
+    assert len(seq.i) == 3
 
 
 def test_orthodontic_sequence_empty_diagram():
     seq = diagrams.orthodontic_sequence(Diagram(3, (frozenset(),) * 3))
-    assert seq.nsteps == 0
+    assert len(seq.i) == 0
     assert seq.K == (frozenset(),) * 3
 
 
 def test_orthodontic_sequence_standard_columns_only():
     D = diagrams.from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
     seq = diagrams.orthodontic_sequence(D)
-    assert seq.nsteps == 0
+    assert len(seq.i) == 0
     assert seq.K == (frozenset({1}), frozenset({2}), frozenset())
 
 
@@ -124,7 +118,7 @@ def test_orthodontia_step_count_invariant():
         if not diagrams.is_percent_avoiding(D):
             continue
         seq = diagrams.orthodontic_sequence(D)
-        assert seq.nsteps <= 3 * 2
+        assert len(seq.i) <= 3 * 2
         assert len(seq.i) == len(seq.j) == len(seq.M)
 
 

@@ -30,9 +30,9 @@ def y(j, n=3, m=3):
 def test_divided_difference_examples():
     assert diffops.divided_difference(x(1), 1) == Polynomial.one(3)
     assert diffops.divided_difference(x(1) * x(1) * x(2), 1) == x(1) * x(2)
-    assert diffops.divided_difference(x(3), 1).is_zero()
+    assert not diffops.divided_difference(x(3), 1)
     # symmetric input is annihilated
-    assert diffops.divided_difference(x(1) * x(2), 1).is_zero()
+    assert not diffops.divided_difference(x(1) * x(2), 1)
 
 
 def test_divided_difference_matches_global_definition():

@@ -229,7 +229,7 @@ def test_script_S_rejects_out_of_range_column_index():
         with pytest.raises(ValueError, match=re.escape("fall outside [1,1]")):
             evaluate(D)
     # but the specialized evaluator still works
-    assert not script_S_neg1(D).is_zero()
+    assert script_S_neg1(D)
 
 
 def test_stable_grothendieck_21():
@@ -252,6 +252,6 @@ def test_stable_grothendieck_21():
 def test_stable_grothendieck_symmetric():
     # d_i g = 0 exactly when g is symmetric in x_i, x_{i+1}
     g = families.stable_grothendieck((1, 3, 2), 3)
-    assert diffops.divided_difference(g, 1).is_zero()
-    assert diffops.divided_difference(g, 2).is_zero()
+    assert not diffops.divided_difference(g, 1)
+    assert not diffops.divided_difference(g, 2)
 

@@ -176,6 +176,19 @@ def test_y_specializations_match_sympy(case, c):
     assert kernel_dict(f.negate_y()) == expected_dict(sf.subs({y: -y for y in ys}), n, m)
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 2], ids=["p<n", "p=n", "p>n"])
+@EXAMPLES
+@given(st.tuples(st.integers(2, 3), st.integers(1, 2)).flatmap(
+    lambda nm: st.tuples(st.just(nm), term_dicts(*nm))))
+def test_restrict_x_matches_sympy(extra, case):
+    # p < n drops every term with x_{p+1}..x_n; p > n pads with absent x variables
+    (n, m), a = case
+    p = n + extra
+    xs, _ = gens(n, m)
+    expect = to_sympy(a, n, m).subs({v: 0 for v in xs[p:]}, simultaneous=True)
+    assert kernel_dict(Polynomial(n, m, a).restrict_x(p)) == expected_dict(expect, p, m)
+
+
 @EXAMPLES
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), term_dicts(n, 0))),
        st.integers(3, 4))

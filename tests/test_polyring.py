@@ -66,7 +66,7 @@ def test_constructors():
 
 def test_zero_coefficients_dropped():
     p = Polynomial(1, 0, {((1,), ()): 0})
-    assert p.is_zero()
+    assert not p
     q = Polynomial.var_x(1, 1) - Polynomial.var_x(1, 1)
     assert not q.terms
 
@@ -76,6 +76,12 @@ def test_ambient_mismatch_raises():
         Polynomial.one(2, 0) + Polynomial.one(3, 0)
     with pytest.raises(AmbientMismatch):
         Polynomial.one(2, 1) * Polynomial.one(2, 2)
+    with pytest.raises(AmbientMismatch, match=r"\(2,1\) vs \(3,1\)"):
+        Polynomial.one(2, 1) - Polynomial.one(3, 1)
+    with pytest.raises(AmbientMismatch):
+        Polynomial.one(3, 0).add_times_divided_difference(Polynomial.one(3, 1), 1)
+    with pytest.raises(AmbientMismatch):
+        Remainder(Polynomial.one(2, 0)).subtract(Polynomial.one(2, 1), 1)
 
 
 def test_degree_structure():
