@@ -198,8 +198,8 @@ def cmd_sortorder(perm, os_endpoint):
         f"primary column data: h={pcd.h}, C={sorted(pcd.C) or '{}'}, "
         f"alpha={pcd.alpha}, i1={pcd.i1}, beta={pcd.beta}"
     )
-    click.echo(f"sigma(w) = {permcomb.format_perm(sortorder.sigma_of(perm))}")
-    click.echo(f"w_sort = {permcomb.format_perm(sortorder.sort_of(perm))}")
+    click.echo(f"sigma(w) = {permcomb.format_perm(pcd.sigma)}")
+    click.echo(f"w_sort = {permcomb.format_perm(pcd.sort)}")
     preds = sortorder.os_covers(perm, endpoint=os_endpoint)
     click.echo("predecessors: " + (", ".join(permcomb.format_perm(p) for p in preds) or "(none)"))
 

@@ -39,7 +39,12 @@ class ExpansionError(RuntimeError):
 class LascouxExpansion:
     n: int
     coeffs: dict[Composition, int]
-    baseline_degree: int
+
+    @property
+    def baseline_degree(self) -> int:
+        """d0: the least |alpha| in the support, 0 when it is empty.  L_alpha's lowest part
+        is kappa_alpha, of degree |alpha|, and the kappas are a basis, so d0 = min deg f."""
+        return min(map(sum, self.coeffs), default=0)
 
     def reconstruct(self) -> Polynomial:
         out = Polynomial.zero(self.n, 0)
@@ -60,14 +65,13 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
         raise ValueError("lascoux_expand requires a polynomial without y variables")
     n = f.n
     if not f:
-        return LascouxExpansion(n, {}, 0)
-    d0 = f.min_degree()
+        return LascouxExpansion(n, {})
     cap = (f.max_exponent() + 1) ** n
     coeffs: dict[Composition, int] = {}
     r = Remainder(f)
     for _ in range(cap + 1):
         if not r:
-            return LascouxExpansion(n, coeffs, d0)
+            return LascouxExpansion(n, coeffs)
         (beta, _), c = r.lowest()
         coeffs[beta] = coeffs.get(beta, 0) + c
         if coeffs[beta] == 0:
@@ -145,8 +149,8 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpans
             coeffs = _times_phi(coeffs, n - a, size)
         empty = D.ncols - sum(M) - sum(K)
         coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
-        e = _theorem12[key] = LascouxExpansion(n, coeffs, min(map(sum, coeffs), default=0))
-    return LascouxExpansion(e.n, dict(e.coeffs), e.baseline_degree)
+        e = _theorem12[key] = LascouxExpansion(n, coeffs)
+    return LascouxExpansion(e.n, dict(e.coeffs))
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------

@@ -1,8 +1,8 @@
 """Primary column data, the sorting projection, and the sort-order relations.
 
 The machinery used to induct on permutations: the first non-standard
-column of the Rothe diagram, the dominant permutation hiding inside it,
-and the two cover relations of the orthodontic sort order.
+column of the Rothe diagram, with the dominant sigma(w) and w_sort read off
+the same D(w), and the two cover relations of the orthodontic sort order.
 """
 
 from __future__ import annotations
@@ -15,61 +15,49 @@ from .permcomb import Permutation
 
 @dataclass(frozen=True)
 class PrimaryColumnData:
+    """(h, C, alpha, i1, beta) of w.  w maps the rows alpha+1..i1 onto the window
+    h-beta+1..h; sigma = sigma(w) is that bijection renumbered to S_beta, and
+    sort = w_sort is w with the values on those rows in increasing order."""
     h: int
     C: frozenset[int]
     alpha: int
     i1: int
     beta: int
+    sigma: Permutation
+    sort: Permutation
+
+    @property
+    def window(self) -> frozenset[int]:
+        return frozenset(range(self.h - self.beta + 1, self.h + 1))
+
+    @property
+    def is_sorted(self) -> bool:
+        return self.sigma == permcomb.identity(self.beta)
 
 
 def primary_column_data(w: Permutation) -> PrimaryColumnData:
     """Locate the first non-standard-interval column of D(w).
 
-    Dominant permutations get the degenerate data (n, empty, 0, n, n).
+    Dominant permutations get the degenerate data (n, empty, 0, n, n): the
+    window is all of [n], so sigma(w) = w and w_sort is the identity, and a
+    dominant permutation is sorted only if it is the identity.
     """
     permcomb.check_perm(w)
     n = len(w)
     D = diagrams.rothe(w)
-    h = None
-    for j, col in enumerate(D.columns, start=1):
-        if col != frozenset(range(1, len(col) + 1)):
-            h = j - 1
-            break
+    h = next((j for j, col in enumerate(D.columns)
+              if col != frozenset(range(1, len(col) + 1))), None)
     if h is None:
-        return PrimaryColumnData(n, frozenset(), 0, n, n)
-    C = D.columns[h]
-    alpha = 0
-    while alpha + 1 in C:
-        alpha += 1
-    i1 = diagrams.smallest_missing_tooth(C)
-    return PrimaryColumnData(h, C, alpha, i1, i1 - alpha)
-
-
-def sigma_of(w: Permutation) -> Permutation:
-    """The dominant permutation in S_beta obtained by restricting w.
-
-    w restricts to a bijection [alpha+1, i1] -> [h-beta+1, h]; renumber
-    both sides to [beta].  Dominant w gives back w itself (the window is
-    all of [n]), so a dominant permutation is sorted only if it is the
-    identity.
-    """
-    pcd = primary_column_data(w)
-    sigma = tuple(w[pcd.alpha + a - 1] - (pcd.h - pcd.beta) for a in range(1, pcd.beta + 1))
-    return permcomb.check_perm(sigma)
-
-
-def is_sorted_perm(w: Permutation) -> bool:
-    sigma = sigma_of(w)
-    return sigma == permcomb.identity(len(sigma))
-
-
-def sort_of(w: Permutation) -> Permutation:
-    """w_sort: reorder the window w(alpha+1), ..., w(i1) increasingly."""
-    pcd = primary_column_data(w)
-    v = list(w)
-    window = sorted(v[pcd.alpha : pcd.i1])
-    v[pcd.alpha : pcd.i1] = window
-    return tuple(v)
+        h, C, alpha, i1 = n, frozenset(), 0, n
+    else:
+        C = D.columns[h]
+        alpha = 0
+        while alpha + 1 in C:
+            alpha += 1
+        i1 = diagrams.smallest_missing_tooth(C)
+    beta, rows = i1 - alpha, w[alpha:i1]
+    sigma = permcomb.check_perm(tuple(v - (h - beta) for v in rows))
+    return PrimaryColumnData(h, C, alpha, i1, beta, sigma, (*w[:alpha], *sorted(rows), *w[i1:]))
 
 
 def os_covers(w: Permutation, endpoint: str = "alpha-plus-one") -> list[Permutation]:
@@ -82,12 +70,11 @@ def os_covers(w: Permutation, endpoint: str = "alpha-plus-one") -> list[Permutat
     """
     if endpoint not in ("alpha", "alpha-plus-one"):
         raise ValueError(f"unknown endpoint {endpoint!r}")
-    permcomb.check_perm(w)
+    pcd = primary_column_data(w)
     if w == permcomb.identity(len(w)):
         return []
-    if not is_sorted_perm(w):
-        return [sort_of(w)]
-    pcd = primary_column_data(w)
+    if not pcd.is_sorted:
+        return [pcd.sort]
     stop = pcd.alpha + 1 if endpoint == "alpha-plus-one" else max(pcd.alpha, 1)
     u = w
     for j in range(pcd.i1, stop - 1, -1):

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import diagrams, diffops, families, lascouxbasis, permcomb, pipedreams, sortorder
-from .diagrams import rothe
+from .diagrams import OrthodonticSequence, rothe
 from .permcomb import Permutation, all_perms, format_perm
 from .polyring import Polynomial
+from .sortorder import PrimaryColumnData
 
 
 @dataclass
@@ -96,21 +97,12 @@ def suite_cor_double_schub(nmax: int) -> SuiteResult:
     ))
 
 
-def _sorted_window_sets(w: Permutation):
-    pcd = sortorder.primary_column_data(w)
-    S = frozenset(range(pcd.h - pcd.beta + 1, pcd.h + 1))
-    lam = diagrams.rothe(sortorder.sigma_of(w)).columns
-    lam_sizes = tuple(len(lam[b - 1]) if b - 1 < len(lam) else 0 for b in range(1, pcd.beta + 1))
-    return pcd, S, lam_sizes
-
-
-def sorted_grothendieck(w: Permutation, g: Polynomial) -> Polynomial:
-    """G_{w_sort} from g = G_w: bubble-sort the window alpha+1..i1 of w.
+def sorted_grothendieck(w: Permutation, pcd: PrimaryColumnData, g: Polynomial) -> Polynomial:
+    """G_{w_sort} from g = G_w and w's data pcd: bubble-sort the rows alpha+1..i1 of w.
 
     Each swap at a descent j of u is the recursion's own step
     G_{u s_j} = dbar_j G_u, so a sorted w gives back g.
     """
-    pcd = sortorder.primary_column_data(w)
     u = list(w)
     for top in range(pcd.i1 - 1, pcd.alpha, -1):
         for j in range(pcd.alpha + 1, top + 1):
@@ -125,33 +117,23 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
 
     def checks(w: Permutation, g: Polynomial) -> tuple[bool, ...]:
         n = len(w)
-        ws = sortorder.sort_of(w)
-        pcd, S, lam = _sorted_window_sets(w)
-        Dw = set(rothe(w).cells())
-        Dws = set(rothe(ws).cells())
-        expected_diff = {
-            (pcd.alpha + a, pcd.h - pcd.beta + b)
-            for b in range(1, pcd.beta + 1)
-            for a in range(1, lam[b - 1] + 1)
-        }
-        seq_w = diagrams.orthodontic_sequence(rothe(w))
-        seq_s = diagrams.orthodontic_sequence(rothe(ws))
-        k_ok = True
-        for j, Kp in enumerate(seq_s.K, 1):
-            # the window columns whose sigma(w) column has j - alpha cells
-            Sa = {pcd.h - pcd.beta + b for b in range(1, pcd.beta + 1)
-                  if lam[b - 1] == j - pcd.alpha}
-            if pcd.alpha > 0 and j == pcd.alpha:
-                expect = (Kp - S) | Sa
-            elif pcd.alpha < j <= pcd.i1:
-                expect = Kp | Sa
-            else:
-                expect = Kp
-            k_ok = k_ok and seq_w.K[j - 1] == frozenset(expect)
+        pcd = sortorder.primary_column_data(w)
+        # window column -> the size of the matching column of D(sigma(w))
+        sizes = dict(zip(sorted(pcd.window), map(len, rothe(pcd.sigma).columns)))
+        D, Ds = rothe(w), rothe(pcd.sort)
+        Dw, Dws = set(D.cells()), set(Ds.cells())
+        expected_diff = {(pcd.alpha + a, c) for c, k in sizes.items() for a in range(1, k + 1)}
+        seq_w = diagrams.orthodontic_sequence(D)
+        seq_s = diagrams.orthodontic_sequence(Ds)
+        # K_j of w is K_j of w_sort plus the window columns whose sigma(w) column has
+        # j - alpha cells (none past i1: D(sigma) has beta - 1 rows), less S if j = alpha
+        k_ok = all(K == (Kp - pcd.window if j == pcd.alpha else Kp)
+                   | {c for c, size in sizes.items() if size == j - pcd.alpha}
+                   for j, (K, Kp) in enumerate(zip(seq_w.K, seq_s.K), 1))
         # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
         # holds exactly when prod divides G_w with quotient G_{w_sort}.  With
         # no crossed cell prod is 1, and the product is G_{w_sort} itself.
-        factored = sorted_grothendieck(w, g)
+        factored = sorted_grothendieck(w, pcd, g)
         if Dw - Dws:
             prod = Polynomial.one(n, n)
             for a, b in sorted(Dw - Dws):
@@ -170,10 +152,9 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
     ))
 
 
-def sorted_structure_parts(w: Permutation) -> list[str]:
-    """Structural claims about the orthodontic sequence of a sorted w."""
-    pcd, S, _ = _sorted_window_sets(w)
-    seq = diagrams.orthodontic_sequence(rothe(w))
+def sorted_structure_parts(w: Permutation, pcd: PrimaryColumnData,
+                           seq: OrthodonticSequence) -> list[str]:
+    """Structural claims about the orthodontic sequence seq of a sorted w with data pcd."""
     bad = []
     if len(seq.i) < pcd.beta:
         return [f"fewer than beta={pcd.beta} orthodontic steps at w={format_perm(w)}"]
@@ -182,7 +163,7 @@ def sorted_structure_parts(w: Permutation) -> list[str]:
             bad.append(f"part 1 fails at w={format_perm(w)}, k={k}")
         if seq.j[k - 1] != pcd.h - pcd.beta + k:
             bad.append(f"part 2 fails at w={format_perm(w)}, k={k}")
-    if pcd.alpha > 0 and not S <= seq.K[pcd.alpha - 1]:
+    if pcd.alpha > 0 and not pcd.window <= seq.K[pcd.alpha - 1]:
         bad.append(f"part 3 fails at w={format_perm(w)}")
     for k in range(pcd.alpha + 1, pcd.i1 + 1):
         if seq.K[k - 1]:
@@ -193,13 +174,12 @@ def sorted_structure_parts(w: Permutation) -> list[str]:
     return bad
 
 
-def sorted_cover_check(w: Permutation, endpoint: str) -> bool:
-    """Does w' = w s_{i1} ... s_(endpoint) carry the predicted sequence?"""
-    pcd, S, _ = _sorted_window_sets(w)
-    seq = diagrams.orthodontic_sequence(rothe(w))
+def sorted_cover_check(w: Permutation, pcd: PrimaryColumnData, seq: OrthodonticSequence,
+                       endpoint: str) -> bool:
+    """Does w' = w s_{i1} ... s_(endpoint) carry the sequence predicted from seq?"""
     (wprime,) = sortorder.os_covers(w, endpoint=endpoint)
     seq2 = diagrams.orthodontic_sequence(rothe(wprime))
-    b = pcd.beta
+    b, S = pcd.beta, pcd.window
     if (seq2.i, seq2.j, seq2.M) != (seq.i[b:], seq.j[b:], seq.M[b:]):
         return False
     expect = list(seq.K)  # S moves from K_alpha to K_{alpha+1}, joined by M_beta
@@ -209,19 +189,25 @@ def sorted_cover_check(w: Permutation, endpoint: str) -> bool:
     return list(seq2.K) == expect
 
 
+def _thm_os2(nmax: int, endpoints: tuple[str, ...]) -> dict[str, SuiteResult]:
+    """suite_thm_os2(nmax, e) per endpoint e; parts (1)-(5) are read once per sorted w."""
+    results = {e: SuiteResult("thm-os2") for e in endpoints}
+    for w in _perms(nmax):
+        pcd = sortorder.primary_column_data(w)
+        if w == permcomb.identity(len(w)) or not pcd.is_sorted:
+            continue
+        seq = diagrams.orthodontic_sequence(rothe(w))
+        bad = sorted_structure_parts(w, pcd, seq)
+        for e, res in results.items():
+            res.check(not bad, "; ".join(bad), w)
+            res.check(sorted_cover_check(w, pcd, seq, e),
+                      f"part 6 ({e}) fails at w={format_perm(w)}", w)
+    return results
+
+
 def suite_thm_os2(nmax: int, endpoint: str = "alpha-plus-one") -> SuiteResult:
     """Sorted-case structure, parts (1)-(6), for sorted nonidentity w."""
-    res = SuiteResult("thm-os2")
-    for w in _perms(nmax):
-        if w == permcomb.identity(len(w)) or not sortorder.is_sorted_perm(w):
-            continue
-        bad = sorted_structure_parts(w)
-        res.check(not bad, "; ".join(bad), w)
-        res.check(
-            sorted_cover_check(w, endpoint),
-            f"part 6 ({endpoint}) fails at w={format_perm(w)}", w,
-        )
-    return res
+    return _thm_os2(nmax, (endpoint,))[endpoint]
 
 
 def random_polynomial(rng: random.Random, n: int, m: int, maxdeg: int = 4, nterms: int = 5) -> Polynomial:
@@ -416,18 +402,20 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
     Records which inner-omega barring makes the orthodontia evaluator
     reproduce the recursion (the thm11 checks, one G sweep for both), which
     product endpoint makes the sorted-case sequence transformation hold
-    (``suite_thm_os2`` once per endpoint), and the observed lowest-degree
-    relation between the two evaluators.  A section with no w to check is a
-    ValueError, raised before any polynomial is built.
+    (the thm-os2 checks, one pass for both), and the observed lowest-degree
+    relation between the two evaluators.  An nmax_omega past the pipe-dream
+    walk, or a section with no w to check, is a ValueError, raised before
+    any polynomial is built.
     """
-    # thm-os2 builds no polynomial, so it runs first; thm11 builds one for every
+    checks = _thm11_checks(nmax_omega, (True, False))  # refuses nmax_omega > MAX_N first
+    # thm-os2 builds no polynomial, so it runs next; thm11 builds one for every
     # w it sweeps, so its section is empty exactly when _perms yields no w
-    endpoint = {e: suite_thm_os2(nmax_endpoint, e) for e in ("alpha-plus-one", "alpha")}
+    endpoint = _thm_os2(nmax_endpoint, ("alpha-plus-one", "alpha"))
     for section, nmax, empty in (("omega", nmax_omega, next(_perms(nmax_omega), None) is None),
                                  ("endpoint", nmax_endpoint, endpoint["alpha"].checked == 0)):
         if empty:
             raise ValueError(f"the {section} section checks nothing at nmax_{section}={nmax}")
-    both = _sweep(nmax_omega, _thm11_checks(nmax_omega, (True, False)))
+    both = _sweep(nmax_omega, checks)
     sections = {  # heading: (result, subject, what holds, failure verb) per reading
         "Inner omega factors: barred vs unbarred": [
             (_result("thm11", {w: (oks[0], oks[b]) for w, oks in both.items()}, _THM11),

@@ -406,10 +406,19 @@ def test_subcommands_make_no_reference_cycles(argv):
     assert gc.collect() == 0
 
 
-def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner):
+def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner, monkeypatch):
     r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", str(pipedreams.MAX_N + 1)])
     assert r.exit_code == 2
     assert f"got {pipedreams.MAX_N + 1}" in r.output
+    # the omega bound is refused before the endpoint sweep reads any permutation
+    read = []
+    pcd = sortorder.primary_column_data
+    monkeypatch.setattr(sortorder, "primary_column_data", lambda w: read.append(w) or pcd(w))
+    r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", str(pipedreams.MAX_N + 1),
+                             "--nmax-endpoint", str(pipedreams.MAX_N + 1)])
+    assert r.exit_code == 2
+    assert f"got {pipedreams.MAX_N + 1}" in r.output
+    assert read == []
 
 
 def test_scan_command(runner):

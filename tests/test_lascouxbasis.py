@@ -57,11 +57,12 @@ def test_expansion_json_shape():
 
 def test_graded_positive_sign_rule():
     # alternating signs relative to baseline are "positive"
-    good = LascouxExpansion(2, {(1, 0): 2, (1, 1): -1, (2, 1): 3}, 1)
+    good = LascouxExpansion(2, {(1, 0): 2, (1, 1): -1, (2, 1): 3})
+    assert good.baseline_degree == 1
     assert graded_positive(good)
     # one coefficient of the wrong sign is a violation, whichever it is
     for alpha in good.coeffs:
-        bad = LascouxExpansion(2, {**good.coeffs, alpha: -good.coeffs[alpha]}, 1)
+        bad = LascouxExpansion(2, {**good.coeffs, alpha: -good.coeffs[alpha]})
         assert not graded_positive(bad), alpha
 
 

@@ -1,8 +1,10 @@
 """Smoke tests for the named verification suites at small sizes."""
 
+from collections import Counter
+
 import pytest
 
-from orthodontia import families, sortorder, suites
+from orthodontia import diagrams, families, permcomb, sortorder, suites
 from orthodontia.permcomb import format_perm
 
 
@@ -38,10 +40,11 @@ def test_prop_os1_derives_the_sorted_grothendieck_from_g_w(n):
     # unsorted w, and a sorted w (no step) meets the query of itself if one was made
     queried = {}
     for w, g in families.double_grothendieck_sweep(n):
-        ws = sortorder.sort_of(w)
+        pcd = sortorder.primary_column_data(w)
+        ws = pcd.sort
         if ws not in queried:
             queried[ws] = g if ws == w else families.double_grothendieck(ws)
-        assert suites.sorted_grothendieck(w, g) == queried[ws], format_perm(w)
+        assert suites.sorted_grothendieck(w, pcd, g) == queried[ws], format_perm(w)
 
 
 def test_perms_sweeps_s2_to_nmax():
@@ -60,6 +63,29 @@ def test_ambiguity_report_sweeps_each_s_n_once(monkeypatch):
     monkeypatch.setattr(families, "double_grothendieck_sweep", counted)
     suites.ambiguity_report(4, 4)
     assert swept == [2, 3, 4]
+
+
+def test_ambiguity_report_reads_each_sorted_sequence_once(monkeypatch):
+    # the endpoint section reads the orthodontic sequence of each sorted nonidentity w once,
+    # for parts (1)-(6) under both endpoints, and that of its cover once per endpoint; the
+    # other sections reach the sequence through families, not through this name
+    read = Counter()
+    sequence = diagrams.orthodontic_sequence
+
+    def counted(D):
+        read[D] += 1
+        return sequence(D)
+
+    monkeypatch.setattr(diagrams, "orthodontic_sequence", counted)
+    suites.ambiguity_report(2, 5)
+    want = Counter()
+    for w in suites._perms(5):
+        if w != permcomb.identity(len(w)) and sortorder.primary_column_data(w).is_sorted:
+            want[diagrams.rothe(w)] += 1
+            for endpoint in ("alpha-plus-one", "alpha"):
+                (cover,) = sortorder.os_covers(w, endpoint)
+                want[diagrams.rothe(cover)] += 1
+    assert read == want
 
 
 def test_ambiguity_report_contents():
