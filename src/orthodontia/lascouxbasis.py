@@ -84,8 +84,8 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
 
 def graded_positive(e: LascouxExpansion) -> bool:
     """Does sign(c_alpha) = (-1)^(|alpha| - d0) hold for every coefficient?"""
-    return all((c > 0) == ((sum(alpha) - e.baseline_degree) % 2 == 0)
-               for alpha, c in e.coeffs.items())
+    d0 = e.baseline_degree  # a scan over the support: read it once
+    return all((c > 0) == ((sum(alpha) - d0) % 2 == 0) for alpha, c in e.coeffs.items())
 
 
 # (alpha, i) -> expansion of phi_i(L_alpha)
