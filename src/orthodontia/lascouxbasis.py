@@ -22,6 +22,7 @@ commands that fill the memos, ``scan`` and ``check``, start both empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from . import diagrams, families, permcomb
@@ -40,7 +41,7 @@ class LascouxExpansion:
     n: int
     coeffs: dict[Composition, int]
 
-    @property
+    @cached_property  # on first read; callers that edit coeffs build a new expansion
     def baseline_degree(self) -> int:
         """d0: the least |alpha| in the support, 0 when it is empty.  L_alpha's lowest part
         is kappa_alpha, of degree |alpha|, and the kappas are a basis, so d0 = min deg f."""
@@ -84,8 +85,8 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
 
 def graded_positive(e: LascouxExpansion) -> bool:
     """Does sign(c_alpha) = (-1)^(|alpha| - d0) hold for every coefficient?"""
-    d0 = e.baseline_degree  # a scan over the support: read it once
-    return all((c > 0) == ((sum(alpha) - d0) % 2 == 0) for alpha, c in e.coeffs.items())
+    return all((c > 0) == ((sum(alpha) - e.baseline_degree) % 2 == 0)
+               for alpha, c in e.coeffs.items())
 
 
 # (alpha, i) -> expansion of phi_i(L_alpha)
