@@ -45,16 +45,15 @@ def primary_column_data(w: Permutation) -> PrimaryColumnData:
     permcomb.check_perm(w)
     n = len(w)
     D = diagrams.rothe(w)
-    h = next((j for j, col in enumerate(D.columns)
-              if col != frozenset(range(1, len(col) + 1))), None)
-    if h is None:
-        h, C, alpha, i1 = n, frozenset(), 0, n
+    for h, C in enumerate(D.columns):
+        if C != frozenset(range(1, len(C) + 1)):
+            alpha = 0
+            while alpha + 1 in C:
+                alpha += 1
+            i1 = diagrams.smallest_missing_tooth(C)
+            break
     else:
-        C = D.columns[h]
-        alpha = 0
-        while alpha + 1 in C:
-            alpha += 1
-        i1 = diagrams.smallest_missing_tooth(C)
+        h, C, alpha, i1 = n, frozenset(), 0, n
     beta, rows = i1 - alpha, w[alpha:i1]
     sigma = permcomb.check_perm(tuple(v - (h - beta) for v in rows))
     return PrimaryColumnData(h, C, alpha, i1, beta, sigma, (*w[:alpha], *sorted(rows), *w[i1:]))

@@ -158,10 +158,10 @@ def sorted_structure_parts(w: Permutation, pcd: PrimaryColumnData,
     bad = []
     if len(seq.i) < pcd.beta:
         return [f"fewer than beta={pcd.beta} orthodontic steps at w={format_perm(w)}"]
-    for k in range(1, pcd.beta + 1):
+    for k, column in enumerate(sorted(pcd.window), 1):
         if seq.i[k - 1] != pcd.i1 - k + 1:
             bad.append(f"part 1 fails at w={format_perm(w)}, k={k}")
-        if seq.j[k - 1] != pcd.h - pcd.beta + k:
+        if seq.j[k - 1] != column:
             bad.append(f"part 2 fails at w={format_perm(w)}, k={k}")
     if pcd.alpha > 0 and not pcd.window <= seq.K[pcd.alpha - 1]:
         bad.append(f"part 3 fails at w={format_perm(w)}")
