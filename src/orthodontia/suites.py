@@ -126,7 +126,7 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
         seq_w = diagrams.orthodontic_sequence(D)
         seq_s = diagrams.orthodontic_sequence(Ds)
         # K_j of w is K_j of w_sort plus the window columns whose sigma(w) column has
-        # j - alpha cells (none past i1: D(sigma) has beta - 1 rows), less S if j = alpha
+        # j - alpha cells (none past i1: D(sigma) has beta - 1 rows), less the window at alpha
         k_ok = all(K == (Kp - pcd.window if j == pcd.alpha else Kp)
                    | {c for c, size in sizes.items() if size == j - pcd.alpha}
                    for j, (K, Kp) in enumerate(zip(seq_w.K, seq_s.K), 1))
