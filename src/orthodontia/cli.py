@@ -200,7 +200,7 @@ def cmd_sortorder(perm, os_endpoint):
     )
     click.echo(f"sigma(w) = {permcomb.format_perm(pcd.sigma)}")
     click.echo(f"w_sort = {permcomb.format_perm(pcd.sort)}")
-    preds = sortorder.os_covers(perm, endpoint=os_endpoint)
+    preds = sortorder.os_covers(perm, pcd, endpoint=os_endpoint)
     click.echo("predecessors: " + (", ".join(permcomb.format_perm(p) for p in preds) or "(none)"))
 
 

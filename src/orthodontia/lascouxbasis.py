@@ -1,9 +1,12 @@
 """Expansion in the Lascoux basis and the positivity check pipelines.
 
-The expander peels off the lex-minimal monomial of the lowest-degree part
-of the remainder, and subtracts its multiple of L_beta from a mutable
-``Remainder`` in place.  Termination rests on the triangularity of the
-basis, which the test suite verifies as a premise rather than assuming.
+An expansion sum c_alpha L_alpha is a plain dict alpha -> c_alpha, and
+``scan_record`` alone turns one into a record: the sorted coefficient list,
+d0 and the graded-positivity verdict.  The expander peels off the
+lex-minimal monomial of the lowest-degree part of the remainder, and
+subtracts its multiple of L_beta from a mutable ``Remainder`` in place.
+Termination rests on the triangularity of the basis, which the test suite
+verifies as a premise rather than assuming.
 
 ``theorem12_check`` never builds a polynomial of its own.  By Lemma 4's
 intertwinings, flip(script_S(D)|_{y -> -1}, ncols) is the orthodontic word of
@@ -21,58 +24,29 @@ commands that fill the memos, ``scan`` and ``check``, start both empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 
 from . import diagrams, families, permcomb
 from .diagrams import Diagram
 from .diffops import phi
 from .permcomb import Composition
-from .polyring import Polynomial, Remainder
+from .polyring import EXP_LIMIT, ExponentRangeError, Polynomial, Remainder
 
 
 class ExpansionError(RuntimeError):
     pass
 
 
-@dataclass
-class LascouxExpansion:
-    n: int
-    coeffs: dict[Composition, int]
-
-    @cached_property  # on first read; callers that edit coeffs build a new expansion
-    def baseline_degree(self) -> int:
-        """d0: the least |alpha| in the support, 0 when it is empty.  L_alpha's lowest part
-        is kappa_alpha, of degree |alpha|, and the kappas are a basis, so d0 = min deg f."""
-        return min(map(sum, self.coeffs), default=0)
-
-    def reconstruct(self) -> Polynomial:
-        out = Polynomial.zero(self.n, 0)
-        for alpha, c in self.coeffs.items():
-            out = out + families.lascoux(alpha).scale(c)
-        return out
-
-    def sorted_items(self) -> list[tuple[Composition, int]]:
-        return sorted(self.coeffs.items())
-
-    def to_json_list(self) -> list[dict]:
-        return [{"alpha": list(a), "c": c} for a, c in self.sorted_items()]
-
-
-def lascoux_expand(f: Polynomial) -> LascouxExpansion:
-    """Unique coefficients c_alpha with sum c_alpha L_alpha = f."""
+def lascoux_expand(f: Polynomial) -> dict[Composition, int]:
+    """The unique coefficients alpha -> c_alpha with sum c_alpha L_alpha = f."""
     if f.m != 0:
         raise ValueError("lascoux_expand requires a polynomial without y variables")
-    n = f.n
-    if not f:
-        return LascouxExpansion(n, {})
-    cap = (f.max_exponent() + 1) ** n
+    cap = (f.max_exponent() + 1) ** f.n
     coeffs: dict[Composition, int] = {}
     r = Remainder(f)
     for _ in range(cap + 1):
         if not r:
-            return LascouxExpansion(n, coeffs)
+            return coeffs
         (beta, _), c = r.lowest()
         coeffs[beta] = coeffs.get(beta, 0) + c
         if coeffs[beta] == 0:
@@ -83,17 +57,27 @@ def lascoux_expand(f: Polynomial) -> LascouxExpansion:
     )
 
 
-def graded_positive(e: LascouxExpansion) -> bool:
-    """Does sign(c_alpha) = (-1)^(|alpha| - d0) hold for every coefficient?"""
-    return all((c > 0) == ((sum(alpha) - e.baseline_degree) % 2 == 0)
-               for alpha, c in e.coeffs.items())
+def reconstruct(n: int, coeffs: dict[Composition, int]) -> Polynomial:
+    """sum c_alpha L_alpha in n x-variables."""
+    return sum((families.lascoux(alpha).scale(c) for alpha, c in coeffs.items()), Polynomial.zero(n))
+
+
+def baseline_degree(coeffs: dict[Composition, int]) -> int:
+    """d0: the least |alpha| in the support, 0 when it is empty.  L_alpha's lowest part
+    is kappa_alpha, of degree |alpha|, and the kappas are a basis, so d0 = min deg f."""
+    return min(map(sum, coeffs), default=0)
+
+
+def graded_positive(coeffs: dict[Composition, int]) -> bool:
+    """The verdict of scan_record: does sign(c_alpha) = (-1)^(|alpha| - d0) hold for every c_alpha?"""
+    return scan_record({}, coeffs)["verdict"] == "positive"
 
 
 # (alpha, i) -> expansion of phi_i(L_alpha)
-_phi: dict[tuple[Composition, int], LascouxExpansion] = {}
+_phi: dict[tuple[Composition, int], dict[Composition, int]] = {}
 
 
-def _phi_expansion(alpha: Composition, i: int) -> LascouxExpansion:
+def _phi_expansion(alpha: Composition, i: int) -> dict[Composition, int]:
     """The expansion of phi_i(L_alpha), memoized in `_phi`; callers must not edit it."""
     e = _phi.get((alpha, i))
     if e is None:
@@ -119,15 +103,15 @@ def _times_phi(coeffs: dict[Composition, int], i: int, times: int) -> dict[Compo
     """The expansion of phi_i^times applied to sum c_alpha L_alpha."""
     for _ in range(times):
         coeffs = _accumulate((beta, c * b) for alpha, c in coeffs.items()
-                             for beta, b in _phi_expansion(alpha, i).coeffs.items())
+                             for beta, b in _phi_expansion(alpha, i).items())
     return coeffs
 
 
 # (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S(D)|_{y -> -1}, ncols)
-_theorem12: dict[tuple, LascouxExpansion] = {}
+_theorem12: dict[tuple, dict[Composition, int]] = {}
 
 
-def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpansion:
+def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composition, int]:
     """Expand flip(script_S(D)|_{y -> -1}, ncols); Theorem 12 says it is graded positive.
 
     The expansion is built in the Lascoux basis and memoized (see the
@@ -139,8 +123,8 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpans
     seq = diagrams.orthodontic_sequence(D)
     n, M, K = D.nrows, tuple(map(len, seq.M)), tuple(map(len, seq.K))
     key = (n, D.ncols, seq.i, M, K)
-    e = _theorem12.get(key)
-    if e is None:
+    coeffs = _theorem12.get(key)
+    if coeffs is None:
         # the order of families._evaluate_diagram: steps l..1, then the outer omegas
         coeffs = {(0,) * n: 1}
         for i, size in zip(reversed(seq.i), reversed(M)):
@@ -149,21 +133,22 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> LascouxExpans
         for a, size in enumerate(K, 1):
             coeffs = _times_phi(coeffs, n - a, size)
         empty = D.ncols - sum(M) - sum(K)
-        coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
-        e = _theorem12[key] = LascouxExpansion(n, coeffs)
-    return LascouxExpansion(e.n, dict(e.coeffs))
+        coeffs = _theorem12[key] = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
+    return dict(coeffs)
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
 
 
-def scan_record(item: dict, e: LascouxExpansion) -> dict:
-    """The JSON record of one scanned item: its expansion and graded-positivity verdict."""
+def scan_record(item: dict, coeffs: dict[Composition, int]) -> dict:
+    """The JSON record of one scanned item: its sorted expansion, d0 and graded-positivity verdict."""
+    d0 = baseline_degree(coeffs)
+    positive = all((c > 0) == ((sum(alpha) - d0) % 2 == 0) for alpha, c in coeffs.items())
     return {
         "item": item,
-        "verdict": "positive" if graded_positive(e) else "violation",
-        "expansion": e.to_json_list(),
-        "d0": e.baseline_degree,
+        "verdict": "positive" if positive else "violation",
+        "expansion": [{"alpha": list(a), "c": c} for a, c in sorted(coeffs.items())],
+        "d0": d0,
     }
 
 
@@ -173,6 +158,8 @@ def conj15_item(args: tuple[Composition, int]) -> dict:
 
 
 def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
+    if maxentry >= EXP_LIMIT:  # refused before (maxentry + 1)^n * n items are built
+        raise ExponentRangeError(f"max entry {maxentry} outside [0, {EXP_LIMIT})")
     return [
         (alpha, i)
         for alpha in product(range(maxentry + 1), repeat=n)

@@ -59,8 +59,9 @@ def primary_column_data(w: Permutation) -> PrimaryColumnData:
     return PrimaryColumnData(h, C, alpha, i1, beta, sigma, (*w[:alpha], *sorted(rows), *w[i1:]))
 
 
-def os_covers(w: Permutation, endpoint: str = "alpha-plus-one") -> list[Permutation]:
-    """Immediate predecessors of w in the orthodontic sort order.
+def os_covers(w: Permutation, pcd: PrimaryColumnData,
+              endpoint: str = "alpha-plus-one") -> list[Permutation]:
+    """Immediate predecessors of w in the orthodontic sort order; pcd is w's primary column data.
 
     Non-sorted w has the single predecessor w_sort.  Sorted nonidentity w
     has the predecessor w s_{i1} s_{i1-1} ... s_{alpha+1}; the variant
@@ -69,7 +70,6 @@ def os_covers(w: Permutation, endpoint: str = "alpha-plus-one") -> list[Permutat
     """
     if endpoint not in ("alpha", "alpha-plus-one"):
         raise ValueError(f"unknown endpoint {endpoint!r}")
-    pcd = primary_column_data(w)
     if w == permcomb.identity(len(w)):
         return []
     if not pcd.is_sorted:

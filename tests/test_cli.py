@@ -161,6 +161,17 @@ def test_scan_exponent_over_limit_is_a_usage_error(runner, monkeypatch, workers)
     assert f"Error: a product exponent reaches {EXP_LIMIT}" in r.output
 
 
+def test_scan_max_entry_at_the_limit_is_refused_before_any_item_is_built(runner, monkeypatch):
+    # (max_entry + 1)^n * n items would exhaust memory before the first one is refused, so
+    # conj15_items refuses the bound before its product yields an item
+    built = []
+    monkeypatch.setattr(lascouxbasis, "product", lambda *args, **kw: built.append(args) or iter(()))
+    r = runner.invoke(main, ["scan", "conj15", "--n", "2", "--max-entry", "40000"])
+    assert r.exit_code == 2, r.output
+    assert f"Error: max entry 40000 outside [0, {EXP_LIMIT})" in r.output
+    assert built == []
+
+
 @pytest.mark.parametrize("argv, owner, attr", [
     pytest.param(argv, owner, attr, id=argv[0]) for argv, owner, attr in [
         (["poly", "schubert", "--w", "21"], families, "schubert"),

@@ -50,12 +50,13 @@ def test_sort_of_permutes_window_only():
 
 
 def test_os_covers_identity_empty():
-    assert sortorder.os_covers((1, 2, 3)) == []
+    w = (1, 2, 3)
+    assert sortorder.os_covers(w, sortorder.primary_column_data(w)) == []
 
 
 def test_os_covers_unsorted_gives_sort():
     w = (6, 8, 3, 4, 2, 7, 5, 1)
-    assert sortorder.os_covers(w) == [(6, 8, 2, 3, 4, 7, 5, 1)]
+    assert sortorder.os_covers(w, sortorder.primary_column_data(w)) == [(6, 8, 2, 3, 4, 7, 5, 1)]
 
 
 def test_os_covers_sorted_gives_s_product():
@@ -67,12 +68,12 @@ def test_os_covers_sorted_gives_s_product():
     u = w
     for j in range(pcd.i1, pcd.alpha, -1):
         u = permcomb.right_multiply_s(u, j)
-    assert sortorder.os_covers(w) == [u]
+    assert sortorder.os_covers(w, pcd) == [u]
 
 
 def test_os_covers_endpoint_validation():
     with pytest.raises(ValueError):
-        sortorder.os_covers((2, 1), endpoint="gamma")
+        sortorder.os_covers((2, 1), sortorder.primary_column_data((2, 1)), endpoint="gamma")
 
 
 def test_os_order_descends_to_identity():
@@ -83,5 +84,5 @@ def test_os_order_descends_to_identity():
         while u != permcomb.identity(4):
             assert u not in seen
             seen.add(u)
-            (u,) = sortorder.os_covers(u)
+            (u,) = sortorder.os_covers(u, sortorder.primary_column_data(u))
             assert len(seen) <= 100

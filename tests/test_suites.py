@@ -80,12 +80,31 @@ def test_ambiguity_report_reads_each_sorted_sequence_once(monkeypatch):
     suites.ambiguity_report(2, 5)
     want = Counter()
     for w in suites._perms(5):
-        if w != permcomb.identity(len(w)) and sortorder.primary_column_data(w).is_sorted:
+        pcd = sortorder.primary_column_data(w)
+        if w != permcomb.identity(len(w)) and pcd.is_sorted:
             want[diagrams.rothe(w)] += 1
             for endpoint in ("alpha-plus-one", "alpha"):
-                (cover,) = sortorder.os_covers(w, endpoint)
+                (cover,) = sortorder.os_covers(w, pcd, endpoint)
                 want[diagrams.rothe(cover)] += 1
     assert read == want
+
+
+def test_thm_os2_reads_each_primary_column_data_once(monkeypatch):
+    # the cover of a sorted w is read off the data the sweep already holds for w, so
+    # suite_thm_os2 and the report's endpoint section read each w's data once in all
+    read = Counter()
+    data = sortorder.primary_column_data
+
+    def counted(w):
+        read[w] += 1
+        return data(w)
+
+    monkeypatch.setattr(sortorder, "primary_column_data", counted)
+    suites.suite_thm_os2(5)
+    assert read == Counter(suites._perms(5))
+    read.clear()
+    suites.ambiguity_report(2, 5)
+    assert read == Counter(suites._perms(5))
 
 
 def test_ambiguity_report_contents():
