@@ -5,7 +5,7 @@ used by the orthodontia formulas, the omega weight products, and the phi
 multipliers.  Everything is exact: the divided difference is computed
 per-term with the telescoping formula, so no rational functions appear.
 Each operator is f -> d_i(L f) with d_i(L) = 1, so by the Leibniz rule it is
-f + g d_i(f) with g = s_i(L); the kernel forms that in one pass, never L f.
+f + g d_i(f) with g = s_i(L); the kernel forms d_i(f) once, and never L f.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ def divided_difference(f: Polynomial, i: int) -> Polynomial:
     zero if a = b, a telescoping sum of a-b (resp. b-a) monomials otherwise.
     y-exponents ride along untouched.
     """
-    if not 1 <= i <= f.n - 1:
-        raise IndexError(f"d_{i} out of range for n={f.n}")
     return f._divided_difference(i)
 
 

@@ -4,7 +4,9 @@ A polynomial lives in Z[x_1..x_n, y_1..y_m] for a fixed ambient (n, m).
 Terms are stored as a dict mapping packed monomial keys to nonzero integer
 coefficients.  All operations return fresh values; nothing is mutated
 after construction.  The one mutable type is ``Remainder``, the running
-remainder of a basis expansion.
+remainder of a basis expansion.  ``_axpy`` is the one loop that adds a
+polynomial's terms into a term dict: ``*`` calls it once per term of its
+shorter factor; the operators f + g d_i(f) form d_i(f) once and no product.
 
 A packed key is one int.  From the most significant end it holds the total
 degree (unbounded), then one EXP_BITS-wide field per variable: x_1..x_n,
@@ -106,15 +108,35 @@ def _same_ambient(a: _Layout, b: _Layout) -> None:
         raise AmbientMismatch(f"ambient mismatch: ({a.n},{a.m}) vs ({b.n},{b.m})")
 
 
-def _axpy(terms: dict[int, int], g: dict[int, int], c: int) -> None:
-    """terms += c g on packed keys, in place, for c != 0; a cancelled key is deleted."""
+def _axpy(terms: dict[int, int], g: dict[int, int], c: int, shift: int = 0) -> None:
+    """terms += c x^shift g on packed keys, in place, for c != 0; a cancelled key is deleted."""
     get = terms.get
     for k, v in g.items():
+        k += shift
         new = get(k, 0) + c * v
         if new:
             terms[k] = new
         else:
             del terms[k]
+
+
+def _add_product(lay: _Layout, terms: dict[int, int], a: dict[int, int], b: dict[int, int],
+                 what: str) -> "Polynomial":
+    """terms + a b, built in terms with one _axpy per term of the shorter factor.
+
+    A result exponent at EXP_LIMIT raises ExponentRangeError("<what> reaches EXP_LIMIT").
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    for k, c in a.items():
+        _axpy(terms, b, c, k)
+    # No field exceeds its term's degree, so the guard bits need reading
+    # only when the product's top degree reaches the limit.
+    ds = lay.deg_shift
+    top = (max(a, default=0) >> ds) + (max(b, default=0) >> ds)
+    if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
+        raise ExponentRangeError(f"{what} reaches {EXP_LIMIT}")
+    return _from_keys(lay, terms)
 
 
 def _from_keys(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
@@ -201,39 +223,24 @@ class Polynomial:
             return NotImplemented
         return self.n == other.n and self.m == other.m and self.terms == other.terms
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, other: "Polynomial", c: int) -> "Polynomial":
         _same_ambient(self._lay, other._lay)
         terms = dict(self.terms)
-        _axpy(terms, other.terms, 1)
+        _axpy(terms, other.terms, c)
         return _from_keys(self._lay, terms)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "Polynomial":
         return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        _same_ambient(self._lay, other._lay)
-        terms = dict(self.terms)
-        _axpy(terms, other.terms, -1)
-        return _from_keys(self._lay, terms)
+        return self._plus(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _same_ambient(self._lay, other._lay)
-        terms: dict[int, int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                mon = ka + kb
-                new = terms.get(mon, 0) + ca * cb
-                if new:
-                    terms[mon] = new
-                else:
-                    del terms[mon]
-        lay, ds = self._lay, self._lay.deg_shift
-        # No field exceeds its term's degree, so the guard bits need reading
-        # only when the product's top degree reaches the limit.
-        top = (max(self.terms, default=0) >> ds) + (max(other.terms, default=0) >> ds)
-        if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
-            raise ExponentRangeError(f"a product exponent reaches {EXP_LIMIT}")
-        return _from_keys(lay, terms)
+        return _add_product(self._lay, {}, self.terms, other.terms, "a product exponent")
 
     def scale(self, c: int) -> "Polynomial":
         if c == 0:
@@ -241,35 +248,34 @@ class Polynomial:
         return _from_keys(self._lay, {mon: c * k for mon, k in self.terms.items()})
 
     def add_times_divided_difference(self, g: "Polynomial", i: int) -> "Polynomial":
-        """f + g d_i(f), with no intermediate product formed.
+        """f + g d_i(f), with d_i(f) formed once and no other product formed.
 
         Every operator f -> d_i(L f) with d_i(L) = 1 has this form, with
         g = s_i(L), by the Leibniz rule d_i(L f) = d_i(L) f + s_i(L) d_i(f).
         Only an exponent of the result at EXP_LIMIT raises ExponentRangeError.
         """
         _same_ambient(self._lay, g._lay)
-        if not 1 <= i < self.n:
-            raise IndexError(f"d_{i} out of range for n={self.n}")
-        return self._add_divided_difference(dict(self.terms), g.terms, i)
+        out = _add_product(self._lay, dict(self.terms), g.terms,
+                           self._divided_difference(i).terms, "an exponent of the result")
+        # Cancelled terms leave dead slots in out.terms; the recursions
+        # memoize their results, so hand back a compact copy.
+        return _from_keys(self._lay, dict(out.terms))
 
     def _divided_difference(self, i: int) -> "Polynomial":
-        """d_i on packed keys; the caller checks 1 <= i < n."""
-        return self._add_divided_difference({}, {0: 1}, i)
-
-    def _add_divided_difference(self, terms: dict[int, int], g: dict[int, int],
-                                i: int) -> "Polynomial":
-        """terms + g d_i(self) on packed keys, accumulated into terms.
+        """d_i on packed keys.
 
         With lo, hi = min(a, b), max(a, b), a term c x_i^a x_{i+1}^b u of
         self has d_i image the sum of sign(a - b) c x_i^(lo + k) x_{i+1}^(hi - 1 - k) u
         over k < hi - lo, and successive keys of that sum differ by a fixed
-        step.  Each of them, times each term of g, goes straight into terms.
+        step.  No exponent grows, so none can reach EXP_LIMIT.
         """
+        if not 1 <= i < self.n:
+            raise IndexError(f"d_{i} out of range for n={self.n}")
         lay = self._lay
         sa, sb = lay.shifts[i - 1], lay.shifts[i]
         ua, ub = 1 << sa, 1 << sb
         step, one = ua - ub, lay.deg_one
-        gterms = list(g.items())
+        terms: dict[int, int] = {}
         get = terms.get
         for k, c in self.terms.items():
             a = (k >> sa) & _FIELD_MASK
@@ -283,23 +289,13 @@ class Polynomial:
                 count = b - a
                 start = k - ub - one
                 c = -c
-            for gk, gc in gterms:
-                mon, cc = start + gk, c * gc
-                for _ in range(count):
-                    new = get(mon, 0) + cc
-                    if new:
-                        terms[mon] = new
-                    else:
-                        del terms[mon]
-                    mon += step
-        # d_i lowers the degree by one; as in __mul__, no field exceeds its
-        # term's degree, so the guard bits need reading only near the limit.
-        ds = lay.deg_shift
-        top = (max(self.terms, default=0) >> ds) - 1 + (max(g, default=0) >> ds)
-        if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
-            raise ExponentRangeError(f"an exponent of the result reaches {EXP_LIMIT}")
-        # Cancelled terms leave dead slots in terms; the recursions memoize
-        # their results, so hand back a compact copy.
+            for mon in range(start, start + count * step, step):
+                new = get(mon, 0) + c
+                if new:
+                    terms[mon] = new
+                else:
+                    del terms[mon]
+        # as in add_times_divided_difference, hand back a compact copy
         return _from_keys(lay, dict(terms))
 
     # -- degree structure --------------------------------------------------

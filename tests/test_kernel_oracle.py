@@ -14,7 +14,7 @@ from collections import deque
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -76,8 +76,18 @@ def pairs(draw, nmin=1):
     return n, m, draw(term_dicts(n, m)), draw(term_dicts(n, m))
 
 
+ONE_TERM = {((1, 0), (2,)): -2}
+FIVE_TERMS = {((0, 0), (0,)): 1, ((1, 0), (0,)): 3, ((0, 2), (1,)): -1,
+              ((1, 1), (1,)): 2, ((0, 0), (3,)): -4}
+
+
 @EXAMPLES
 @given(pairs())
+# the shorter factor is looped outside, whichever side it is on
+@example((2, 1, ONE_TERM, FIVE_TERMS))
+@example((2, 1, FIVE_TERMS, ONE_TERM))
+# (x1 - y1)(x1 + y1): the cross terms cancel
+@example((1, 1, {((1,), (0,)): 1, ((0,), (1,)): -1}, {((1,), (0,)): 1, ((0,), (1,)): 1}))
 def test_ring_operations_match_sympy(case):
     n, m, a, b = case
     f, g = Polynomial(n, m, a), Polynomial(n, m, b)
@@ -136,6 +146,20 @@ UNFUSED = {
     "pi_double": lambda a, b, y: a + y,
     "pi_double_neg1": lambda a, b, y: a - 1,
 }
+# every operator, d_i itself (L = 1) included, for the fixed cases below
+OPERATORS = {**UNFUSED, "divided_difference": lambda a, b, y: 1,
+             "isobaric": lambda a, b, y: 1 - b,
+             "pibar_double": lambda a, b, y: (1 - b) * (a + y - a * y)}
+DOUBLED = {"pi_double", "pibar_double"}
+
+
+def operator_matches_sympy(op, n, m, a, i, j):
+    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
+    xs, ys = gens(n, m)
+    expect = sympy_d(OPERATORS[op](xs[i - 1], xs[i], ys[j - 1] if j else None) * sf, i, n)
+    fn = getattr(neg1 if op == "pi_double_neg1" else diffops, op)
+    got = fn(f, i, j) if op in DOUBLED else fn(f, i)
+    return kernel_dict(got) == expected_dict(expect, n, m)
 
 
 @pytest.mark.parametrize("op", sorted(UNFUSED))
@@ -143,23 +167,31 @@ UNFUSED = {
 @given(pairs(nmin=2), st.data())
 def test_fused_operators_match_sympy(op, case, data):
     n, m, a, _ = case
-    doubled = op == "pi_double"
+    doubled = op in DOUBLED
     if doubled and m == 0:
         m, a = 1, {(xe, (0,)): c for (xe, _), c in a.items()}
     i = data.draw(st.integers(1, n - 1))
     j = data.draw(st.integers(1, m)) if doubled else 0
-    f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
-    xs, ys = gens(n, m)
-    expect = sympy_d(UNFUSED[op](xs[i - 1], xs[i], ys[j - 1] if j else None) * sf, i, n)
-    fn = getattr(neg1 if op == "pi_double_neg1" else diffops, op)
-    got = fn(f, i, j) if doubled else fn(f, i)
-    assert kernel_dict(got) == expected_dict(expect, n, m)
+    assert operator_matches_sympy(op, n, m, a, i, j)
+
+
+# f symmetric in x_1, x_2, so d_1(f) = 0 and every operator returns f
+SYMMETRIC = {((1, 1), (0,)): 2, ((1, 0), (1,)): -1, ((0, 1), (1,)): -1, ((0, 0), (2,)): 5}
+
+
+@pytest.mark.parametrize("op, n, m, a", [
+    # dbar_1(x_1) = x_1 + (1 - x_1) = 1: g d_1(f) cancels the one term of f
+    ("isobaric", 2, 0, {((1, 0), ()): 1}),
+    *[(op, 2, 1, SYMMETRIC) for op in sorted(OPERATORS)],
+])
+def test_operators_match_sympy_where_terms_cancel(op, n, m, a):
+    assert operator_matches_sympy(op, n, m, a, 1, 1 if op in DOUBLED else 0)
 
 
 def test_fused_output_at_the_limit_is_rejected():
     # y_1^(EXP_LIMIT - 1) survives d_1 and meets the y_1 of g in the output
     f = Polynomial(2, 1, {((1, 0), (EXP_LIMIT - 1,)): 1})
-    with pytest.raises(ExponentRangeError):
+    with pytest.raises(ExponentRangeError, match=f"an exponent of the result reaches {EXP_LIMIT}"):
         diffops.pibar_double(f, 1, 1)
     # the same exponent in x_2 stays below the limit: x_2 of g meets d_1 of x_2^e
     top = Polynomial(2, 0, {((0, EXP_LIMIT - 1), ()): 1})

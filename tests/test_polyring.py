@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orthodontia import diffops
 from orthodontia.polyring import (
     EXP_LIMIT, AmbientMismatch, ExponentRangeError, Polynomial, Remainder,
 )
@@ -113,6 +114,18 @@ def test_remainder_subtract_and_lowest(f, g, c):
     if expected:
         assert r.lowest() == next(expected.canonical_terms())
     assert f.terms == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_no_operand_is_mutated(f, g):
+    # the kernel adds into term dicts in place; only the result's own dict may change
+    before = [list(p.terms.items()) for p in (f, g)]
+    f * g, f * f, f + g, f - f, f.add_times_divided_difference(g, 1)
+    for op in (diffops.isobaric, diffops.demazure, diffops.demazure_lascoux):
+        op(f, 1)
+    diffops.pi_double(f, 1, 1), diffops.pibar_double(f, 1, 1)
+    assert [list(p.terms.items()) for p in (f, g)] == before
 
 
 def test_substitute_y():
