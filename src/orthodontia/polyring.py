@@ -3,10 +3,11 @@
 A polynomial lives in Z[x_1..x_n, y_1..y_m] for a fixed ambient (n, m).
 Terms are stored as a dict mapping packed monomial keys to nonzero integer
 coefficients.  All operations return fresh values; nothing is mutated
-after construction.  The one mutable type is ``Remainder``, the running
-remainder of a basis expansion.  ``_axpy`` is the one loop that adds a
-polynomial's terms into a term dict: ``*`` calls it once per term of its
-shorter factor; the operators f + g d_i(f) form d_i(f) once and no product.
+after construction.  The one mutable type is ``Remainder``, the kernel's
+accumulator: a basis expansion peels it, the pipe-dream walk adds into it.
+``_axpy`` is the one loop that adds a polynomial's terms into a term dict:
+``*`` and ``Remainder.add_product`` call it once per term of the shorter
+factor; the operators f + g d_i(f) form d_i(f) once and no product.
 
 A packed key is one int.  From the most significant end it holds the total
 degree (unbounded), then one EXP_BITS-wide field per variable: x_1..x_n,
@@ -121,8 +122,8 @@ def _axpy(terms: dict[int, int], g: dict[int, int], c: int, shift: int = 0) -> N
 
 
 def _add_product(lay: _Layout, terms: dict[int, int], a: dict[int, int], b: dict[int, int],
-                 what: str) -> "Polynomial":
-    """terms + a b, built in terms with one _axpy per term of the shorter factor.
+                 what: str) -> dict[int, int]:
+    """terms += a b, in place, with one _axpy per term of the shorter factor; returns terms.
 
     A result exponent at EXP_LIMIT raises ExponentRangeError("<what> reaches EXP_LIMIT").
     """
@@ -136,7 +137,7 @@ def _add_product(lay: _Layout, terms: dict[int, int], a: dict[int, int], b: dict
     top = (max(a, default=0) >> ds) + (max(b, default=0) >> ds)
     if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
         raise ExponentRangeError(f"{what} reaches {EXP_LIMIT}")
-    return _from_keys(lay, terms)
+    return terms
 
 
 def _from_keys(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
@@ -147,11 +148,11 @@ def _from_keys(lay: _Layout, terms: dict[int, int]) -> "Polynomial":
 
 
 class Remainder:
-    """A mutable copy of a polynomial, peeled term by term in place."""
+    """The kernel's one accumulator: a mutable copy of a polynomial or of a remainder."""
 
     __slots__ = ("_lay", "terms")
 
-    def __init__(self, f: "Polynomial"):
+    def __init__(self, f: "Polynomial | Remainder"):
         self._lay, self.terms = f._lay, dict(f.terms)
 
     def __bool__(self) -> bool:
@@ -164,11 +165,21 @@ class Remainder:
         k = min(self.terms)
         return _decode(self._lay, k), self.terms[k]
 
-    def subtract(self, g: "Polynomial", c: int) -> None:
+    def subtract(self, g: "Polynomial | Remainder", c: int) -> None:
         """Replace the remainder r by r - c g."""
         _same_ambient(self._lay, g._lay)
         if c:  # c = 0 leaves r as it is; _axpy needs c != 0
             _axpy(self.terms, g.terms, -c)
+
+    def add_product(self, f: "Polynomial | Remainder", g: "Polynomial | Remainder") -> None:
+        """Replace r by r + f g; an exponent at EXP_LIMIT raises as ``*`` does and spoils r."""
+        _same_ambient(self._lay, f._lay)
+        _same_ambient(self._lay, g._lay)
+        _add_product(self._lay, self.terms, f.terms, g.terms, "a product exponent")
+
+    def polynomial(self) -> "Polynomial":
+        """The remainder as a polynomial over the same dict, not a copy; r is not used after."""
+        return _from_keys(self._lay, self.terms)
 
 
 class Polynomial:
@@ -240,7 +251,8 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _same_ambient(self._lay, other._lay)
-        return _add_product(self._lay, {}, self.terms, other.terms, "a product exponent")
+        return _from_keys(self._lay, _add_product(self._lay, {}, self.terms, other.terms,
+                                                  "a product exponent"))
 
     def scale(self, c: int) -> "Polynomial":
         if c == 0:
@@ -257,9 +269,9 @@ class Polynomial:
         _same_ambient(self._lay, g._lay)
         out = _add_product(self._lay, dict(self.terms), g.terms,
                            self._divided_difference(i).terms, "an exponent of the result")
-        # Cancelled terms leave dead slots in out.terms; the recursions
+        # Cancelled terms leave dead slots in out; the recursions
         # memoize their results, so hand back a compact copy.
-        return _from_keys(self._lay, dict(out.terms))
+        return _from_keys(self._lay, dict(out))
 
     def _divided_difference(self, i: int) -> "Polynomial":
         """d_i on packed keys.

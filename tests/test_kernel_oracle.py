@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from orthodontia import diffops, families  # noqa: E402
-from orthodontia.polyring import EXP_LIMIT, ExponentRangeError, Polynomial  # noqa: E402
+from orthodontia.polyring import EXP_LIMIT, ExponentRangeError, Polynomial, Remainder  # noqa: E402
 
 import neg1  # noqa: E402
 
@@ -97,6 +97,41 @@ def test_ring_operations_match_sympy(case):
     assert kernel_dict(f - g) == expected_dict(sf - sg, n, m)
     assert kernel_dict(f.scale(-3)) == expected_dict(-3 * sf, n, m)
     assert kernel_dict(f.scale(0)) == {}
+
+
+@EXAMPLES
+@given(pairs(), st.data())
+def test_remainder_add_product_matches_sympy(case, data):
+    n, m, a, b = case
+    held = data.draw(term_dicts(n, m))  # what the accumulator holds before the product
+    r = Remainder(Polynomial(n, m, held))
+    r.add_product(Polynomial(n, m, a), Polynomial(n, m, b))
+    expect = to_sympy(held, n, m) + to_sympy(a, n, m) * to_sympy(b, n, m)
+    assert kernel_dict(r.polynomial()) == expected_dict(expect, n, m)
+
+
+def test_remainder_add_product_where_terms_cancel():
+    # -x1^2 + (x1 - y1)(x1 + y1): the cross terms cancel in the product, x1^2 in the sum
+    held = {((2,), (0,)): -1}
+    a, b = {((1,), (0,)): 1, ((0,), (1,)): -1}, {((1,), (0,)): 1, ((0,), (1,)): 1}
+    r = Remainder(Polynomial(1, 1, held))
+    r.add_product(Polynomial(1, 1, a), Polynomial(1, 1, b))
+    expect = to_sympy(held, 1, 1) + to_sympy(a, 1, 1) * to_sympy(b, 1, 1)
+    assert kernel_dict(r.polynomial()) == expected_dict(expect, 1, 1) == {(0, 2): -1}
+
+
+@pytest.mark.parametrize("shorter_first", [True, False])
+def test_remainder_add_product_at_the_limit_is_rejected_as_mul_is(shorter_first):
+    # x_1^(EXP_LIMIT - 1) times x_1 + y_1: the term x_1^EXP_LIMIT is out of range
+    f = Polynomial(1, 1, {((EXP_LIMIT - 1,), (0,)): 1})
+    g = Polynomial(1, 1, {((1,), (0,)): 1, ((0,), (1,)): 1})
+    f, g = (f, g) if shorter_first else (g, f)
+    with pytest.raises(ExponentRangeError) as by_mul:
+        f * g
+    with pytest.raises(ExponentRangeError) as by_add_product:
+        Remainder(Polynomial(1, 1, {((1,), (1,)): 3})).add_product(f, g)
+    message = f"a product exponent reaches {EXP_LIMIT}"
+    assert str(by_add_product.value) == str(by_mul.value) == message
 
 
 def swapped(expr, i, n):

@@ -1,9 +1,12 @@
 """Tests for pipe dream enumeration and the weight-sum oracle."""
 
+from collections import Counter
+
 import pytest
 
 from orthodontia import families, permcomb, pipedreams
 from orthodontia.pipedreams import PipeDream
+from orthodontia.polyring import Polynomial
 
 
 def demazure_word_of(P: PipeDream):
@@ -83,8 +86,6 @@ def test_weight_sum_21():
 
 def test_weight_sum_132_includes_signed_nonreduced_dream():
     # three dreams: {(1,2)}, {(2,1)}, and the doubled one with sign -1
-    from orthodontia.polyring import Polynomial
-
     n = 3
     x = lambda i: Polynomial.var_x(i, n, n)
     y = lambda j: Polynomial.var_y(j, n, n)
@@ -96,6 +97,34 @@ def test_weight_sum_132_includes_signed_nonreduced_dream():
 def test_weight_sum_matches_recursion_s4():
     for w in permcomb.all_perms(4):
         assert pipedreams.weight_sum(w) == families.double_grothendieck(w)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_weight_sum_is_the_signed_sum_over_brute_force_fillings(n):
+    # no walk: every filling of the staircase, bucketed by its Demazure product
+    buckets = fillings_by_product(n)
+    for w in permcomb.all_perms(n):
+        total = Polynomial.zero(n, n)
+        for P in buckets[w]:
+            term = Polynomial.one(n, n)
+            for i, j in P.crosses:
+                x, y = Polynomial.var_x(i, n, n), Polynomial.var_y(j, n, n)
+                term = term * -(x + y - x * y)
+            total = total + term
+        assert pipedreams.weight_sum(w) == (-total if permcomb.length(w) % 2 else total)
+
+
+def test_weight_sum_accumulates_in_place(monkeypatch):
+    # each cross adds into its state's accumulator; no product, sum or negation is built
+    calls = Counter()
+    for name in ("__mul__", "__add__", "__neg__"):
+        def counted(*args, _op=getattr(Polynomial, name), _name=name):
+            calls[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(Polynomial, name, counted)
+    for w in permcomb.all_perms(4):
+        pipedreams.weight_sum(w)
+    assert calls == Counter()
 
 
 def test_brute_force_cap():

@@ -83,6 +83,10 @@ def test_ambient_mismatch_raises():
         Polynomial.one(3, 0).add_times_divided_difference(Polynomial.one(3, 1), 1)
     with pytest.raises(AmbientMismatch):
         Remainder(Polynomial.one(2, 0)).subtract(Polynomial.one(2, 1), 1)
+    with pytest.raises(AmbientMismatch):
+        Remainder(Polynomial.one(2, 0)).add_product(Polynomial.one(2, 0), Polynomial.one(2, 1))
+    with pytest.raises(AmbientMismatch):
+        Remainder(Polynomial.one(2, 0)).add_product(Polynomial.one(2, 1), Polynomial.one(2, 0))
 
 
 def test_degree_structure():
@@ -122,6 +126,7 @@ def test_no_operand_is_mutated(f, g):
     # the kernel adds into term dicts in place; only the result's own dict may change
     before = [list(p.terms.items()) for p in (f, g)]
     f * g, f * f, f + g, f - f, f.add_times_divided_difference(g, 1)
+    Remainder(f).add_product(f, g)
     for op in (diffops.isobaric, diffops.demazure, diffops.demazure_lascoux):
         op(f, 1)
     diffops.pi_double(f, 1, 1), diffops.pibar_double(f, 1, 1)
