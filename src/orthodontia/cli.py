@@ -175,14 +175,14 @@ def cmd_orthodontia(D, force, as_json):
     from . import diagrams
 
     seq = diagrams.orthodontic_sequence(D, force=force)
+    i, j, M = ([step[k] for step in seq.steps] for k in range(3))
     if as_json:
-        click.echo(json.dumps({"K": [sorted(k) for k in seq.K], "i": list(seq.i),
-                               "j": list(seq.j), "M": [sorted(m) for m in seq.M]}))
+        click.echo(json.dumps({"K": [sorted(k) for k in seq.K], "i": i, "j": j, "M": [sorted(m) for m in M]}))
         return
     click.echo("K = " + ", ".join(f"K_{a}={sorted(k) or '{}'}" for a, k in enumerate(seq.K, 1)))
-    click.echo(f"i = {list(seq.i)}")
-    click.echo(f"j = {list(seq.j)}")
-    click.echo("M = " + ", ".join(f"M_{k}={sorted(m) or '{}'}" for k, m in enumerate(seq.M, 1)))
+    click.echo(f"i = {i}")
+    click.echo(f"j = {j}")
+    click.echo("M = " + ", ".join(f"M_{k}={sorted(m) or '{}'}" for k, m in enumerate(M, 1)))
 
 
 @main.command("sortorder")

@@ -87,17 +87,16 @@ def smallest_missing_tooth(col: frozenset[int]) -> int:
 
 @dataclass(frozen=True)
 class OrthodonticSequence:
-    """The data (K, i, j, M) driving the orthodontia evaluators.
+    """The data driving the orthodontia evaluators: K and the steps (i_k, j_k, M_k).
 
-    K has one entry per row index 1..n; i, j, M have one entry per
-    orthodontic step.  All recorded column indices refer to the original
-    column positions of the input diagram.
+    K has one entry per row index 1..n; steps holds one triple per
+    orthodontic step, k = 1..l in the order the algorithm records them.
+    All recorded column indices refer to the original column positions of
+    the input diagram.
     """
 
     K: tuple[frozenset[int], ...]
-    i: tuple[int, ...]
-    j: tuple[int, ...]
-    M: tuple[frozenset[int], ...]
+    steps: tuple[tuple[int, int, frozenset[int]], ...]
 
 
 def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence:
@@ -121,9 +120,7 @@ def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence
             K[len(col) - 1].add(j)
             cols[j - 1] = frozenset()
 
-    ivec: list[int] = []
-    jvec: list[int] = []
-    Mvec: list[frozenset[int]] = []
+    steps: list[tuple[int, int, frozenset[int]]] = []
     cap = (n * n + 1) * max(1, len(cols))
     for _ in range(cap):
         leftmost = next((j for j, col in enumerate(cols, start=1) if col), None)
@@ -132,32 +129,17 @@ def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence
         col = cols[leftmost - 1]
         i1 = smallest_missing_tooth(col)
         j1 = leftmost - sum(1 for a in range(1, i1 + 1) if a not in col)
-        swapped = []
-        for c in cols:
-            c2 = set(c)
-            has_lo, has_hi = i1 in c2, i1 + 1 in c2
-            if has_lo != has_hi:
-                c2.discard(i1)
-                c2.discard(i1 + 1)
-                c2.add(i1 if has_hi else i1 + 1)
-            swapped.append(frozenset(c2))
-        cols = swapped
+        # swap rows i1 and i1 + 1; a column holding both is fixed by the swap
+        cols = [c ^ {i1, i1 + 1} if (i1 in c) != (i1 + 1 in c) else c for c in cols]
         target = _standard_interval(i1)
         M1 = frozenset(j for j, c in enumerate(cols, start=1) if c == target)
         for j in M1:
             cols[j - 1] = frozenset()
-        ivec.append(i1)
-        jvec.append(j1)
-        Mvec.append(M1)
+        steps.append((i1, j1, M1))
     else:
         raise RuntimeError("orthodontia did not terminate (non-%-avoiding input?)")
 
-    return OrthodonticSequence(
-        K=tuple(frozenset(k) for k in K),
-        i=tuple(ivec),
-        j=tuple(jvec),
-        M=tuple(Mvec),
-    )
+    return OrthodonticSequence(K=tuple(frozenset(k) for k in K), steps=tuple(steps))
 
 
 def all_diagrams(n: int, m: int):

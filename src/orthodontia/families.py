@@ -9,8 +9,8 @@ only; a sweep over all of S_n (`double_grothendieck_sweep`,
 `double_schubert_sweep`) walks the same chains with a memo that holds two
 length levels at most.  Only the Lascoux polynomials, which every
 expansion peels, are memoized module-wide.  `_evaluate_diagram` is the one
-evaluator of the orthodontic word; its y = -1 specialization is walked in
-the Lascoux basis by `lascouxbasis.theorem12_check`.
+evaluator of the orthodontic sequence; its y = -1 specialization is walked
+in the Lascoux basis by `lascouxbasis.theorem12_check`.
 """
 
 from __future__ import annotations
@@ -149,18 +149,19 @@ def _evaluate_diagram(D: Diagram, inner_barred: bool, outer_barred: bool, step) 
 
     prod_a omega_a^{K_a} * step(omega_{i_1}^{M_1} * ... step(omega_{i_l}^{M_l}, i_l, j_l)
     ..., i_1, j_1), the omegas those of `diffops.omega`, barred inside as
-    inner_barred and outside as outer_barred say.  An omega over an empty M
-    or K is 1, so it is skipped.
+    inner_barred and outside as outer_barred say.  The steps (i_k, j_k, M_k)
+    are applied innermost first, k = l..1.  An omega over an empty M or K
+    is 1, so it is skipped.
     """
     n, m = D.nrows, D.ncols
     seq = orthodontic_sequence(D)
-    bad = [j for j in seq.j if not 1 <= j <= m]
+    bad = [j for _, j, _ in seq.steps if not 1 <= j <= m]
     if bad:
         raise ValueError(f"orthodontic column indices {bad} fall outside [1,{m}]; the "
                          "unspecialized evaluator is undefined here (`orthodontia check thm12` "
                          "checks its y -> -1 specialization)")
     t = Polynomial.one(n, m)
-    for i, j, M in zip(reversed(seq.i), reversed(seq.j), reversed(seq.M)):
+    for i, j, M in reversed(seq.steps):
         if M:
             t = diffops.omega(i, M, inner_barred, n, m) * t
         t = step(t, i, j)

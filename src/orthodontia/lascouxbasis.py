@@ -9,15 +9,16 @@ Termination rests on the triangularity of the basis, which the test suite
 verifies as a premise rather than assuming.
 
 ``theorem12_check`` never builds a polynomial of its own.  By Lemma 4's
-intertwinings, flip(script_S(D)|_{y -> -1}, ncols) is the orthodontic word of
-phi_{n-i} and pibar_{n-i} operators applied to L_{0^n}, times
-(x_1 ... x_n)^(ncols - c), c the number of nonempty columns.  The walk
-applies that word to a dict alpha -> c_alpha: pibar_i moves an index
-(`_pibar`), phi_i reads its expansion of L_alpha from the memo `_phi`,
-and the last factor adds ncols - c to every part (L_{alpha + 1^n} =
-x_1 ... x_n L_alpha).  The word reads only (n, ncols, the rows i_k, the
-sizes |M_k|, the sizes |K_a|), so `_theorem12` memoizes each expansion
-on that key (3527 of them for the %-avoiding diagrams in [4] x [4]).
+intertwinings, flip(script_S(D)|_{y -> -1}, ncols) is L_{0^n} acted on by
+phi_{n-i}^{|M|} and pibar_{n-i} for each orthodontic step (i, j, M), then
+phi_{n-a}^{|K_a|}, times (x_1 ... x_n)^(ncols - c), c the number of
+nonempty columns.  The walk applies those operators to a dict
+alpha -> c_alpha: pibar_i moves an index (`_pibar`), phi_i reads its
+expansion of L_alpha from the memo `_phi`, and the last factor adds
+ncols - c to every part (L_{alpha + 1^n} = x_1 ... x_n L_alpha).  The walk
+reads only (n, ncols, the rows i_k, the sizes |M_k|, the sizes |K_a|), so
+`_theorem12` memoizes each expansion on that flat key (3527 of them for
+the %-avoiding diagrams in [4] x [4]).
 ``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  The CLI
 commands that fill the memos, ``scan`` and ``check``, start both empty.
 """
@@ -121,14 +122,15 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composit
         raise ValueError("columns are not ordered by inclusion "
                          "(`orthodontia check thm12 --no-require-inclusion` skips this check)")
     seq = diagrams.orthodontic_sequence(D)
-    n, M, K = D.nrows, tuple(map(len, seq.M)), tuple(map(len, seq.K))
-    key = (n, D.ncols, seq.i, M, K)
+    n, K = D.nrows, tuple(map(len, seq.K))
+    M = tuple(len(Mk) for _, _, Mk in seq.steps)
+    key = (n, D.ncols, tuple(i for i, _, _ in seq.steps), M, K)
     coeffs = _theorem12.get(key)
     if coeffs is None:
         # the order of families._evaluate_diagram: steps l..1, then the outer omegas
         coeffs = {(0,) * n: 1}
-        for i, size in zip(reversed(seq.i), reversed(M)):
-            coeffs = _times_phi(coeffs, n - i, size)
+        for i, _, Mk in reversed(seq.steps):
+            coeffs = _times_phi(coeffs, n - i, len(Mk))
             coeffs = _accumulate((_pibar(alpha, n - i), c) for alpha, c in coeffs.items())
         for a, size in enumerate(K, 1):
             coeffs = _times_phi(coeffs, n - a, size)

@@ -140,7 +140,7 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
                 prod = prod * diffops._xy_factor(a, b, n, n, barred=True)
             factored = prod * factored
         return (Dws <= Dw and Dw - Dws == expected_diff,
-                (seq_w.i, seq_w.j, seq_w.M) == (seq_s.i, seq_s.j, seq_s.M),
+                seq_w.steps == seq_s.steps,
                 k_ok,
                 g == factored)
 
@@ -156,20 +156,20 @@ def sorted_structure_parts(w: Permutation, pcd: PrimaryColumnData,
                            seq: OrthodonticSequence) -> list[str]:
     """Structural claims about the orthodontic sequence seq of a sorted w with data pcd."""
     bad = []
-    if len(seq.i) < pcd.beta:
+    if len(seq.steps) < pcd.beta:
         return [f"fewer than beta={pcd.beta} orthodontic steps at w={format_perm(w)}"]
-    for k, column in enumerate(sorted(pcd.window), 1):
-        if seq.i[k - 1] != pcd.i1 - k + 1:
+    for k, ((i, j, _), column) in enumerate(zip(seq.steps, sorted(pcd.window)), 1):
+        if i != pcd.i1 - k + 1:
             bad.append(f"part 1 fails at w={format_perm(w)}, k={k}")
-        if seq.j[k - 1] != column:
+        if j != column:
             bad.append(f"part 2 fails at w={format_perm(w)}, k={k}")
     if pcd.alpha > 0 and not pcd.window <= seq.K[pcd.alpha - 1]:
         bad.append(f"part 3 fails at w={format_perm(w)}")
     for k in range(pcd.alpha + 1, pcd.i1 + 1):
         if seq.K[k - 1]:
             bad.append(f"part 4 fails at w={format_perm(w)}, k={k}")
-    for k in range(1, pcd.beta):
-        if seq.M[k - 1]:
+    for k, (_, _, M) in enumerate(seq.steps[:pcd.beta - 1], 1):
+        if M:
             bad.append(f"part 5 fails at w={format_perm(w)}, k={k}")
     return bad
 
@@ -180,12 +180,12 @@ def sorted_cover_check(w: Permutation, pcd: PrimaryColumnData, seq: OrthodonticS
     (wprime,) = sortorder.os_covers(w, pcd, endpoint=endpoint)
     seq2 = diagrams.orthodontic_sequence(rothe(wprime))
     b, S = pcd.beta, pcd.window
-    if (seq2.i, seq2.j, seq2.M) != (seq.i[b:], seq.j[b:], seq.M[b:]):
+    if seq2.steps != seq.steps[b:]:
         return False
     expect = list(seq.K)  # S moves from K_alpha to K_{alpha+1}, joined by M_beta
     if pcd.alpha > 0:
         expect[pcd.alpha - 1] -= S
-    expect[pcd.alpha] = S | seq.M[b - 1]
+    expect[pcd.alpha] = S | seq.steps[b - 1][2]
     return list(seq2.K) == expect
 
 

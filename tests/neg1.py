@@ -38,7 +38,7 @@ def script_S_neg1(D: Diagram) -> Polynomial:
     """script_S(D) at y = -1, ambient (nrows, 0): steps l..1, then the outer omegas."""
     seq, n = orthodontic_sequence(D), D.nrows
     t = Polynomial.one(n, 0)
-    for i, M in zip(reversed(seq.i), reversed(seq.M)):
+    for i, _, M in reversed(seq.steps):
         if M:
             t = _omega_neg1(i, len(M), n) * t
         t = pi_double_neg1(t, i)

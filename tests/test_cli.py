@@ -265,6 +265,19 @@ def test_orthodontia_command(runner):
     assert d["K"] == [[1], [], [], [], []]
 
 
+@pytest.mark.parametrize("text, out, as_json", [
+    ("n=3;;;", "K = K_1={}, K_2={}, K_3={}\ni = []\nj = []\nM = \n",
+     '{"K": [[], [], []], "i": [], "j": [], "M": []}\n'),
+    ("n=2;1;1,2;", "K = K_1=[1], K_2=[2]\ni = []\nj = []\nM = \n",
+     '{"K": [[1], [2]], "i": [], "j": [], "M": []}\n'),
+])
+def test_orthodontia_command_with_no_steps(runner, text, out, as_json):
+    r = runner.invoke(main, ["orthodontia", "--diagram", text])
+    assert r.exit_code == 0 and r.stdout_bytes == out.encode()
+    r = runner.invoke(main, ["orthodontia", "--diagram", text, "--json"])
+    assert r.exit_code == 0 and r.stdout_bytes == as_json.encode()
+
+
 def test_orthodontia_rejects_bad_diagram(runner):
     r = runner.invoke(main, ["orthodontia", "--diagram", "n=2;2;1"])
     assert r.exit_code == 2

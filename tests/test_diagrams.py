@@ -1,10 +1,14 @@
 """Tests for diagrams and the double orthodontia algorithm."""
 
+import hashlib
+
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthodontia import diagrams, permcomb
+from orthodontia.cli import main
 from orthodontia.diagrams import Diagram
 
 
@@ -87,22 +91,19 @@ def test_smallest_missing_tooth():
 def test_orthodontic_sequence_31542():
     seq = diagrams.orthodontic_sequence(diagrams.rothe((3, 1, 5, 4, 2)))
     assert seq.K == (frozenset({1}),) + (frozenset(),) * 4
-    assert seq.i == (2, 3, 1)
-    assert seq.j == (1, 1, 3)
-    assert seq.M == (frozenset(), frozenset({2}), frozenset({4}))
-    assert len(seq.i) == 3
+    assert seq.steps == ((2, 1, frozenset()), (3, 1, frozenset({2})), (1, 3, frozenset({4})))
 
 
 def test_orthodontic_sequence_empty_diagram():
     seq = diagrams.orthodontic_sequence(Diagram(3, (frozenset(),) * 3))
-    assert len(seq.i) == 0
+    assert seq.steps == ()
     assert seq.K == (frozenset(),) * 3
 
 
 def test_orthodontic_sequence_standard_columns_only():
     D = diagrams.from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
     seq = diagrams.orthodontic_sequence(D)
-    assert len(seq.i) == 0
+    assert seq.steps == ()
     assert seq.K == (frozenset({1}), frozenset({2}), frozenset())
 
 
@@ -118,8 +119,33 @@ def test_orthodontia_step_count_invariant():
         if not diagrams.is_percent_avoiding(D):
             continue
         seq = diagrams.orthodontic_sequence(D)
-        assert len(seq.i) <= 3 * 2
-        assert len(seq.i) == len(seq.j) == len(seq.M)
+        assert len(seq.steps) <= 3 * 2
+        for i, _, M in seq.steps:
+            assert 1 <= i < D.nrows
+            assert M <= set(range(1, D.ncols + 1))
+
+
+def _sequence_cases():
+    """Every %-avoiding diagram in [3] x [3] and [4] x [3], then every other one in [3] x [3] forced."""
+    for n, m in ((3, 3), (4, 3)):
+        for D in diagrams.all_diagrams(n, m):
+            if diagrams.is_percent_avoiding(D):
+                yield D, []
+    for D in diagrams.all_diagrams(3, 3):
+        if not diagrams.is_percent_avoiding(D):
+            yield D, ["--force"]
+
+
+def test_orthodontic_sequences_match_their_frozen_digest():
+    # the theorem-12 memo key forgets j and the column sets, so the scan digests cannot see
+    # a wrong j_k or M_k; this pins the whole `orthodontia --json` output of 2400 diagrams
+    runner, digest = CliRunner(), hashlib.sha256()
+    for D, force in _sequence_cases():
+        text = diagrams.format_diagram(D)
+        r = runner.invoke(main, ["orthodontia", "--diagram", text, "--json", *force])
+        assert r.exit_code == 0, text
+        digest.update(text.encode() + b"\n" + r.stdout_bytes)
+    assert digest.hexdigest() == "19bc88e696990ecea7b6ce4244c4966b52c162d77951db9146a8f30c65686bcb"
 
 
 def test_all_diagrams_count():

@@ -89,7 +89,8 @@ def test_theorem12_check_requires_inclusion_order():
 
 def _theorem12_key(D):
     seq = diagrams.orthodontic_sequence(D)
-    return (D.nrows, D.ncols, seq.i, tuple(map(len, seq.M)), tuple(map(len, seq.K)))
+    return (D.nrows, D.ncols, tuple(i for i, _, _ in seq.steps),
+            tuple(len(M) for _, _, M in seq.steps), tuple(map(len, seq.K)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -130,7 +131,8 @@ def test_theorem12_key_is_exact():
         groups.setdefault(_theorem12_key(D), []).append(D)
     shared = [g for g in groups.values() if len(g) > 1]
     # the key forgets j and the column sets, and some diagrams differ only there
-    assert any(len({diagrams.orthodontic_sequence(D).j for D in g}) > 1 for g in shared)
+    assert any(len({tuple(j for _, j, _ in diagrams.orthodontic_sequence(D).steps) for D in g}) > 1
+               for g in shared)
     for g in shared:
         first = script_S_neg1(g[0])
         assert all(script_S_neg1(D) == first for D in g[1:])
