@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from typing import Iterable
 
 import click
 from click.core import ParameterSource
@@ -139,7 +140,11 @@ def cmd_poly(family, as_json, latex, **options):
     values = _read(family, reads, options)
     p = compute(families, *values)
     if as_json:
-        click.echo(p.to_json())
+        # through the stream's buffer, one batch of terms at a time; click.echo may write
+        # through a wrapper of its own, so the buffer is flushed before the newline
+        sys.stdout.writelines(p.json_chunks())
+        sys.stdout.flush()
+        click.echo()
     else:
         click.echo(p.to_str(latex=latex))
 
@@ -204,20 +209,34 @@ def cmd_sortorder(perm, os_endpoint):
     click.echo("predecessors: " + (", ".join(permcomb.format_perm(p) for p in preds) or "(none)"))
 
 
-def _report(command: str, checked: int, records: list[dict], as_json: bool, t0: float):
-    """Print the records and the summary; exit EXIT_MATH_FAILURE on a violation."""
-    failed = [r["item"] for r in records if r["verdict"] != "positive"]
+def _report(command: str, records: Iterable[dict], as_json: bool, t0: float,
+            checked: int | None = None):
+    """Print the records as they arrive, then the summary; exit EXIT_MATH_FAILURE on a violation.
+
+    ``checked`` defaults to the number of records.  A run that fails part way
+    leaves whole record lines and no summary.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    write = sys.stdout.write
+    failed = []
+    count = 0
+    for count, r in enumerate(records, 1):
+        if r["verdict"] != "positive":
+            failed.append(r["item"])
+        if as_json:
+            # through the stream's buffer: click.echo flushes after every line
+            write(encode(r) + "\n")
+    if checked is None:
+        checked = count
     if as_json:
-        # through the stream's buffer: click.echo flushes after every line
-        sys.stdout.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
         sys.stdout.flush()  # click.echo may write through a wrapper of its own
         summary = {"checked": checked, "passed": checked - len(failed), "failed": len(failed)}
-        click.echo(json.dumps({"command": command, "version": __version__, "summary": summary,
-                               "counterexamples": failed}, sort_keys=True))
+        click.echo(encode({"command": command, "version": __version__, "summary": summary,
+                           "counterexamples": failed}))
     else:
         click.echo(f"{command}: {checked} checked, {len(failed)} failed")
         for item in failed:
-            click.echo(f"  counterexample: {json.dumps(item, sort_keys=True)}")
+            click.echo(f"  counterexample: {encode(item)}")
     click.echo(f"wall time: {time.monotonic() - t0:.2f}s", err=True)
     if failed:
         sys.exit(EXIT_MATH_FAILURE)
@@ -240,9 +259,9 @@ def cmd_verify(suite, nmax, as_json):
     res = suites.SUITES[suite](nmax)
     if res.checked == 0:
         raise click.UsageError(f"{suite} checks nothing at this nmax, got {nmax}")
-    records = [{"item": {"suite": suite, "failure": f}, "verdict": "violation"}
-               for f in res.failures]
-    _report(f"verify {suite} --nmax {nmax}", res.checked, records, as_json, t0)
+    records = ({"item": {"suite": suite, "failure": f}, "verdict": "violation"}
+               for f in res.failures)
+    _report(f"verify {suite} --nmax {nmax}", records, as_json, t0, res.checked)
 
 
 def _lascouxbasis():
@@ -285,13 +304,14 @@ def cmd_scan(target, workers, as_json, **options):
     if not items:
         raise click.UsageError(f"{cmd} checks nothing")
     if workers == 1:
-        records = [worker(it) for it in items]
-    else:
-        import multiprocessing
+        _report(cmd, map(worker, items), as_json, t0)
+        return
+    import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.map(worker, items)
-    _report(cmd, len(records), records, as_json, t0)
+    with multiprocessing.Pool(workers) as pool:
+        # the chunk size pool.map would pick; the pool stops when the block ends
+        chunksize = -(-len(items) // (4 * workers))
+        _report(cmd, pool.imap(worker, items, chunksize), as_json, t0)
 
 
 @main.command("check")

@@ -38,6 +38,8 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 EXP_BITS = 16
 EXP_LIMIT = 1 << (EXP_BITS - 1)
 _FIELD_MASK = (1 << EXP_BITS) - 1
+# terms per piece of Polynomial.json_chunks
+JSON_BATCH = 4096
 
 
 class AmbientMismatch(ValueError):
@@ -387,24 +389,34 @@ class Polynomial:
         lay, terms = self._lay, self.terms
         return ((_decode(lay, k), terms[k]) for k in sorted(terms))
 
-    def to_json(self) -> str:
-        """``json.dumps`` of {"n", "m", "terms": [{"x", "y", "c"}, ...]}, terms in canonical order.
+    def json_chunks(self) -> Iterator[str]:
+        """``to_json`` in pieces: the header, the terms in batches of JSON_BATCH, then ``]}``.
 
         Each distinct x part and y part of a key is written once, so a term
-        costs two dict lookups and one string; no per-term dict or list is built.
+        costs two dict lookups and one string; no per-term dict or list is
+        built, and no more than one batch of text is held at a time.
         """
         lay, terms = self._lay, self.terms
         xs, xmask, ymask = lay.x_shift, lay.x_mask, lay.y_mask
         heads: dict[int, str] = {}
         tails: dict[int, str] = {}
-        body = []
-        for k in sorted(terms):
-            xk, yk = k >> xs & xmask, k & ymask
-            head = heads.get(xk) or heads.setdefault(
-                xk, f'{{"x": [{_json_list(lay.x_fields, xk)}], "y": [')
-            tail = tails.get(yk) or tails.setdefault(yk, f'{_json_list(lay.y_fields, yk)}], "c": ')
-            body.append(f"{head}{tail}{terms[k]}}}")
-        return f'{{"n": {self.n}, "m": {self.m}, "terms": [{", ".join(body)}]}}'
+        keys = sorted(terms)
+        yield f'{{"n": {self.n}, "m": {self.m}, "terms": ['
+        for start in range(0, len(keys), JSON_BATCH):
+            body = []
+            for k in keys[start : start + JSON_BATCH]:
+                xk, yk = k >> xs & xmask, k & ymask
+                head = heads.get(xk) or heads.setdefault(
+                    xk, f'{{"x": [{_json_list(lay.x_fields, xk)}], "y": [')
+                tail = tails.get(yk) or tails.setdefault(
+                    yk, f'{_json_list(lay.y_fields, yk)}], "c": ')
+                body.append(f"{head}{tail}{terms[k]}}}")
+            yield (", " if start else "") + ", ".join(body)
+        yield "]}"
+
+    def to_json(self) -> str:
+        """``json.dumps`` of {"n", "m", "terms": [{"x", "y", "c"}, ...]}, terms in canonical order."""
+        return "".join(self.json_chunks())
 
     @staticmethod
     def from_json_dict(d: dict) -> "Polynomial":

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import orthodontia
 from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder, suites
 from orthodontia.cli import EXIT_CRASH, FAMILIES, SCANS, SUITE_NAMES, main
-from orthodontia.polyring import EXP_LIMIT, Polynomial
+from orthodontia.polyring import EXP_LIMIT, JSON_BATCH, Polynomial
 
 
 @pytest.fixture()
@@ -41,6 +41,16 @@ def test_poly_json_and_latex(runner):
     assert d["terms"] == [{"x": [2, 1, 0], "y": [], "c": 1}]
     r = runner.invoke(main, ["poly", "schubert", "--w", "321", "--latex"])
     assert r.output.strip() == "x_1^{2} x_2"
+
+
+def test_poly_json_larger_than_one_batch(runner):
+    # 8119 terms: json_chunks writes them as one whole batch and part of a second
+    p = families.double_grothendieck((1, 5, 4, 3, 2))
+    assert JSON_BATCH < len(p.terms) < 2 * JSON_BATCH
+    r = runner.invoke(main, ["poly", "double-grothendieck", "--w", "15432", "--json"])
+    assert r.exit_code == 0
+    assert r.stdout == p.to_json() + "\n"
+    assert Polynomial.from_json_dict(json.loads(r.stdout)) == p
 
 
 def test_poly_lascoux_requires_alpha(runner):
@@ -461,6 +471,41 @@ def test_scan_workers(runner, monkeypatch):
     r = runner.invoke(main, ["scan", "conj14", "--n", "2", "--m", "2", "--workers", "2"])
     assert r.exit_code == 0
     assert "15 checked, 0 failed" in r.output
+
+
+def test_scan_json_is_the_same_under_a_pool(runner, monkeypatch):
+    # the pool hands its records back in item order, as they complete
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["scan", "conj14", "--n", "3", "--m", "3", "--json", "--workers"]
+    one, two = (runner.invoke(main, argv + [w]) for w in ("1", "2"))
+    assert one.exit_code == two.exit_code == 0
+    assert one.stdout_bytes == two.stdout_bytes
+    assert one.stdout.count("\n") > 2
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (RuntimeError, EXIT_CRASH)])
+def test_scan_json_writes_records_as_they_arrive_and_the_summary_last(
+        runner, monkeypatch, error, code):
+    argv = ["scan", "conj14", "--n", "3", "--m", "2", "--json"]
+    whole = runner.invoke(main, argv).stdout.splitlines(keepends=True)
+    k = 4  # the failing item
+    item, calls, seen = lascouxbasis.conj14_item, [], []
+
+    def fails_at_k(D):
+        calls.append(D)
+        if len(calls) == k:
+            sys.stdout.flush()
+            seen.append(sys.stdout.buffer.getvalue().decode())
+            raise error("injected")
+        return item(D)
+
+    monkeypatch.setattr(lascouxbasis, "conj14_item", fails_at_k)
+    r = runner.invoke(main, argv)
+    assert r.exit_code == code, r.output
+    assert r.stderr.endswith("injected\n")
+    # the first k - 1 records were on stdout before item k was computed, and nothing follows
+    assert seen == [r.stdout] == ["".join(whole[: k - 1])]
+    assert len(whole) > k and "summary" in whole[-1]
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 3), (4, 64), (None, 2)])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from orthodontia import diffops
 from orthodontia.polyring import (
-    EXP_LIMIT, AmbientMismatch, ExponentRangeError, Polynomial, Remainder,
+    EXP_LIMIT, JSON_BATCH, AmbientMismatch, ExponentRangeError, Polynomial, Remainder,
 )
 from orthodontia.suites import random_polynomial
 
@@ -204,18 +204,32 @@ def wide_polys(draw):
     return Polynomial(n, m, terms)
 
 
+def sized(k: int) -> Polynomial:
+    """A polynomial with k terms whose x parts and y parts repeat across batches of JSON_BATCH."""
+    return Polynomial(2, 1, {((i % 97, i // 97), (i % 3,)): i % 7 - 3 or 5 for i in range(k)})
+
+
 @settings(max_examples=150, deadline=None)
 @given(wide_polys())
 @example(Polynomial.zero(1, 0))
 @example(Polynomial.zero(2, 2))
 @example(Polynomial(1, 0, {((0,), ()): -(2**64) - 1, ((3,), ()): 2**63}))
 @example(Polynomial(2, 1, {((1, 0), (2,)): -5, ((0, 1), (0,)): 2**70, ((0, 0), (0,)): 1}))
+# one term, and the batch boundaries of json_chunks
+@example(sized(1))
+@example(sized(JSON_BATCH - 1))
+@example(sized(JSON_BATCH))
+@example(sized(JSON_BATCH + 1))
+@example(sized(2 * JSON_BATCH + 1))
 def test_to_json_is_json_dumps_of_the_canonical_terms(p):
     terms = sorted(p.to_dict().items(), key=lambda t: (sum(t[0][0]) + sum(t[0][1]), t[0]))
     expected = json.dumps({"n": p.n, "m": p.m, "terms": [
         {"x": list(xe), "y": list(ye), "c": c} for (xe, ye), c in terms
     ]})
-    assert p.to_json() == expected
+    chunks = list(p.json_chunks())
+    # the header, one piece per batch of at most JSON_BATCH terms, and the closing brackets
+    assert len(chunks) == 2 + -(-len(p.terms) // JSON_BATCH)
+    assert "".join(chunks) == p.to_json() == expected
     assert Polynomial.from_json_dict(json.loads(p.to_json())) == p
 
 
