@@ -205,8 +205,8 @@ def cmd_sortorder(perm, os_endpoint):
     )
     click.echo(f"sigma(w) = {permcomb.format_perm(pcd.sigma)}")
     click.echo(f"w_sort = {permcomb.format_perm(pcd.sort)}")
-    preds = sortorder.os_covers(perm, pcd, endpoint=os_endpoint)
-    click.echo("predecessors: " + (", ".join(permcomb.format_perm(p) for p in preds) or "(none)"))
+    pred = sortorder.os_covers(perm, pcd, endpoint=os_endpoint)
+    click.echo("predecessors: " + ("(none)" if pred is None else permcomb.format_perm(pred)))
 
 
 def _report(command: str, records: Iterable[dict], as_json: bool, t0: float,

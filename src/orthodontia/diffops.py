@@ -2,7 +2,8 @@
 
 Divided differences and their decorated variants, the doubled operators
 used by the orthodontia formulas, the omega weight products, and the phi
-multipliers.  Everything is exact: the divided difference is computed
+multipliers; omega and the phi factor are folds of their factors in a fixed
+order (`math.prod`).  Everything is exact: the divided difference is computed
 per-term with the telescoping formula, so no rational functions appear.
 Each operator is f -> d_i(L f) with d_i(L) = 1, so by the Leibniz rule it is
 f + g d_i(f) with g = s_i(L); the kernel forms d_i(f) once, and never L f.
@@ -11,6 +12,7 @@ f + g d_i(f) with g = s_i(L); the kernel forms d_i(f) once, and never L f.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable
 
 from .polyring import Polynomial
@@ -68,27 +70,21 @@ def pibar_double(f: Polynomial, i: int, j: int) -> Polynomial:
 
 
 def omega(i: int, M: Iterable[int], barred: bool, n: int, m: int) -> Polynomial:
-    """Product over j in [i], s in M of x_j + y_s (- x_j y_s when barred)."""
+    """Product over s in M, then j in [i], of x_j + y_s (- x_j y_s when barred), folded."""
     if not 0 <= i <= n:
         raise IndexError(f"omega_{i} out of range for n={n}")
-    out = Polynomial.one(n, m)
-    for s in sorted(M):
-        if not 1 <= s <= m:
-            raise IndexError(f"column index {s} out of range for m={m}")
-        for j in range(1, i + 1):
-            out = out * _xy_factor(j, s, n, m, barred)
-    return out
+    bad = [s for s in sorted(M) if not 1 <= s <= m]
+    if bad:
+        raise IndexError(f"column index {bad[0]} out of range for m={m}")
+    return math.prod((_xy_factor(j, s, n, m, barred) for s in sorted(M) for j in range(1, i + 1)),
+                     start=Polynomial.one(n, m))
 
 
 @functools.cache
 def _phi_factor(i: int, n: int) -> Polynomial:
-    """x_1 ... x_i (1 - x_{i+1}) ... (1 - x_n), built once per (i, n); callers must not edit it."""
-    out = Polynomial.one(n, 0)
-    for j in range(1, i + 1):
-        out = out * Polynomial.var_x(j, n, 0)
-    for j in range(i + 1, n + 1):
-        out = out * _one_minus_x(j, n, 0)
-    return out
+    """x_1 ... x_i (1 - x_{i+1}) ... (1 - x_n), folded once per (i, n); callers must not edit it."""
+    return math.prod((Polynomial.var_x(j, n, 0) if j <= i else _one_minus_x(j, n, 0)
+                      for j in range(1, n + 1)), start=Polynomial.one(n, 0))
 
 
 def phi(f: Polynomial, i: int) -> Polynomial:

@@ -2,8 +2,9 @@
 
 Double and single Grothendieck and Schubert polynomials and Lascoux and
 key polynomials by divided difference recursions, each walked along one
-chain from the index to a base case (`_chain`), stable Grothendieck
-polynomials, and the orthodontia evaluators for diagrams.  A query for one
+chain from the index to a base case (`_chain`; the double ones start from
+the staircase, one fold of its factors), stable Grothendieck polynomials,
+and the orthodontia evaluators for diagrams.  A query for one
 permutation walks its chain with a memo of its own, kept for that call
 only; a sweep over all of S_n (`double_grothendieck_sweep`,
 `double_schubert_sweep`) walks the same chains with a memo that holds two
@@ -14,6 +15,8 @@ in the Lascoux basis by `lascouxbasis.theorem12_check`.
 """
 
 from __future__ import annotations
+
+import math
 
 from . import diffops, permcomb
 from .diagrams import Diagram, orthodontic_sequence
@@ -72,14 +75,12 @@ def _sweep(n: int, base, step):
 
 
 def _staircase_double(n: int, barred: bool) -> Polynomial:
-    """prod_{i+j<=n} (x_i + y_j - x_i y_j) (barred) or (x_i - y_j)."""
-    out = Polynomial.one(n, n)
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            x = Polynomial.var_x(i, n, n)
-            y = Polynomial.var_y(j, n, n)
-            out = out * (x + y - x * y if barred else x - y)
-    return out
+    """prod_{i+j<=n} (x_i + y_j - x_i y_j) (barred) or (x_i - y_j), folded by i, then j."""
+    def factor(i: int, j: int) -> Polynomial:
+        x, y = Polynomial.var_x(i, n, n), Polynomial.var_y(j, n, n)
+        return x + y - x * y if barred else x - y
+    return math.prod((factor(i, j) for i in range(1, n) for j in range(1, n + 1 - i)),
+                     start=Polynomial.one(n, n))
 
 
 # (base, step) of the double recursions, as `_chain` and `_sweep` take them

@@ -43,15 +43,13 @@ def lascoux_expand(f: Polynomial) -> dict[Composition, int]:
     if f.m != 0:
         raise ValueError("lascoux_expand requires a polynomial without y variables")
     cap = (f.max_exponent() + 1) ** f.n
-    coeffs: dict[Composition, int] = {}
+    peeled = []
     r = Remainder(f)
     for _ in range(cap + 1):
         if not r:
-            return coeffs
+            return _accumulate(peeled)
         (beta, _), c = r.lowest()
-        coeffs[beta] = coeffs.get(beta, 0) + c
-        if coeffs[beta] == 0:
-            del coeffs[beta]
+        peeled.append((beta, c))
         r.subtract(families.lascoux(beta), c)
     raise ExpansionError(
         f"expansion did not terminate within {cap} steps; triangularity premise violated?"

@@ -7,6 +7,7 @@ the same D(w), and the two cover relations of the orthodontic sort order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import diagrams, permcomb
@@ -60,22 +61,19 @@ def primary_column_data(w: Permutation) -> PrimaryColumnData:
 
 
 def os_covers(w: Permutation, pcd: PrimaryColumnData,
-              endpoint: str = "alpha-plus-one") -> list[Permutation]:
-    """Immediate predecessors of w in the orthodontic sort order; pcd is w's primary column data.
+              endpoint: str = "alpha-plus-one") -> Permutation | None:
+    """The immediate predecessor of w in the orthodontic sort order; pcd is w's primary column data.
 
-    Non-sorted w has the single predecessor w_sort.  Sorted nonidentity w
-    has the predecessor w s_{i1} s_{i1-1} ... s_{alpha+1}; the variant
+    The identity has none (None), and non-sorted w has w_sort.  Sorted
+    nonidentity w has w s_{i1} s_{i1-1} ... s_{alpha+1}, one fold; the variant
     endpoint "alpha" extends the product down to s_alpha (the two agree
     when alpha = 0, where s_0 does not exist).
     """
     if endpoint not in ("alpha", "alpha-plus-one"):
         raise ValueError(f"unknown endpoint {endpoint!r}")
     if w == permcomb.identity(len(w)):
-        return []
+        return None
     if not pcd.is_sorted:
-        return [pcd.sort]
+        return pcd.sort
     stop = pcd.alpha + 1 if endpoint == "alpha-plus-one" else max(pcd.alpha, 1)
-    u = w
-    for j in range(pcd.i1, stop - 1, -1):
-        u = permcomb.right_multiply_s(u, j)
-    return [u]
+    return functools.reduce(permcomb.right_multiply_s, range(pcd.i1, stop - 1, -1), w)

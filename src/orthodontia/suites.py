@@ -10,6 +10,7 @@ all run these.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -80,9 +81,9 @@ def _thm11_checks(nmax: int, barrings: tuple[bool, ...]):
                           *(families.script_G(rothe(w), barred) == dg for barred in barrings))
 
 
-def suite_thm11(nmax: int, barred_inner_omega: bool = True) -> SuiteResult:
-    """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator."""
-    return _result("thm11", _sweep(nmax, _thm11_checks(nmax, (barred_inner_omega,))), _THM11)
+def suite_thm11(nmax: int) -> SuiteResult:
+    """Triple agreement: recursion = pipe-dream sum = orthodontia evaluator (barred inner omegas)."""
+    return _result("thm11", _sweep(nmax, _thm11_checks(nmax, (True,))), _THM11)
 
 
 def suite_cor_double_schub(nmax: int) -> SuiteResult:
@@ -135,10 +136,8 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
         # no crossed cell prod is 1, and the product is G_{w_sort} itself.
         factored = sorted_grothendieck(w, pcd, g)
         if Dw - Dws:
-            prod = Polynomial.one(n, n)
-            for a, b in sorted(Dw - Dws):
-                prod = prod * diffops._xy_factor(a, b, n, n, barred=True)
-            factored = prod * factored
+            crossed = (diffops._xy_factor(a, b, n, n, barred=True) for a, b in sorted(Dw - Dws))
+            factored = math.prod(crossed, start=Polynomial.one(n, n)) * factored
         return (Dws <= Dw and Dw - Dws == expected_diff,
                 seq_w.steps == seq_s.steps,
                 k_ok,
@@ -177,8 +176,7 @@ def sorted_structure_parts(w: Permutation, pcd: PrimaryColumnData,
 def sorted_cover_check(w: Permutation, pcd: PrimaryColumnData, seq: OrthodonticSequence,
                        endpoint: str) -> bool:
     """Does w' = w s_{i1} ... s_(endpoint) carry the sequence predicted from seq?"""
-    (wprime,) = sortorder.os_covers(w, pcd, endpoint=endpoint)
-    seq2 = diagrams.orthodontic_sequence(rothe(wprime))
+    seq2 = diagrams.orthodontic_sequence(rothe(sortorder.os_covers(w, pcd, endpoint=endpoint)))
     b, S = pcd.beta, pcd.window
     if seq2.steps != seq.steps[b:]:
         return False
@@ -205,9 +203,9 @@ def _thm_os2(nmax: int, endpoints: tuple[str, ...]) -> dict[str, SuiteResult]:
     return results
 
 
-def suite_thm_os2(nmax: int, endpoint: str = "alpha-plus-one") -> SuiteResult:
-    """Sorted-case structure, parts (1)-(6), for sorted nonidentity w."""
-    return _thm_os2(nmax, (endpoint,))[endpoint]
+def suite_thm_os2(nmax: int) -> SuiteResult:
+    """Sorted-case structure, parts (1)-(6), for sorted nonidentity w (endpoint alpha+1)."""
+    return _thm_os2(nmax, ("alpha-plus-one",))["alpha-plus-one"]
 
 
 def random_polynomial(rng: random.Random, n: int, m: int, maxdeg: int = 4, nterms: int = 5) -> Polynomial:
@@ -284,14 +282,10 @@ def suite_lemma4(nmax: int) -> SuiteResult:
         i = rng.randint(1, n)
         M = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
         xm1 = [Polynomial.var_x(j, n, 0) - Polynomial.one(n, 0) for j in range(1, n + 1)]
-        below = Polynomial.one(n, 0)  # prod_{j <= i} (x_j - 1)
-        for factor in xm1[:i]:
-            below = below * factor
+        below = math.prod(xm1[:i], start=Polynomial.one(n, 0))  # prod_{j <= i} (x_j - 1)
         # omega-spec
         lhs = diffops.omega(i, M, False, n, m).substitute_y(-1)
-        rhs = Polynomial.one(n, 0)
-        for _ in M:
-            rhs = rhs * below
+        rhs = math.prod([below] * len(M), start=Polynomial.one(n, 0))
         res.check(lhs == rhs, f"omega-spec fails at trial {t}")
 
         # omega-int and pi-int act on y-free polynomials under a degree cap
@@ -338,9 +332,7 @@ def suite_lemma4(nmax: int) -> SuiteResult:
         lhs = g
         for a in range(k + 1):
             lhs = diffops.pibar_double(lhs, i + a, js[a])
-        rhs = g
-        for a in range(k + 1):
-            rhs = rhs * diffops._xy_factor(i, js[a], n, m, barred=True)
+        rhs = math.prod((diffops._xy_factor(i, j, n, m, barred=True) for j in js), start=g)
         for a in range(k + 1):
             rhs = diffops.isobaric(rhs, i + a)
         res.check(lhs == rhs, f"pi-to-del fails at trial {t} (k={k})")

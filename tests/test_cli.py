@@ -301,6 +301,23 @@ def test_sortorder_command(runner):
     assert "w_sort = 68234751" in r.output
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["--w", "1234"], "primary column data: h=4, C={}, alpha=0, i1=4, beta=4\n"
+     "sigma(w) = 1234\nw_sort = 1234\npredecessors: (none)\n"),
+    (["--w", "68342751"], "primary column data: h=4, C=[1, 2, 6], alpha=2, i1=5, beta=3\n"
+     "sigma(w) = 231\nw_sort = 68234751\npredecessors: 68234751\n"),
+    (["--w", "31542"], "primary column data: h=1, C=[1, 3, 4], alpha=1, i1=2, beta=1\n"
+     "sigma(w) = 1\nw_sort = 31542\npredecessors: 35142\n"),
+    (["--w", "31542", "--os-endpoint", "alpha"],
+     "primary column data: h=1, C=[1, 3, 4], alpha=1, i1=2, beta=1\n"
+     "sigma(w) = 1\nw_sort = 31542\npredecessors: 53142\n"),
+])
+def test_sortorder_stdout(runner, argv, want):
+    # the identity, an unsorted w, and a sorted w under both product endpoints
+    r = runner.invoke(main, ["sortorder", *argv])
+    assert (r.exit_code, r.output) == (0, want)
+
+
 def test_verify_command(runner):
     r = runner.invoke(main, ["verify", "thm11", "--nmax", "3"])
     assert r.exit_code == 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orthodontia import diffops
+from orthodontia import diffops, families
 from orthodontia.polyring import Polynomial
 from orthodontia.suites import random_polynomial
 
@@ -119,3 +119,46 @@ def test_phi():
             assert diffops.phi(f, i) == want, (n, i)
     with pytest.raises(ValueError):
         diffops.phi(Polynomial.one(2, 1), 1)
+
+
+
+def _muls(sizes, factors):
+    """The records (len(a.terms), len(b.terms), str(b)) of a * b, zipped from their parts."""
+    return [(a, b, f) for (a, b), f in zip(sizes, factors)]
+
+
+# the record of every a * b made while each fixed product is built, frozen when the products
+# were hand-written loops: a fold must multiply the same factors in the same order.  b names
+# the factor, so a reordering that keeps every size (the staircase transposed) shows too
+FIXED_PRODUCT_MULS = {
+    "staircase-barred": (lambda: families._staircase_double(4, True), _muls(
+        [(1, 1), (1, 3), (1, 1), (3, 3), (1, 1), (8, 3), (1, 1), (20, 3), (1, 1), (52, 3),
+         (1, 1), (113, 3)],
+        ["y1", "y1 + x1 - x1*y1", "y2", "y2 + x1 - x1*y2", "y3", "y3 + x1 - x1*y3",
+         "y1", "y1 + x2 - x2*y1", "y2", "y2 + x2 - x2*y2", "y1", "y1 + x3 - x3*y1"])),
+    "staircase": (lambda: families._staircase_double(4, False), _muls(
+        [(1, 2), (2, 2), (4, 2), (8, 2), (16, 2), (30, 2)],
+        ["-y1 + x1", "-y2 + x1", "-y3 + x1", "-y1 + x2", "-y2 + x2", "-y1 + x3"])),
+    "omega": (lambda: diffops.omega(3, {1, 2}, True, 3, 2), _muls(
+        [(1, 1), (1, 3), (1, 1), (3, 3), (1, 1), (8, 3), (1, 1), (20, 3), (1, 1), (52, 3),
+         (1, 1), (113, 3)],
+        ["y1", "y1 + x1 - x1*y1", "y1", "y1 + x2 - x2*y1", "y1", "y1 + x3 - x3*y1",
+         "y2", "y2 + x1 - x1*y2", "y2", "y2 + x2 - x2*y2", "y2", "y2 + x3 - x3*y2"])),
+    "phi-factor": (lambda: diffops._phi_factor.__wrapped__(2, 4), _muls(
+        [(1, 1), (1, 1), (1, 2), (2, 2)], ["x1", "x2", "1 - x3", "1 - x4"])),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_PRODUCT_MULS)
+def test_fixed_products_multiply_their_factors_in_order(name, monkeypatch):
+    build, want = FIXED_PRODUCT_MULS[name]
+    made = []
+    mul = Polynomial.__mul__
+
+    def recorded(a, b):
+        made.append((len(a.terms), len(b.terms), str(b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    build()
+    assert made == want
