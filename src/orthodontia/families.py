@@ -4,14 +4,14 @@ Double and single Grothendieck and Schubert polynomials and Lascoux and
 key polynomials by divided difference recursions, each walked along one
 chain from the index to a base case (`_chain`; the double ones start from
 the staircase, one fold of its factors), stable Grothendieck polynomials,
-and the orthodontia evaluators for diagrams.  A query for one
-permutation walks its chain with a memo of its own, kept for that call
-only; a sweep over all of S_n (`double_grothendieck_sweep`,
-`double_schubert_sweep`) walks the same chains with a memo that holds two
-length levels at most.  Only the Lascoux polynomials, which every
-expansion peels, are memoized module-wide.  `_evaluate_diagram` is the one
-evaluator of the orthodontic sequence; its y = -1 specialization is walked
-in the Lascoux basis by `lascouxbasis.theorem12_check`.
+and the orthodontia evaluators for diagrams.  A query for one permutation
+walks its chain with a memo kept for that call only; a sweep over all of
+S_n (`double_grothendieck_sweep`, `double_schubert_sweep`) walks the tree
+of those chains depth first from w0, with no memo, holding only the values
+on its current path.  Only the Lascoux polynomials, which every expansion
+peels, are memoized module-wide.  `_evaluate_diagram` is the one evaluator
+of the orthodontic sequence; its y = -1 specialization is walked in the
+Lascoux basis by `lascouxbasis.theorem12_check`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .polyring import Polynomial
 _lascoux: dict[Composition, Polynomial] = {}
 
 
+def _first_ascent(u: tuple[int, ...]) -> int | None:
+    """The first i with u_i < u_{i+1}, or None if u is weakly decreasing."""
+    return next((i for i in range(1, len(u)) if u[i - 1] < u[i]), None)
+
+
 def _chain(index: tuple[int, ...], memo: dict, base, step) -> Polynomial:
     """The value at `index` of f(u) = step(f(u s_i), i), i the first ascent of u.
 
@@ -35,43 +40,35 @@ def _chain(index: tuple[int, ...], memo: dict, base, step) -> Polynomial:
     The walk swaps at the first ascent until it reaches a memoized index
     or a base case, then steps back down, memoizing every index on the way.
     """
-    f = memo.get(index)
-    if f is not None:
-        return f
     path = []
     u = index
-    while f is None:
-        i = next((i for i in range(1, len(u)) if u[i - 1] < u[i]), None)
-        if i is None:
-            f = memo[u] = base(u)
-            break
+    while (f := memo.get(u)) is None and (i := _first_ascent(u)) is not None:
         path.append((u, i))
         u = permcomb.right_multiply_s(u, i)
-        f = memo.get(u)
+    if f is None:
+        f = memo[u] = base(u)
     for u, i in reversed(path):
         f = memo[u] = step(f, i)
     return f
 
 
-def _sweep(n: int, base, step):
-    """(w, f(w)) for every w in S_n, f as in `_chain`, by non-increasing length.
+def _descend(u: Permutation, f: Polynomial, step):
+    """(u, f), then depth first (v, f(v)) for every v below u in the tree of `_sweep`."""
+    yield u, f
+    for i in range(1, len(u)):
+        v = permcomb.right_multiply_s(u, i)
+        if _first_ascent(v) == i:
+            yield from _descend(v, step(f, i), step)
 
-    Within a length, w comes in lexicographic order.  The first ascent of w
-    leads one length up, so once a length is done the one above it is
-    dropped from the sweep's own memo, which never holds more than two
-    adjacent lengths.
+
+def _sweep(n: int, base, step):
+    """(w, f(w)) for every w in S_n, f as in `_chain`, depth first down from w0.
+
+    Each w != w0 costs one step from its parent w s_i (i the first ascent of
+    w), and only the values on the path from w0 are held, l(w0) + 1 at most.
     """
-    levels = [[] for _ in range(n * (n - 1) // 2 + 1)]
-    for w in permcomb.all_perms(n):
-        levels[permcomb.length(w)].append(w)
-    memo = {}
-    above = []
-    for level in reversed(levels):
-        for w in level:
-            yield w, _chain(w, memo, base, step)
-        for u in above:
-            del memo[u]
-        above = level
+    w0 = tuple(range(n, 0, -1))
+    yield from _descend(w0, base(w0), step)
 
 
 def _staircase_double(n: int, barred: bool) -> Polynomial:

@@ -1,6 +1,8 @@
 """Tests for the polynomial family generators."""
 
 import re
+import weakref
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -108,8 +110,11 @@ def test_sweep_yields_each_w_once_by_non_increasing_length(sweep, query, n):
     pairs = list(sweep(n))
     ws = [w for w, _ in pairs]
     assert sorted(ws) == list(permcomb.all_perms(n))
-    lengths = [permcomb.length(w) for w in ws]
-    assert lengths == sorted(lengths, reverse=True)
+    seen = set()
+    for w in ws:  # each w != w0 comes after its first-ascent parent w s_i
+        i = families._first_ascent(w)
+        assert w == longest(n) if i is None else permcomb.right_multiply_s(w, i) in seen
+        seen.add(w)
     assert all(f == query(w) for w, f in pairs)
 
 
@@ -118,23 +123,25 @@ def test_the_two_sweeps_enumerate_s_n_alike():
             == [w for w, _ in families.double_schubert_sweep(4)])
 
 
-@pytest.mark.parametrize("sweep", [families.double_grothendieck_sweep,
-                                   families.double_schubert_sweep])
-def test_sweep_memo_spans_at_most_two_adjacent_lengths(sweep, monkeypatch):
-    spans = []
-    chain = families._chain
+def test_sweep_holds_only_the_values_on_its_path():
+    # one base and one step per w != w0, and at every yield no more values alive than the
+    # l(w0) + 1 = 11 on a path from w0 down to the identity of S_5
+    class Token:
+        pass
 
-    def recording(index, memo, base, step):
-        spans.append({permcomb.length(u) for u in memo})
-        f = chain(index, memo, base, step)
-        spans.append({permcomb.length(u) for u in memo})
-        return f
+    live, calls, alive_at_yield = weakref.WeakSet(), Counter(), []
 
-    monkeypatch.setattr(families, "_chain", recording)
-    assert len(list(sweep(5))) == 120
-    assert len(spans) == 240
-    assert all(max(s, default=0) - min(s, default=0) <= 1 for s in spans)
-    assert {frozenset(s) for s in spans} >= {frozenset({9, 10}), frozenset({0, 1})}
+    def value(kind):
+        calls[kind] += 1
+        token = Token()
+        live.add(token)
+        return token
+
+    for _, token in families._sweep(5, lambda w0: value("base"), lambda f, i: value("step")):
+        alive_at_yield.append(len(live))
+        del token
+    assert calls == {"base": 1, "step": 119}
+    assert len(alive_at_yield) == 120 and max(alive_at_yield) <= 11
 
 
 def test_single_schubert_examples():

@@ -42,8 +42,8 @@ def test_unbarred_thm11_reports_every_failure_in_lexicographic_order():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_prop_os1_derives_the_sorted_grothendieck_from_g_w(n):
     # the factorization check of prop-os1 reads G_{w_sort} from the G_w its sweep yields.  The
-    # sweep yields w before its shorter w_sort, so each w_sort is queried once, on its first
-    # unsorted w, and a sorted w (no step) meets the query of itself if one was made
+    # reference for each w_sort is taken once, from the first w with that w_sort in sweep order
+    # (w_sort may come before or after it): its own G_w if w is sorted, else a query
     queried = {}
     for w, g in families.double_grothendieck_sweep(n):
         pcd = sortorder.primary_column_data(w)
