@@ -123,7 +123,9 @@ def test_the_two_sweeps_enumerate_s_n_alike():
             == [w for w, _ in families.double_schubert_sweep(4)])
 
 
-def test_sweep_holds_only_the_values_on_its_path():
+@pytest.mark.parametrize("sweep", [families.double_grothendieck_sweep,
+                                   families.double_schubert_sweep])
+def test_sweep_holds_only_the_values_on_its_path(sweep, monkeypatch):
     # one base and one step per w != w0, and at every yield no more values alive than the
     # l(w0) + 1 = 11 on a path from w0 down to the identity of S_5
     class Token:
@@ -137,7 +139,10 @@ def test_sweep_holds_only_the_values_on_its_path():
         live.add(token)
         return token
 
-    for _, token in families._sweep(5, lambda w0: value("base"), lambda f, i: value("step")):
+    counted = (lambda w0: value("base"), lambda f, i: value("step"))
+    monkeypatch.setattr(families, "_DOUBLE_G", counted)
+    monkeypatch.setattr(families, "_DOUBLE_S", counted)
+    for _, token in sweep(5):
         alive_at_yield.append(len(live))
         del token
     assert calls == {"base": 1, "step": 119}
