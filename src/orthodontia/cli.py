@@ -209,10 +209,12 @@ def cmd_sortorder(perm, os_endpoint):
     click.echo("predecessors: " + ("(none)" if pred is None else permcomb.format_perm(pred)))
 
 
-def _report(command: str, records: Iterable[dict], as_json: bool, t0: float,
+def _report(command: str, records: Iterable[tuple], as_json: bool, t0: float,
             checked: int | None = None):
     """Print the records as they arrive, then the summary; exit EXIT_MATH_FAILURE on a violation.
 
+    A record is (item, verdict, head, tail), its JSON line head + the encoded item
+    + tail: only ``--json`` encodes items, and a memo key's items share head and tail.
     ``checked`` defaults to the number of records.  A run that fails part way
     leaves whole record lines and no summary.
     """
@@ -220,12 +222,12 @@ def _report(command: str, records: Iterable[dict], as_json: bool, t0: float,
     write = sys.stdout.write
     failed = []
     count = 0
-    for count, r in enumerate(records, 1):
-        if r["verdict"] != "positive":
-            failed.append(r["item"])
+    for count, (item, verdict, head, tail) in enumerate(records, 1):
+        if verdict != "positive":
+            failed.append(item)
         if as_json:
             # through the stream's buffer: click.echo flushes after every line
-            write(encode(r) + "\n")
+            write(head + encode(item) + tail + "\n")
     if checked is None:
         checked = count
     if as_json:
@@ -259,7 +261,7 @@ def cmd_verify(suite, nmax, as_json):
     res = suites.SUITES[suite](nmax)
     if res.checked == 0:
         raise click.UsageError(f"{suite} checks nothing at this nmax, got {nmax}")
-    records = ({"item": {"suite": suite, "failure": f}, "verdict": "violation"}
+    records = (({"suite": suite, "failure": f}, "violation", '{"item": ', ', "verdict": "violation"}')
                for f in res.failures)
     _report(f"verify {suite} --nmax {nmax}", records, as_json, t0, res.checked)
 
@@ -268,8 +270,8 @@ def _lascouxbasis():
     """The lascouxbasis module, its memos emptied: a command expands as a fresh process would."""
     from . import lascouxbasis
 
-    lascouxbasis._theorem12.clear()
-    lascouxbasis._phi.clear()
+    for memo in lascouxbasis._theorem12, lascouxbasis._theorem12_text, lascouxbasis._phi:
+        memo.clear()
     return lascouxbasis
 
 

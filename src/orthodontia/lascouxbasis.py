@@ -18,13 +18,17 @@ expansion of L_alpha from the memo `_phi`, and the last factor adds
 ncols - c to every part (L_{alpha + 1^n} = x_1 ... x_n L_alpha).  The walk
 reads only (n, ncols, the rows i_k, the sizes |M_k|, the sizes |K_a|), so
 `_theorem12` memoizes each expansion on that flat key (3527 of them for
-the %-avoiding diagrams in [4] x [4]).
+the %-avoiding diagrams in [4] x [4]).  A scan record is its item plus what
+the key fixes, so `_theorem12_text` keeps, per key, the verdict and the
+encoded ``scan_record`` before and after its item, built once; a scan worker
+returns (item, verdict, head, tail) and the CLI splices the item in.
 ``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  The CLI
-commands that fill the memos, ``scan`` and ``check``, start both empty.
+commands that fill the memos, ``scan`` and ``check``, start them all empty.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import product
 
 from . import diagrams, families, permcomb
@@ -108,6 +112,30 @@ def _times_phi(coeffs: dict[Composition, int], i: int, times: int) -> dict[Compo
 
 # (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S(D)|_{y -> -1}, ncols)
 _theorem12: dict[tuple, dict[Composition, int]] = {}
+# the same key -> _rendered(that expansion): the text its scan records share
+_theorem12_text: dict[tuple, tuple[str, str, str]] = {}
+# json.dumps(record, sort_keys=True) without its cycle check: a fresh record has no cycle
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+def _theorem12_key(D: Diagram) -> tuple:
+    """D's key in `_theorem12` and `_theorem12_text`, both filled on a miss; do not edit them."""
+    seq = diagrams.orthodontic_sequence(D)
+    n, K = D.nrows, tuple(map(len, seq.K))
+    M = tuple(len(Mk) for _, _, Mk in seq.steps)
+    key = (n, D.ncols, tuple(i for i, _, _ in seq.steps), M, K)
+    if key not in _theorem12:
+        # the order of families._evaluate_diagram: steps l..1, then the outer omegas
+        coeffs = {(0,) * n: 1}
+        for i, _, Mk in reversed(seq.steps):
+            coeffs = _times_phi(coeffs, n - i, len(Mk))
+            coeffs = _accumulate((_pibar(alpha, n - i), c) for alpha, c in coeffs.items())
+        for a, size in enumerate(K, 1):
+            coeffs = _times_phi(coeffs, n - a, size)
+        empty = D.ncols - sum(M) - sum(K)
+        coeffs = _theorem12[key] = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
+        _theorem12_text[key] = _rendered(coeffs)
+    return key
 
 
 def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composition, int]:
@@ -119,28 +147,13 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composit
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion "
                          "(`orthodontia check thm12 --no-require-inclusion` skips this check)")
-    seq = diagrams.orthodontic_sequence(D)
-    n, K = D.nrows, tuple(map(len, seq.K))
-    M = tuple(len(Mk) for _, _, Mk in seq.steps)
-    key = (n, D.ncols, tuple(i for i, _, _ in seq.steps), M, K)
-    coeffs = _theorem12.get(key)
-    if coeffs is None:
-        # the order of families._evaluate_diagram: steps l..1, then the outer omegas
-        coeffs = {(0,) * n: 1}
-        for i, _, Mk in reversed(seq.steps):
-            coeffs = _times_phi(coeffs, n - i, len(Mk))
-            coeffs = _accumulate((_pibar(alpha, n - i), c) for alpha, c in coeffs.items())
-        for a, size in enumerate(K, 1):
-            coeffs = _times_phi(coeffs, n - a, size)
-        empty = D.ncols - sum(M) - sum(K)
-        coeffs = _theorem12[key] = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
-    return dict(coeffs)
+    return dict(_theorem12[_theorem12_key(D)])
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
 
 
-def scan_record(item: dict, coeffs: dict[Composition, int]) -> dict:
+def scan_record(item: dict | None, coeffs: dict[Composition, int]) -> dict:
     """The JSON record of one scanned item: its sorted expansion, d0 and graded-positivity verdict."""
     d0 = baseline_degree(coeffs)
     positive = all((c > 0) == ((sum(alpha) - d0) % 2 == 0) for alpha, c in coeffs.items())
@@ -152,9 +165,16 @@ def scan_record(item: dict, coeffs: dict[Composition, int]) -> dict:
     }
 
 
-def conj15_item(args: tuple[Composition, int]) -> dict:
+def _rendered(coeffs: dict[Composition, int]) -> tuple[str, str, str]:
+    """(verdict, head, tail): head + the encoded item + tail is scan_record(item, coeffs) encoded."""
+    record = scan_record(None, coeffs)
+    head, tail = _encode(record).split('"item": null')
+    return record["verdict"], head + '"item": ', tail
+
+
+def conj15_item(args: tuple[Composition, int]) -> tuple:
     alpha, i = args
-    return scan_record({"alpha": list(alpha), "i": i}, _phi_expansion(alpha, i))
+    return ({"alpha": list(alpha), "i": i}, *_rendered(_phi_expansion(alpha, i)))
 
 
 def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
@@ -167,18 +187,16 @@ def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
     ]
 
 
-def conj14_item(D: Diagram) -> dict:
-    return scan_record({"diagram": diagrams.format_diagram(D)},
-                       theorem12_check(D, require_inclusion=False))
+def conj14_item(D: Diagram) -> tuple:
+    return ({"diagram": diagrams.format_diagram(D)}, *_theorem12_text[_theorem12_key(D)])
 
 
 def conj14_items(n: int, m: int) -> list[Diagram]:
     return [D for D in diagrams.all_diagrams(n, m) if diagrams.is_percent_avoiding(D)]
 
 
-def thm12_vexillary_item(w) -> dict:
-    return scan_record({"w": permcomb.format_perm(w)},
-                       theorem12_check(diagrams.rothe(w), require_inclusion=False))
+def thm12_vexillary_item(w) -> tuple:
+    return ({"w": permcomb.format_perm(w)}, *_theorem12_text[_theorem12_key(diagrams.rothe(w))])
 
 
 def thm12_vexillary_items(nmax: int) -> list:

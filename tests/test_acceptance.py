@@ -21,6 +21,7 @@ from orthodontia.diagrams import rothe
 from orthodontia.polyring import Polynomial
 
 from neg1 import script_S_neg1
+from scanline import scan_record_of
 
 
 def _report(capsys, k, ok):
@@ -92,10 +93,8 @@ def test_criterion_05_positivity_pipelines(capsys):
         if not lascouxbasis.graded_positive(lascouxbasis.theorem12_check(D)):
             ok = False
     # every vexillary w in S_5 is positive
-    for rec in map(
-        lascouxbasis.thm12_vexillary_item, lascouxbasis.thm12_vexillary_items(5)
-    ):
-        if rec["verdict"] != "positive":
+    for w in lascouxbasis.thm12_vexillary_items(5):
+        if scan_record_of(lascouxbasis.thm12_vexillary_item(w))["verdict"] != "positive":
             ok = False
     _report(capsys, 5, ok)
 
@@ -104,13 +103,13 @@ def test_criterion_06_conjecture_scans(capsys):
     records = []
     sources = []  # (kind, item) so verdicts can be re-derived independently
     for args in lascouxbasis.conj15_items(3, 3) + lascouxbasis.conj15_items(4, 2):
-        records.append(lascouxbasis.conj15_item(args))
+        records.append(scan_record_of(lascouxbasis.conj15_item(args)))
         sources.append(("conj15", args))
     for D in lascouxbasis.conj14_items(3, 3):
-        records.append(lascouxbasis.conj14_item(D))
+        records.append(scan_record_of(lascouxbasis.conj14_item(D)))
         sources.append(("conj14", D))
     for w in permcomb.all_perms(4):
-        records.append(lascouxbasis.thm12_vexillary_item(w))
+        records.append(scan_record_of(lascouxbasis.thm12_vexillary_item(w)))
         sources.append(("rothe", w))
     ok = all(rec["verdict"] == "positive" for rec in records)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import orthodontia
 from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder, suites
-from orthodontia.cli import EXIT_CRASH, FAMILIES, SCANS, SUITE_NAMES, main
+from orthodontia.cli import EXIT_CRASH, EXIT_MATH_FAILURE, FAMILIES, SCANS, SUITE_NAMES, main
 from orthodontia.polyring import EXP_LIMIT, JSON_BATCH, Polynomial
 
 
@@ -333,6 +333,21 @@ def test_verify_json(runner):
     assert body["counterexamples"] == []
 
 
+def test_verify_json_lists_every_failure(runner, monkeypatch):
+    failures = ["w=21: injected", "w=312: injected"]
+    monkeypatch.setitem(suites.SUITES, "thm11",
+                        lambda nmax: suites.SuiteResult("thm11", checked=5, failures=failures))
+    r = runner.invoke(main, ["verify", "thm11", "--json"])
+    assert r.exit_code == EXIT_MATH_FAILURE, r.output
+    *lines, last = r.stdout.splitlines()
+    items = [{"suite": "thm11", "failure": f} for f in failures]
+    assert lines == [json.dumps({"item": item, "verdict": "violation"}, sort_keys=True)
+                     for item in items]
+    body = json.loads(last)
+    assert body["summary"] == {"checked": 5, "passed": 3, "failed": 2}
+    assert body["counterexamples"] == items
+
+
 def test_verify_honours_nmax(runner):
     # 4 checks for each of the 5^n compositions with n <= 5 and entries <= 4,
     # plus 200 expansion round-trips
@@ -523,6 +538,72 @@ def test_scan_json_writes_records_as_they_arrive_and_the_summary_last(
     # the first k - 1 records were on stdout before item k was computed, and nothing follows
     assert seen == [r.stdout] == ["".join(whole[: k - 1])]
     assert len(whole) > k and "summary" in whole[-1]
+
+
+def test_scan_reports_every_violation_of_a_memo_miss_or_hit(runner, monkeypatch):
+    # with d0 one too high, every coefficient breaks the sign rule, so every record is a violation
+    d0 = lascouxbasis.baseline_degree
+    monkeypatch.setattr(lascouxbasis, "baseline_degree", lambda coeffs: d0(coeffs) + 1)
+    items = [{"diagram": diagrams.format_diagram(D)} for D in lascouxbasis.conj14_items(3, 3)]
+    argv = ["scan", "conj14", "--n", "3", "--m", "3"]
+    r = runner.invoke(main, argv + ["--json"])
+    assert r.exit_code == EXIT_MATH_FAILURE, r.output
+    assert len(lascouxbasis._theorem12_text) < len(items)  # some records were memo hits
+    *lines, last = r.stdout.splitlines()
+    records = [json.loads(line) for line in lines]
+    assert [rec["item"] for rec in records] == items
+    assert {rec["verdict"] for rec in records} == {"violation"}
+    body = json.loads(last)
+    n = len(items)
+    assert body["summary"] == {"checked": n, "passed": 0, "failed": n}
+    assert body["counterexamples"] == items
+    r = runner.invoke(main, argv)
+    assert r.exit_code == EXIT_MATH_FAILURE, r.output
+    assert r.stdout.splitlines() == [
+        f"scan conj14 --n 3 --m 3: {n} checked, {n} failed",
+        *(f"  counterexample: {json.dumps(item)}" for item in items)]
+
+
+def test_scan_renders_each_theorem12_record_once_per_memo_key(runner, monkeypatch):
+    calls = []
+    record = lascouxbasis.scan_record
+
+    def counted(item, coeffs):
+        calls.append(item)
+        return record(item, coeffs)
+
+    monkeypatch.setattr(lascouxbasis, "scan_record", counted)
+    r = runner.invoke(main, ["scan", "conj14", "--n", "4", "--m", "3", "--json"])
+    assert r.exit_code == 0, r.output
+    # 1888 diagrams share 797 theorem-12 memo keys; the text memo holds one render per key
+    assert len(calls) == len(lascouxbasis._theorem12_text) == 797
+    items = lascouxbasis.conj14_items(4, 3)
+    lines = r.stdout.splitlines()[:-1]
+    assert len(lines) == len(items) == 1888
+    for line, D in zip(lines, items):
+        want = record({"diagram": diagrams.format_diagram(D)},
+                      lascouxbasis.theorem12_check(D, require_inclusion=False))
+        assert line == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "conj14", "--n", "3", "--m", "2"],
+    ["scan", "thm12-vexillary", "--nmax", "4"],
+    ["scan", "conj15", "--n", "2", "--max-entry", "2"],
+    ["check", "thm12", "--diagram", "n=3;2,3;3;3"],
+])
+def test_no_lascouxbasis_memo_outlives_its_command(runner, argv):
+    from orthodontia.cli import _lascouxbasis
+
+    def memos():
+        return {name: len(value) for name, value in vars(lascouxbasis).items()
+                if isinstance(value, dict) and not name.startswith("__")}
+
+    r = runner.invoke(main, argv)
+    assert r.exit_code == 0, r.output
+    assert any(memos().values())
+    assert _lascouxbasis() is lascouxbasis
+    assert {name: size for name, size in memos().items() if size} == {}
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 3), (4, 64), (None, 2)])

@@ -5,7 +5,8 @@ single Grothendieck and Schubert polynomial with n <= 4, of ``lascoux`` and
 ``key_via_pi`` for every alpha in {0..3}^3, of every ``conj15_item`` record
 of ``scan conj15 --n 3 --m 2``, every ``conj14_item`` record of ``scan conj14
 --n 3 --m 3`` and every ``thm12_vexillary_item`` record for w in S_1..S_5
-(``json.dumps(record, sort_keys=True)``, as the scan prints it), and of the stdout of ``pipedreams --w <w> --emit-json`` and
+(the line the scan prints: the worker's head, its item encoded with sorted
+keys, then its tail), and of the stdout of ``pipedreams --w <w> --emit-json`` and
 ``pipedreams --w <w> --count`` for every w in S_1..S_5, of ``report
 ambiguities`` at five (--nmax-omega, --nmax-endpoint) pairs and of ``verify
 <suite> --nmax 4`` for every suite, and of the stdout of ``scan
@@ -29,6 +30,7 @@ from pathlib import Path
 
 from orthodontia import diagrams, families, lascouxbasis, permcomb, suites
 from orthodontia.cli import main
+from scanline import scan_line
 from test_cli import _digest as scan_digest  # the digest of bench/workloads.digest: version blanked
 
 GOLDENS = Path(__file__).with_name("kernel_goldens.json")
@@ -61,15 +63,14 @@ def digests() -> dict[str, str]:
             out[f"{name} {','.join(map(str, alpha))}"] = sha(
                 getattr(families, name)(alpha).to_json())
     for alpha, i in lascouxbasis.conj15_items(3, 2):
-        record = lascouxbasis.conj15_item((alpha, i))
         out[f"conj15_item {','.join(map(str, alpha))} {i}"] = sha(
-            json.dumps(record, sort_keys=True))
+            scan_line(lascouxbasis.conj15_item((alpha, i))))
     for D in lascouxbasis.conj14_items(3, 3):
         out[f"conj14_item {diagrams.format_diagram(D)}"] = sha(
-            json.dumps(lascouxbasis.conj14_item(D), sort_keys=True))
+            scan_line(lascouxbasis.conj14_item(D)))
     for w in (w for n in range(1, 6) for w in lascouxbasis.thm12_vexillary_items(n)):
         out[f"thm12_vexillary_item {permcomb.format_perm(w)}"] = sha(
-            json.dumps(lascouxbasis.thm12_vexillary_item(w), sort_keys=True))
+            scan_line(lascouxbasis.thm12_vexillary_item(w)))
     for w in (w for n in range(1, 6) for w in permcomb.all_perms(n)):
         for flag in ("--emit-json", "--count"):
             out[f"pipedreams {permcomb.format_perm(w)} {flag}"] = sha(

@@ -12,6 +12,7 @@ from orthodontia.lascouxbasis import (
 from orthodontia.polyring import Polynomial
 
 from neg1 import script_S_neg1
+from scanline import scan_record_of
 
 
 def test_expand_single_lascoux():
@@ -112,6 +113,7 @@ def test_lascoux_basis_rules_of_the_theorem12_route(n):
 
 def test_theorem12_memo_matches_fresh_expansion():
     lascouxbasis._theorem12.clear()
+    lascouxbasis._theorem12_text.clear()
     lascouxbasis._phi.clear()
     items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
     for D in items:
@@ -123,6 +125,10 @@ def test_theorem12_memo_matches_fresh_expansion():
     assert len(lascouxbasis._theorem12) == len({_theorem12_key(D) for D in items}) == 118 + 797
     memos = [*lascouxbasis._theorem12.values(), *lascouxbasis._phi.values()]
     assert all(type(e) is dict for e in memos)
+    # the text of each key's records, rendered once from its expansion
+    assert lascouxbasis._theorem12_text.keys() == lascouxbasis._theorem12.keys()
+    assert all(lascouxbasis._theorem12_text[key] == lascouxbasis._rendered(e)
+               for key, e in lascouxbasis._theorem12.items())
 
 
 def test_theorem12_key_is_exact():
@@ -168,10 +174,12 @@ def test_each_cli_command_starts_from_an_empty_memo():
 
 
 def test_conj15_item_record():
-    rec = lascouxbasis.conj15_item(((1, 0), 1))
+    rec = scan_record_of(lascouxbasis.conj15_item(((1, 0), 1)))
     assert rec["item"] == {"alpha": [1, 0], "i": 1}
     assert rec["verdict"] == "positive"
     assert rec["d0"] >= 1
+    want = lascoux_expand(diffops.phi(families.lascoux((1, 0)), 1))
+    assert rec == scan_record({"alpha": [1, 0], "i": 1}, want)
 
 
 def test_conj15_items_enumeration():
