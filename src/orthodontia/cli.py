@@ -163,11 +163,11 @@ def cmd_pipedreams(perm, count_only, emit_json):
     if count_only:
         click.echo(str(len(pds)))
         return
-    for P in pds:
+    for crosses in pds:
         if emit_json:
-            click.echo(json.dumps([list(c) for c in P.sorted_crosses()]))
+            click.echo(json.dumps([list(c) for c in crosses]))
         else:
-            click.echo(" ".join(f"({i},{j})" for i, j in P.sorted_crosses()) or "(empty)")
+            click.echo(" ".join(f"({i},{j})" for i, j in crosses) or "(empty)")
     click.echo(f"total: {len(pds)}", err=True)
 
 
@@ -244,13 +244,14 @@ def _report(command: str, records: Iterable[tuple], as_json: bool, t0: float,
         sys.exit(EXIT_MATH_FAILURE)
 
 
-# sorted(suites.SUITES), spelled out so that --help need not import the suites
-SUITE_NAMES = ("cor-double-schub", "lemma4", "operators", "prop-os1", "thm-os2", "thm11",
-               "triangularity")
+# suite: the name of its suites function, spelled out so that --help need not import the
+# suites; in sorted order, as --help lists them
+SUITES = {name: "suite_" + name.replace("-", "_") for name in (
+    "cor-double-schub", "lemma4", "operators", "prop-os1", "thm-os2", "thm11", "triangularity")}
 
 
 @main.command("verify")
-@click.argument("suite", type=click.Choice(SUITE_NAMES))
+@click.argument("suite", type=click.Choice(list(SUITES)))
 @click.option("--nmax", default=4, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cmd_verify(suite, nmax, as_json):
@@ -258,7 +259,7 @@ def cmd_verify(suite, nmax, as_json):
     from . import suites
 
     t0 = time.monotonic()
-    res = suites.SUITES[suite](nmax)
+    res = getattr(suites, SUITES[suite])(nmax)
     if res.checked == 0:
         raise click.UsageError(f"{suite} checks nothing at this nmax, got {nmax}")
     records = (({"suite": suite, "failure": f}, "violation", '{"item": ', ', "verdict": "violation"}')
@@ -270,7 +271,7 @@ def _lascouxbasis():
     """The lascouxbasis module, its memos emptied: a command expands as a fresh process would."""
     from . import lascouxbasis
 
-    for memo in lascouxbasis._theorem12, lascouxbasis._theorem12_text, lascouxbasis._phi:
+    for memo in lascouxbasis._theorem12, lascouxbasis._phi:
         memo.clear()
     return lascouxbasis
 
@@ -295,7 +296,8 @@ SIZE = click.IntRange(min=0)
 def cmd_scan(target, workers, as_json, **options):
     """Scan a conjecture/theorem family and report counterexamples."""
     t0 = time.monotonic()
-    cpus = os.cpu_count() or 1
+    # the CPUs this process may run on, where the platform reports them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if workers > cpus:
         raise click.UsageError(f"--workers {workers} exceeds the CPU count ({cpus})")
     reads, builder, worker = SCANS[target]

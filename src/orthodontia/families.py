@@ -120,16 +120,9 @@ def schubert(w: Permutation) -> Polynomial:
     return _chain(tuple(permcomb.check_perm(w)), {}, _staircase_single, diffops.divided_difference)
 
 
-def _dominant_monomial(alpha: Composition) -> Polynomial:
-    """x^alpha, the base case of a weakly decreasing composition."""
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"composition parts must be nonnegative: {alpha}")
-    return Polynomial.monomial(alpha)
-
-
 def lascoux(alpha: Composition) -> Polynomial:
     """Lascoux polynomial L_alpha, ambient (len(alpha), 0)."""
-    return _chain(tuple(alpha), _lascoux, _dominant_monomial, diffops.demazure_lascoux)
+    return _chain(tuple(alpha), _lascoux, Polynomial.monomial, diffops.demazure_lascoux)
 
 
 def key(alpha: Composition) -> Polynomial:
@@ -139,7 +132,7 @@ def key(alpha: Composition) -> Polynomial:
 
 def key_via_pi(alpha: Composition) -> Polynomial:
     """kappa_alpha by the pi_i recursion; independent route for testing."""
-    return _chain(tuple(alpha), {}, _dominant_monomial, diffops.demazure)
+    return _chain(tuple(alpha), {}, Polynomial.monomial, diffops.demazure)
 
 
 def _evaluate_diagram(D: Diagram, inner_barred: bool, outer_barred: bool, step) -> Polynomial:

@@ -19,11 +19,11 @@ ncols - c to every part (L_{alpha + 1^n} = x_1 ... x_n L_alpha).  The walk
 reads only (n, ncols, the rows i_k, the sizes |M_k|, the sizes |K_a|), so
 `_theorem12` memoizes each expansion on that flat key (3527 of them for
 the %-avoiding diagrams in [4] x [4]).  A scan record is its item plus what
-the key fixes, so `_theorem12_text` keeps, per key, the verdict and the
-encoded ``scan_record`` before and after its item, built once; a scan worker
-returns (item, verdict, head, tail) and the CLI splices the item in.
+the key fixes, so each entry also keeps, built once, the verdict and the
+encoded ``scan_record`` before and after its item; a scan worker returns
+(item, verdict, head, tail) and the CLI splices the item in.
 ``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  The CLI
-commands that fill the memos, ``scan`` and ``check``, start them all empty.
+commands that fill the memos, ``scan`` and ``check``, start them both empty.
 """
 
 from __future__ import annotations
@@ -110,16 +110,15 @@ def _times_phi(coeffs: dict[Composition, int], i: int, times: int) -> dict[Compo
     return coeffs
 
 
-# (n, ncols, i, |M_k|, |K_a|) -> expansion of flip(script_S(D)|_{y -> -1}, ncols)
-_theorem12: dict[tuple, dict[Composition, int]] = {}
-# the same key -> _rendered(that expansion): the text its scan records share
-_theorem12_text: dict[tuple, tuple[str, str, str]] = {}
+# (n, ncols, i, |M_k|, |K_a|) -> (coeffs, *_rendered(coeffs)): the expansion of
+# flip(script_S(D)|_{y -> -1}, ncols), then the text that its scan records share
+_theorem12: dict[tuple, tuple[dict[Composition, int], str, str, str]] = {}
 # json.dumps(record, sort_keys=True) without its cycle check: a fresh record has no cycle
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def _theorem12_key(D: Diagram) -> tuple:
-    """D's key in `_theorem12` and `_theorem12_text`, both filled on a miss; do not edit them."""
+    """D's key in `_theorem12`, filled on a miss; do not edit its entry."""
     seq = diagrams.orthodontic_sequence(D)
     n, K = D.nrows, tuple(map(len, seq.K))
     M = tuple(len(Mk) for _, _, Mk in seq.steps)
@@ -133,8 +132,8 @@ def _theorem12_key(D: Diagram) -> tuple:
         for a, size in enumerate(K, 1):
             coeffs = _times_phi(coeffs, n - a, size)
         empty = D.ncols - sum(M) - sum(K)
-        coeffs = _theorem12[key] = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
-        _theorem12_text[key] = _rendered(coeffs)
+        coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
+        _theorem12[key] = (coeffs, *_rendered(coeffs))
     return key
 
 
@@ -147,7 +146,7 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composit
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion "
                          "(`orthodontia check thm12 --no-require-inclusion` skips this check)")
-    return dict(_theorem12[_theorem12_key(D)])
+    return dict(_theorem12[_theorem12_key(D)][0])
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
@@ -188,7 +187,7 @@ def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
 
 
 def conj14_item(D: Diagram) -> tuple:
-    return ({"diagram": diagrams.format_diagram(D)}, *_theorem12_text[_theorem12_key(D)])
+    return ({"diagram": diagrams.format_diagram(D)}, *_theorem12[_theorem12_key(D)][1:])
 
 
 def conj14_items(n: int, m: int) -> list[Diagram]:
@@ -196,7 +195,7 @@ def conj14_items(n: int, m: int) -> list[Diagram]:
 
 
 def thm12_vexillary_item(w) -> tuple:
-    return ({"w": permcomb.format_perm(w)}, *_theorem12_text[_theorem12_key(diagrams.rothe(w))])
+    return ({"w": permcomb.format_perm(w)}, *_theorem12[_theorem12_key(diagrams.rothe(w))][1:])
 
 
 def thm12_vexillary_items(nmax: int) -> list:

@@ -16,7 +16,6 @@ value passed through uncrossed is shared until its first write copies it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import permcomb
 from .permcomb import Permutation
@@ -26,20 +25,6 @@ MAX_N = 7
 
 # (n, k, v) -> Dem(v, letters k+1.. of the staircase word of S_n)
 _dem_rest: dict[tuple, Permutation] = {}
-
-
-@dataclass(frozen=True)
-class PipeDream:
-    n: int
-    crosses: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        for i, j in self.crosses:
-            if not (1 <= i and 1 <= j and i + j <= self.n):
-                raise ValueError(f"cell {(i, j)} outside the staircase for n={self.n}")
-
-    def sorted_crosses(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.crosses))
 
 
 def _rest(n: int, k: int, v: Permutation, word: list[int]) -> Permutation:
@@ -79,10 +64,10 @@ def _walk(w: Permutation, start, copy, cross):
     return states[w]
 
 
-def enumerate_pd(w: Permutation) -> list[PipeDream]:
-    """All pipe dreams P with Demazure product w, in canonical order."""
+def enumerate_pd(w: Permutation) -> list[tuple[tuple[int, int], ...]]:
+    """All pipe dreams with Demazure product w, each its sorted crosses, in lexicographic order."""
     dreams = _walk(w, [()], list, lambda acc, ds, cell: (acc or []) + [d + (cell,) for d in ds])
-    return sorted((PipeDream(len(w), frozenset(d)) for d in dreams), key=PipeDream.sorted_crosses)
+    return sorted(tuple(sorted(d)) for d in dreams)
 
 
 def weight_sum(w: Permutation) -> Polynomial:

@@ -1,6 +1,6 @@
 """Named verification suites over the structural results.
 
-Each entry of ``SUITES`` is a function of ``nmax`` alone: it sweeps an
+Each ``suite_*`` function takes ``nmax`` alone: it sweeps an
 index range (S_2..S_nmax for the permutation suites), checks exact
 identities, and returns a count, the failure descriptions and the item of
 the first failure.  The CLI `verify` subcommand, the acceptance tests and
@@ -372,17 +372,6 @@ def suite_triangularity(nmax: int) -> SuiteResult:
         e = lascouxbasis.lascoux_expand(f)
         res.check(lascouxbasis.reconstruct(n, e) == f, f"round-trip fails at trial {t}")
     return res
-
-
-SUITES = {
-    "thm11": suite_thm11,
-    "cor-double-schub": suite_cor_double_schub,
-    "prop-os1": suite_prop_os1,
-    "thm-os2": suite_thm_os2,
-    "operators": suite_operators,
-    "lemma4": suite_lemma4,
-    "triangularity": suite_triangularity,
-}
 
 
 # -- ambiguity resolution report ------------------------------------------

@@ -152,8 +152,8 @@ def test_criterion_08_structural_suites(capsys):
             for j in range(1, pcd.h + 1)
             for i in range(1, lam[j - 1] + 1)
         }
-        for P in pipedreams.enumerate_pd(w):
-            if not Cw <= P.crosses:
+        for crosses in pipedreams.enumerate_pd(w):
+            if not Cw <= set(crosses):
                 ok = False
     _report(capsys, 8, ok)
 

@@ -2,12 +2,10 @@
 
 import contextlib
 import gc
-import hashlib
 import io
 import json
 import multiprocessing
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +17,12 @@ from hypothesis import strategies as st
 
 import orthodontia
 from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder, suites
-from orthodontia.cli import EXIT_CRASH, EXIT_MATH_FAILURE, FAMILIES, SCANS, SUITE_NAMES, main
+from orthodontia.cli import EXIT_CRASH, EXIT_MATH_FAILURE, FAMILIES, SCANS, SUITES, main
 from orthodontia.polyring import EXP_LIMIT, JSON_BATCH, Polynomial
+
+# bench/workloads.py holds the digest rule of the frozen stdout digests and reads their goldens
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture()
@@ -164,7 +166,7 @@ def test_unexpected_error_exits_3_with_one_line(runner, monkeypatch):
 def test_scan_exponent_over_limit_is_a_usage_error(runner, monkeypatch, workers):
     # phi multiplies L_(32767) by x_1, which raises ExponentRangeError (a ValueError) in the
     # worker; a pool re-raises it in the parent, so both paths exit 2
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     r = runner.invoke(main, ["scan", "conj15", "--n", "1", "--max-entry", "32767",
                              "--workers", workers])
     assert r.exit_code == 2, r.output
@@ -188,7 +190,7 @@ def test_scan_max_entry_at_the_limit_is_refused_before_any_item_is_built(runner,
         (["pipedreams", "--w", "21"], pipedreams, "enumerate_pd"),
         (["orthodontia", "--diagram", "n=2;1;"], diagrams, "orthodontic_sequence"),
         (["sortorder", "--w", "21"], sortorder, "primary_column_data"),
-        (["verify", "thm11"], suites.SUITES, "thm11"),
+        (["verify", "thm11"], suites, "suite_thm11"),
         (["scan", "conj15", "--n", "1", "--max-entry", "1"], lascouxbasis, "conj15_item"),
         (["check", "thm12", "--diagram", "n=2;1;"], lascouxbasis, "theorem12_check"),
         (["report", "ambiguities"], suites, "ambiguity_report"),
@@ -335,7 +337,7 @@ def test_verify_json(runner):
 
 def test_verify_json_lists_every_failure(runner, monkeypatch):
     failures = ["w=21: injected", "w=312: injected"]
-    monkeypatch.setitem(suites.SUITES, "thm11",
+    monkeypatch.setattr(suites, "suite_thm11",
                         lambda nmax: suites.SuiteResult("thm11", checked=5, failures=failures))
     r = runner.invoke(main, ["verify", "thm11", "--json"])
     assert r.exit_code == EXIT_MATH_FAILURE, r.output
@@ -412,7 +414,12 @@ def test_permutation_suites_leave_the_module_memos_empty(runner, suite):
 
 
 def test_verify_choices_are_the_suites():
-    assert list(SUITE_NAMES) == sorted(suites.SUITES)
+    # each choice names a suite function, each suite function is a choice, and --help lists
+    # them in sorted order
+    functions = {name for name in vars(suites) if name.startswith("suite_")}
+    assert sorted(SUITES.values()) == sorted(functions)
+    assert all(callable(getattr(suites, name)) for name in functions)
+    assert list(SUITES) == sorted(SUITES)
 
 
 ENGINE = {"diagrams", "diffops", "families", "lascouxbasis", "pipedreams", "polyring",
@@ -452,7 +459,7 @@ SMALL_RUNS = [
     ["pipedreams", "--w", "1423"],
     ["orthodontia", "--diagram", "n=3;1;1,2;"],
     ["sortorder", "--w", "2413"],
-    *(["verify", suite, "--nmax", "3"] for suite in SUITE_NAMES),
+    *(["verify", suite, "--nmax", "3"] for suite in SUITES),
     ["scan", "conj15", "--n", "2", "--max-entry", "1", "--json", "--workers", "1"],
     ["scan", "conj14", "--n", "3", "--m", "2", "--json", "--workers", "1"],
     ["scan", "thm12-vexillary", "--nmax", "3", "--json", "--workers", "1"],
@@ -499,7 +506,7 @@ def test_scan_command(runner):
 
 
 def test_scan_workers(runner, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     r = runner.invoke(main, ["scan", "conj14", "--n", "2", "--m", "2", "--workers", "2"])
     assert r.exit_code == 0
     assert "15 checked, 0 failed" in r.output
@@ -507,7 +514,7 @@ def test_scan_workers(runner, monkeypatch):
 
 def test_scan_json_is_the_same_under_a_pool(runner, monkeypatch):
     # the pool hands its records back in item order, as they complete
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     argv = ["scan", "conj14", "--n", "3", "--m", "3", "--json", "--workers"]
     one, two = (runner.invoke(main, argv + [w]) for w in ("1", "2"))
     assert one.exit_code == two.exit_code == 0
@@ -548,7 +555,7 @@ def test_scan_reports_every_violation_of_a_memo_miss_or_hit(runner, monkeypatch)
     argv = ["scan", "conj14", "--n", "3", "--m", "3"]
     r = runner.invoke(main, argv + ["--json"])
     assert r.exit_code == EXIT_MATH_FAILURE, r.output
-    assert len(lascouxbasis._theorem12_text) < len(items)  # some records were memo hits
+    assert len(lascouxbasis._theorem12) < len(items)  # some records were memo hits
     *lines, last = r.stdout.splitlines()
     records = [json.loads(line) for line in lines]
     assert [rec["item"] for rec in records] == items
@@ -575,8 +582,8 @@ def test_scan_renders_each_theorem12_record_once_per_memo_key(runner, monkeypatc
     monkeypatch.setattr(lascouxbasis, "scan_record", counted)
     r = runner.invoke(main, ["scan", "conj14", "--n", "4", "--m", "3", "--json"])
     assert r.exit_code == 0, r.output
-    # 1888 diagrams share 797 theorem-12 memo keys; the text memo holds one render per key
-    assert len(calls) == len(lascouxbasis._theorem12_text) == 797
+    # 1888 diagrams share 797 theorem-12 memo keys, and each entry holds one render
+    assert len(calls) == len(lascouxbasis._theorem12) == 797
     items = lascouxbasis.conj14_items(4, 3)
     lines = r.stdout.splitlines()[:-1]
     assert len(lines) == len(items) == 1888
@@ -606,14 +613,21 @@ def test_no_lascouxbasis_memo_outlives_its_command(runner, argv):
     assert {name: size for name, size in memos().items() if size} == {}
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 3), (4, 64), (None, 2)])
+@pytest.mark.parametrize("cpus, workers", [(2, 3), (4, 64), (None, 2), (1, 2)])
 def test_scan_workers_above_the_cpu_count_are_refused_before_any_pool(
         runner, monkeypatch, cpus, workers):
-    # an unknown CPU count counts as one
+    # cpus is the process's CPU affinity, which caps the workers however many CPUs the machine
+    # has (as under `taskset -c 0`); None is a platform without one, where os.cpu_count() is
+    # read and an unknown count counts as one
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     r = runner.invoke(main, ["scan", "conj14", "--n", "2", "--m", "2",
                              "--workers", str(workers)])
@@ -685,22 +699,8 @@ def test_report_at_the_smallest_bounds_that_check_something(runner):
     assert "for all w up to S_2" in r.output and "transformation up to S_3" in r.output
 
 
-GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
-_VERSION = re.compile(rb'"version": "[^"]*"')
-
-
-def _digest(stdout: bytes) -> str:
-    """sha256 of stdout with the package version in the last line blanked.
-
-    The summary line of ``scan --json`` reports the package version; that
-    is provenance, not an answer, so the frozen digests omit it.
-    """
-    head, sep, last = stdout.rstrip(b"\n").rpartition(b"\n")
-    return hashlib.sha256(head + sep + _VERSION.sub(b'"version": ""', last)).hexdigest()
-
-
 def _golden_cases():
-    goldens = json.loads(GOLDENS.read_text())
+    goldens = workloads.load_goldens()
     strata = {s["name"]: s["queries"] for s in goldens["cli-query"]["strata"]}
     return {
         "scan-conj14": [goldens["scan-conj14"]],
@@ -716,7 +716,7 @@ def test_stdout_matches_frozen_digests(runner, queries):
     mismatched = []
     for q in queries:
         r = runner.invoke(main, q["argv"])
-        if r.exit_code != 0 or _digest(r.stdout_bytes) != q["sha256"]:
+        if r.exit_code != 0 or workloads.digest(r.stdout_bytes) != q["sha256"]:
             mismatched.append(" ".join(q["argv"]))
     assert mismatched == [], f"{len(mismatched)} of {len(queries)} differ"
 
@@ -743,7 +743,7 @@ COMMANDS = {
     "sortorder": ([], {"--w": TEXT, "--os-endpoint": st.sampled_from(["alpha", "alpha-plus-one"])}),
     "check": (["thm12"], {"--diagram": TEXT, "--no-require-inclusion": FLAG, "--json": FLAG}),
     "scan": (sorted(SCANS), {"--workers": st.sampled_from(["0", "1"]), "--json": FLAG}),
-    "verify": (sorted(suites.SUITES), {"--json": FLAG}),
+    "verify": (sorted(SUITES), {"--json": FLAG}),
     "report": (["ambiguities"], {}),
 }
 # sizes, given when read: scans at most 2, verify and report at most 3

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from orthodontia import diagrams, diffops, families, permcomb
-from orthodontia.polyring import Polynomial
+from orthodontia.polyring import ExponentRangeError, Polynomial
 
 from neg1 import script_S_neg1
 
@@ -188,8 +188,16 @@ def test_key_is_lowest_part_and_pi_recursion_agrees():
         assert k == families.lascoux(alpha).lowest_degree_part()
 
 
-def test_key_dominant_monomial():
+def test_key_of_a_partition_is_its_monomial():
     assert families.key((3, 1, 0)) == Polynomial.monomial((3, 1, 0))
+
+
+@pytest.mark.parametrize("alpha", [(-1,), (0, -1), (-1, 0), (2, -1, 3)])
+@pytest.mark.parametrize("family", ["lascoux", "key_via_pi"])
+def test_a_negative_part_is_refused_by_the_base_monomial(family, alpha):
+    # the chain climbs to a weakly decreasing composition, whose monomial refuses the part
+    with pytest.raises(ExponentRangeError, match="exponent -1 outside"):
+        getattr(families, family)(alpha)
 
 
 @pytest.mark.parametrize("alpha", [(), (0,), (0, 0, 0)])

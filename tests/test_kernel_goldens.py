@@ -28,10 +28,10 @@ import json
 from itertools import product
 from pathlib import Path
 
-from orthodontia import diagrams, families, lascouxbasis, permcomb, suites
-from orthodontia.cli import main
+from orthodontia import diagrams, families, lascouxbasis, permcomb
+from orthodontia.cli import SUITES, main
 from scanline import scan_line
-from test_cli import _digest as scan_digest  # the digest of bench/workloads.digest: version blanked
+from test_cli import workloads  # bench/workloads.py, which test_cli puts on sys.path
 
 GOLDENS = Path(__file__).with_name("kernel_goldens.json")
 
@@ -78,9 +78,9 @@ def digests() -> dict[str, str]:
     for omega, endpoint in REPORT_BOUNDS:
         out[f"report ambiguities {omega} {endpoint}"] = sha(stdout_of(
             ["report", "ambiguities", "--nmax-omega", str(omega), "--nmax-endpoint", str(endpoint)]))
-    for suite in sorted(suites.SUITES):
+    for suite in sorted(SUITES):
         out[f"verify {suite} --nmax 4"] = sha(stdout_of(["verify", suite, "--nmax", "4"]))
-    out[" ".join(SCAN_THM12_S6)] = scan_digest(stdout_of(SCAN_THM12_S6).encode())
+    out[" ".join(SCAN_THM12_S6)] = workloads.digest(stdout_of(SCAN_THM12_S6).encode())
     return out
 
 

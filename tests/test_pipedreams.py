@@ -5,43 +5,44 @@ from collections import Counter
 import pytest
 
 from orthodontia import families, permcomb, pipedreams
-from orthodontia.pipedreams import PipeDream
 from orthodontia.polyring import Polynomial
 
 
-def demazure_word_of(P: PipeDream):
-    """Demazure product of s_{i+j-1} over crosses, row by row, right to left."""
-    w = permcomb.identity(P.n)
-    for i, j in sorted(P.crosses, key=lambda c: (c[0], -c[1])):
+def demazure_word_of(n: int, crosses):
+    """Demazure product of s_{i+j-1} over the crosses, row by row, right to left."""
+    w = permcomb.identity(n)
+    for i, j in sorted(crosses, key=lambda c: (c[0], -c[1])):
         w = permcomb.demazure_star(w, i + j - 1)
     return w
 
 
 def fillings_by_product(n: int) -> dict:
-    """Brute force: all 2^(n(n-1)/2) fillings, bucketed by Demazure product."""
+    """Brute force: all 2^(n(n-1)/2) fillings as sorted crosses, bucketed by Demazure product."""
     cells = [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
     buckets = {}
     for mask in range(1 << len(cells)):
-        P = PipeDream(n, frozenset(c for k, c in enumerate(cells) if mask >> k & 1))
-        buckets.setdefault(demazure_word_of(P), []).append(P)
+        crosses = tuple(c for k, c in enumerate(cells) if mask >> k & 1)
+        buckets.setdefault(demazure_word_of(n, crosses), []).append(crosses)
     return buckets
 
 
-def test_pipe_dream_cell_validation():
-    with pytest.raises(ValueError):
-        PipeDream(3, frozenset({(2, 2)}))
-    PipeDream(3, frozenset({(1, 2), (2, 1)}))
+def test_every_dream_is_sorted_staircase_cells():
+    # on S_1..S_5, each cross of a dream is a cell (i, j) of the staircase, and no cell comes twice
+    for w in (w for n in range(1, 6) for w in permcomb.all_perms(n)):
+        n = len(w)
+        for crosses in pipedreams.enumerate_pd(w):
+            assert all(1 <= i and 1 <= j and i + j <= n for i, j in crosses), (w, crosses)
+            assert list(crosses) == sorted(set(crosses)), (w, crosses)
 
 
 def test_demazure_word_of():
     # empty filling reads to the identity
-    assert demazure_word_of(PipeDream(3, frozenset())) == (1, 2, 3)
+    assert demazure_word_of(3, ()) == (1, 2, 3)
     # full staircase gives w0
-    full = PipeDream(3, frozenset({(1, 1), (1, 2), (2, 1)}))
-    assert demazure_word_of(full) == (3, 2, 1)
+    assert demazure_word_of(3, ((1, 1), (1, 2), (2, 1))) == (3, 2, 1)
     # the two cells (1,2) and (2,1) both read as s_2
-    assert demazure_word_of(PipeDream(3, frozenset({(1, 2)}))) == (1, 3, 2)
-    assert demazure_word_of(PipeDream(3, frozenset({(2, 1)}))) == (1, 3, 2)
+    assert demazure_word_of(3, ((1, 2),)) == (1, 3, 2)
+    assert demazure_word_of(3, ((2, 1),)) == (1, 3, 2)
 
 
 def test_enumeration_partitions_all_fillings():
@@ -54,18 +55,17 @@ def test_enumeration_partitions_all_fillings():
 def test_walk_equals_brute_force_buckets(n):
     buckets = fillings_by_product(n)
     for w in permcomb.all_perms(n):
-        assert pipedreams.enumerate_pd(w) == sorted(buckets[w], key=PipeDream.sorted_crosses)
+        assert pipedreams.enumerate_pd(w) == sorted(buckets[w])
 
 
 def test_identity_has_single_empty_dream():
-    pds = pipedreams.enumerate_pd((1, 2, 3))
-    assert len(pds) == 1 and not pds[0].crosses
+    assert pipedreams.enumerate_pd((1, 2, 3)) == [()]
 
 
 def test_longest_has_single_full_dream():
     pds = pipedreams.enumerate_pd((4, 3, 2, 1))
     assert len(pds) == 1
-    assert len(pds[0].crosses) == 6
+    assert len(pds[0]) == 6
 
 
 def test_pd_count_1423():
@@ -75,7 +75,7 @@ def test_pd_count_1423():
 def test_reduced_dreams_have_length_many_crosses():
     for w in permcomb.all_perms(4):
         lw = permcomb.length(w)
-        sizes = [len(P.crosses) for P in pipedreams.enumerate_pd(w)]
+        sizes = [len(crosses) for crosses in pipedreams.enumerate_pd(w)]
         assert min(sizes) == lw
 
 
@@ -105,9 +105,9 @@ def test_weight_sum_is_the_signed_sum_over_brute_force_fillings(n):
     buckets = fillings_by_product(n)
     for w in permcomb.all_perms(n):
         total = Polynomial.zero(n, n)
-        for P in buckets[w]:
+        for crosses in buckets[w]:
             term = Polynomial.one(n, n)
-            for i, j in P.crosses:
+            for i, j in crosses:
                 x, y = Polynomial.var_x(i, n, n), Polynomial.var_y(j, n, n)
                 term = term * -(x + y - x * y)
             total = total + term

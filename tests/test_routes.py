@@ -5,13 +5,17 @@ does not show that they are independent.  Each route runs here on every w in
 S_1..S_4 under `sys.setprofile`, which records the engine functions it enters.
 Outside `polyring` (the kernel, checked against sympy on its own) and
 `permcomb`, the routes each suite compares must enter disjoint sets of them.
+The theorem-12 walk and the polynomial it stands for (`tests/neg1.py`),
+expanded by `lascoux_expand`, are compared the same way on the
+%-avoiding diagrams in [3] x [2].
 """
 
 import sys
 
 import pytest
 
-from orthodontia import families, permcomb, pipedreams
+import neg1
+from orthodontia import diffops, families, lascouxbasis, permcomb, pipedreams
 from orthodontia.diagrams import rothe
 
 PERMS = [w for n in range(1, 5) for w in permcomb.all_perms(n)]
@@ -77,3 +81,44 @@ def test_compared_routes_share_no_engine_function(suite, entered):
         for b in routes[k + 1:]:
             shared = {(module, name) for module, name, _ in entered[a] & entered[b]}
             assert shared <= ALLOWED.get(frozenset({a, b}), set()), (a, b, shared)
+
+
+# the %-avoiding diagrams in [3] x [2], on which the theorem-12 walk meets its reference
+CONJ14 = lascouxbasis.conj14_items(3, 2)
+# the walk's own functions, which the reference must not enter
+WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
+    "_theorem12_key", "_times_phi", "_pibar", "_phi_expansion", "theorem12_check")} | {
+    ("orthodontia.diffops", "phi"), ("orthodontia.diffops", "_phi_factor")}
+# what the two may share, a comprehension keyed by its module: the orthodontic sequence of D,
+# which both read, and the Lascoux expander with the chain that builds each L_beta it peels
+THM12_SHARED = {
+    *(("orthodontia.diagrams", name) for name in (
+        "orthodontic_sequence", "is_percent_avoiding", "smallest_missing_tooth",
+        "_standard_interval", "ncols", "__init__", "<genexpr>", "<listcomp>")),
+    *(("orthodontia.lascouxbasis", name) for name in ("lascoux_expand", "_accumulate", "<dictcomp>")),
+    *(("orthodontia.families", name) for name in ("lascoux", "_chain", "_first_ascent", "<genexpr>")),
+    ("orthodontia.diffops", "demazure_lascoux"), ("orthodontia.diffops", "_one_minus_x"),
+}
+
+
+def _fresh_memos():
+    """Empty every memo either route fills, so each route enters what a cold run enters."""
+    for memo in lascouxbasis._theorem12, lascouxbasis._phi, families._lascoux:
+        memo.clear()
+    diffops._phi_factor.cache_clear()
+    neg1._omega_neg1.cache_clear()
+
+
+def test_theorem12_walk_shares_only_the_expander_with_its_reference():
+    assert len(CONJ14) == 54
+    _fresh_memos()
+    walk = _entered(lambda: [lascouxbasis.theorem12_check(D, require_inclusion=False)
+                             for D in CONJ14])
+    # the reference expands the polynomial that the walk stands for
+    _fresh_memos()
+    reference = _entered(lambda: [lascouxbasis.lascoux_expand(neg1.script_S_neg1(D).flip(D.ncols))
+                                  for D in CONJ14])
+    assert WALK_OWN <= {(module, fn) for module, fn, _ in walk}
+    assert not WALK_OWN & {(module, fn) for module, fn, _ in reference}
+    shared = {(module, fn) for module, fn, _ in walk & reference}
+    assert shared <= THM12_SHARED, shared - THM12_SHARED
