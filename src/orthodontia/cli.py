@@ -11,6 +11,7 @@ off for the command and back on when the command's context closes.
 
 from __future__ import annotations
 
+import atexit
 import gc
 import json
 import os
@@ -351,5 +352,11 @@ def cmd_report(what, nmax_omega, nmax_endpoint):
     click.echo(suites.ambiguity_report(nmax_omega, nmax_endpoint), nl=False)
 
 
-if __name__ == "__main__":
+def run():
+    """The console script: ``main``, its objects frozen at exit so that no collection visits them."""
+    atexit.register(gc.freeze)
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -2,7 +2,9 @@
 
 A diagram is a subset of [n] x [m] stored column by column; column order
 matters and empty columns are kept in place so that recorded column
-indices stay stable throughout the algorithm.
+indices stay stable throughout the algorithm.  Inside, the %-avoidance test
+and the algorithm run on bit masks (bit i of a column for row i, bit j of
+K_a or M_k for column j); the API speaks in frozensets.
 """
 
 from __future__ import annotations
@@ -56,14 +58,28 @@ def rothe(w: Permutation) -> Diagram:
     return Diagram(n, tuple(cols))
 
 
+def _masks(D: Diagram) -> list[int]:
+    """D's columns as masks, bit i for row i."""
+    return [sum(map((1).__lshift__, col)) for col in D.columns]
+
+
+def _bits(mask: int) -> frozenset[int]:
+    """The indices of the bits set in mask."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _avoiding(cols: list[int]) -> bool:
+    """No columns c1 left of c2 hold rows i1 < i2 with i1 in c2 only and i2 in c1 only."""
+    for c1, c2 in combinations(cols, 2):
+        only2 = c2 & ~c1
+        if only2 and only2 & -only2 < c1 & ~c2:  # a row of c1 only lies past c2's first own row
+            return False
+    return True
+
+
 def is_percent_avoiding(D: Diagram) -> bool:
     """No rows i1 < i2 and columns j1 < j2 restrict to the forbidden pattern."""
-    for (j1, c1), (j2, c2) in combinations(enumerate(D.columns), 2):
-        for i2 in c1:
-            for i1 in c2:
-                if i1 < i2 and i1 not in c1 and i2 not in c2:
-                    return False
-    return True
+    return _avoiding(_masks(D))
 
 
 def columns_ordered_by_inclusion(D: Diagram) -> bool:
@@ -71,10 +87,6 @@ def columns_ordered_by_inclusion(D: Diagram) -> bool:
         if not (c1 <= c2 or c2 <= c1):
             return False
     return True
-
-
-def _standard_interval(k: int) -> frozenset[int]:
-    return frozenset(range(1, k + 1))
 
 
 def smallest_missing_tooth(col: frozenset[int]) -> int:
@@ -99,55 +111,60 @@ class OrthodonticSequence:
     steps: tuple[tuple[int, int, frozenset[int]], ...]
 
 
-def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence:
-    """Run the double orthodontia algorithm on a %-avoiding diagram.
+def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int], list[tuple]]:
+    """Run the double orthodontia algorithm on a %-avoiding diagram's column masks, consuming them.
 
     Strips standard-interval columns into K, then repeats: close the
     smallest missing tooth of the leftmost nonempty column (recording the
     row i_k and adjusted column index j_k), strip newly standard columns
-    into M_k.  Guaranteed to terminate for %-avoiding input; pass
-    force=True to run on other diagrams at your own risk.
+    into M_k, each K_a and M_k a mask of columns.  Guaranteed to terminate
+    for %-avoiding input; pass force=True to run on other diagrams at your own risk.
     """
-    if not force and not is_percent_avoiding(D):
+    if not force and not _avoiding(cols):
         raise ValueError("diagram is not %-avoiding "
                          "(`orthodontia orthodontia --force` runs the algorithm anyway)")
-    n = D.nrows
-    cols: list[frozenset[int]] = list(D.columns)
+    K = [0] * n
+    for j, c in enumerate(cols):
+        if c and not c & (c + 2):  # the standard interval {1..|c|}
+            K[c.bit_count() - 1] |= 2 << j
+            cols[j] = 0
 
-    K: list[set[int]] = [set() for _ in range(n)]
-    for j, col in enumerate(cols, start=1):
-        if col and col == _standard_interval(len(col)):
-            K[len(col) - 1].add(j)
-            cols[j - 1] = frozenset()
-
-    steps: list[tuple[int, int, frozenset[int]]] = []
+    steps: list[tuple[int, int, int]] = []
     cap = (n * n + 1) * max(1, len(cols))
-    for _ in range(cap):
-        leftmost = next((j for j, col in enumerate(cols, start=1) if col), None)
-        if leftmost is None:
-            break
-        col = cols[leftmost - 1]
-        i1 = smallest_missing_tooth(col)
-        j1 = leftmost - sum(1 for a in range(1, i1 + 1) if a not in col)
-        # swap rows i1 and i1 + 1; a column holding both is fixed by the swap
-        cols = [c ^ {i1, i1 + 1} if (i1 in c) != (i1 + 1 in c) else c for c in cols]
-        target = _standard_interval(i1)
-        M1 = frozenset(j for j, c in enumerate(cols, start=1) if c == target)
-        for j in M1:
-            cols[j - 1] = frozenset()
-        steps.append((i1, j1, M1))
-    else:
-        raise RuntimeError("orthodontia did not terminate (non-%-avoiding input?)")
+    # a swap never fills an empty column, so the leftmost nonempty column only moves right
+    for leftmost in range(1, len(cols) + 1):
+        while col := cols[leftmost - 1]:
+            if len(steps) == cap:
+                raise RuntimeError("orthodontia did not terminate (non-%-avoiding input?)")
+            teeth = col >> 1 & ~col & ~1  # the missing teeth: i >= 1 not in col, i + 1 in col
+            i1 = (teeth & -teeth).bit_length() - 1
+            target = (2 << i1) - 2  # the standard interval {1..i1}
+            j1 = leftmost - i1 + (col & target).bit_count()
+            M1 = 0
+            for j, c in enumerate(cols):
+                if (c >> i1 ^ c >> i1 + 1) & 1:  # swap rows i1 and i1 + 1; only then can c be target
+                    c ^= 3 << i1
+                    if c == target:
+                        M1 |= 2 << j
+                        c = 0
+                    cols[j] = c
+            steps.append((i1, j1, M1))
+    return K, steps
 
-    return OrthodonticSequence(K=tuple(frozenset(k) for k in K), steps=tuple(steps))
+
+def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence:
+    """The double orthodontic sequence of D, which is %-avoiding unless force; see `_orthodontia`."""
+    K, steps = _orthodontia(D.nrows, _masks(D), force)
+    return OrthodonticSequence(K=tuple(map(_bits, K)),
+                               steps=tuple((i, j, _bits(M)) for i, j, M in steps))
 
 
 def all_diagrams(n: int, m: int):
-    """All 2^(n*m) diagrams in [n] x [m], in a canonical order."""
-    cells = [(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
-    for mask in range(1 << len(cells)):
-        chosen = [cells[k] for k in range(len(cells)) if mask >> k & 1]
-        yield from_cells(n, m, chosen)
+    """All 2^(n*m) diagrams in [n] x [m]: bit (j-1)*n + i-1 of the index holds cell (i, j)."""
+    column = [_bits(b << 1) for b in range(1 << n)]
+    full = (1 << n) - 1
+    for mask in range(1 << n * m):
+        yield Diagram(n, tuple(column[mask >> j * n & full] for j in range(m)))
 
 
 def format_diagram(D: Diagram) -> str:

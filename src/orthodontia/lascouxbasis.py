@@ -16,12 +16,13 @@ nonempty columns.  The walk applies those operators to a dict
 alpha -> c_alpha: pibar_i moves an index (`_pibar`), phi_i reads its
 expansion of L_alpha from the memo `_phi`, and the last factor adds
 ncols - c to every part (L_{alpha + 1^n} = x_1 ... x_n L_alpha).  The walk
-reads only (n, ncols, the rows i_k, the sizes |M_k|, the sizes |K_a|), so
-`_theorem12` memoizes each expansion on that flat key (3527 of them for
-the %-avoiding diagrams in [4] x [4]).  A scan record is its item plus what
-the key fixes, so each entry also keeps, built once, the verdict and the
-encoded ``scan_record`` before and after its item; a scan worker returns
-(item, verdict, head, tail) and the CLI splices the item in.
+reads only the key (n, ncols, the rows i_k, the sizes |M_k|, the sizes
+|K_a|), which `_theorem12_key` reads off the masks of ``diagrams._orthodontia``
+with no OrthodonticSequence, and `_theorem12` memoizes each expansion on it
+(3527 keys for the %-avoiding diagrams in [4] x [4]).  A scan record is its
+item plus what the key fixes, so each entry also keeps, built once, the
+verdict and the encoded ``scan_record`` before and after its item; a scan
+worker returns (item, verdict, head, tail) and the CLI splices the item in.
 ``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  The CLI
 commands that fill the memos, ``scan`` and ``check``, start them both empty.
 """
@@ -119,19 +120,19 @@ _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 def _theorem12_key(D: Diagram) -> tuple:
     """D's key in `_theorem12`, filled on a miss; do not edit its entry."""
-    seq = diagrams.orthodontic_sequence(D)
-    n, K = D.nrows, tuple(map(len, seq.K))
-    M = tuple(len(Mk) for _, _, Mk in seq.steps)
-    key = (n, D.ncols, tuple(i for i, _, _ in seq.steps), M, K)
+    K, steps = diagrams._orthodontia(D.nrows, diagrams._masks(D))
+    key = (D.nrows, D.ncols, tuple(i for i, _, _ in steps),
+           tuple(M.bit_count() for _, _, M in steps), tuple(k.bit_count() for k in K))
     if key not in _theorem12:
+        n, ncols, rows, M, K = key
         # the order of families._evaluate_diagram: steps l..1, then the outer omegas
         coeffs = {(0,) * n: 1}
-        for i, _, Mk in reversed(seq.steps):
-            coeffs = _times_phi(coeffs, n - i, len(Mk))
+        for i, size in zip(reversed(rows), reversed(M)):
+            coeffs = _times_phi(coeffs, n - i, size)
             coeffs = _accumulate((_pibar(alpha, n - i), c) for alpha, c in coeffs.items())
         for a, size in enumerate(K, 1):
             coeffs = _times_phi(coeffs, n - a, size)
-        empty = D.ncols - sum(M) - sum(K)
+        empty = ncols - sum(M) - sum(K)
         coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
         _theorem12[key] = (coeffs, *_rendered(coeffs))
     return key

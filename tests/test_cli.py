@@ -479,6 +479,23 @@ def test_subcommands_make_no_reference_cycles(argv):
     assert gc.collect() == 0
 
 
+def test_console_script_freezes_the_heap_at_exit(monkeypatch):
+    # the interpreter's exit collections then pass over every object; main itself, which
+    # in-process callers run, registers nothing
+    from orthodontia import cli
+
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    monkeypatch.setattr(sys, "argv", ["orthodontia", "--help"])
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
+        cli.run()
+    assert exit_.value.code == 0
+    assert registered == [gc.freeze]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main.main(args=["--help"], standalone_mode=False)
+    assert registered == [gc.freeze]
+
+
 def test_report_beyond_the_pipe_dream_walk_is_a_usage_error(runner, monkeypatch):
     r = runner.invoke(main, ["report", "ambiguities", "--nmax-omega", str(pipedreams.MAX_N + 1)])
     assert r.exit_code == 2

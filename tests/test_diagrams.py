@@ -1,6 +1,7 @@
 """Tests for diagrams and the double orthodontia algorithm."""
 
 import hashlib
+from itertools import combinations, product
 
 import pytest
 from click.testing import CliRunner
@@ -64,6 +65,23 @@ def test_percent_avoiding():
     # Rothe diagrams are always %-avoiding
     for w in permcomb.all_perms(4):
         assert diagrams.is_percent_avoiding(diagrams.rothe(w))
+
+
+def _has_percent_pattern(D):
+    """The literal definition: rows i1 < i2 and columns j1 < j2 holding (i2, j1) and (i1, j2) only."""
+    cells = {(i, j) for j, col in enumerate(D.columns, 1) for i in col}
+    rows, cols = range(1, D.nrows + 1), range(1, D.ncols + 1)
+    return any((i2, j1) in cells and (i1, j2) in cells
+               and (i1, j1) not in cells and (i2, j2) not in cells
+               for i1 in rows for i2 in rows if i1 < i2 for j1 in cols for j2 in cols if j1 < j2)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 3), (2, 5)])
+def test_percent_avoiding_matches_its_definition(n, m):
+    column_sets = [frozenset(c) for k in range(n + 1) for c in combinations(range(1, n + 1), k)]
+    for columns in product(column_sets, repeat=m):
+        D = Diagram(n, columns)
+        assert diagrams.is_percent_avoiding(D) != _has_percent_pattern(D), columns
 
 
 def test_inclusion_ordered_implies_percent_avoiding():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from orthodontia import diagrams, diffops, families, lascouxbasis
+from orthodontia import diagrams, diffops, families, lascouxbasis, permcomb
 from orthodontia.lascouxbasis import (
     baseline_degree, graded_positive, lascoux_expand, reconstruct, scan_record,
 )
@@ -140,6 +140,28 @@ def test_theorem12_key_is_exact():
     for g in shared:
         first = script_S_neg1(g[0])
         assert all(script_S_neg1(D) == first for D in g[1:])
+
+
+def test_theorem12_key_is_read_from_the_mask_core():
+    # the key comes from the column masks, never from an OrthodonticSequence; it must be
+    # the one the sequence gives
+    lascouxbasis._theorem12.clear()
+    lascouxbasis._phi.clear()
+    rothe = [diagrams.rothe(w) for n in range(1, 7) for w in permcomb.all_perms(n)]
+    for D in lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3) + rothe:
+        assert lascouxbasis._theorem12_key(D) == _theorem12_key(D), diagrams.format_diagram(D)
+
+
+def test_theorem12_check_refuses_a_non_percent_avoiding_diagram_before_the_memo():
+    from click.testing import CliRunner
+
+    from orthodontia.cli import main
+
+    lascouxbasis._theorem12.clear()
+    r = CliRunner().invoke(main, ["check", "thm12", "--no-require-inclusion", "--diagram", "n=2;2;1"])
+    assert r.exit_code == 2, r.output
+    assert "diagram is not %-avoiding (`orthodontia orthodontia --force`" in r.stderr
+    assert lascouxbasis._theorem12 == {}
 
 
 def test_theorem12_check_returns_its_own_coefficients():

@@ -89,12 +89,13 @@ CONJ14 = lascouxbasis.conj14_items(3, 2)
 WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
     "_theorem12_key", "_times_phi", "_pibar", "_phi_expansion", "theorem12_check")} | {
     ("orthodontia.diffops", "phi"), ("orthodontia.diffops", "_phi_factor")}
-# what the two may share, a comprehension keyed by its module: the orthodontic sequence of D,
-# which both read, and the Lascoux expander with the chain that builds each L_beta it peels
+# what the two may share, a comprehension keyed by its module: the mask core of the orthodontic
+# sequence of D, which both read (the walk builds no OrthodonticSequence, so it shares neither
+# orthodontic_sequence nor its __init__), and the Lascoux expander with the chain that builds
+# each L_beta it peels
 THM12_SHARED = {
     *(("orthodontia.diagrams", name) for name in (
-        "orthodontic_sequence", "is_percent_avoiding", "smallest_missing_tooth",
-        "_standard_interval", "ncols", "__init__", "<genexpr>", "<listcomp>")),
+        "_orthodontia", "_masks", "_avoiding", "ncols", "<genexpr>", "<listcomp>")),
     *(("orthodontia.lascouxbasis", name) for name in ("lascoux_expand", "_accumulate", "<dictcomp>")),
     *(("orthodontia.families", name) for name in ("lascoux", "_chain", "_first_ascent", "<genexpr>")),
     ("orthodontia.diffops", "demazure_lascoux"), ("orthodontia.diffops", "_one_minus_x"),
