@@ -6,7 +6,8 @@ multipliers; omega and the phi factor are folds of their factors in a fixed
 order (`math.prod`).  Everything is exact: the divided difference is computed
 per-term with the telescoping formula, so no rational functions appear.
 Each operator is f -> d_i(L f) with d_i(L) = 1, so by the Leibniz rule it is
-f + g d_i(f) with g = s_i(L); the kernel forms d_i(f) once, and never L f.
+f + g d_i(f) with g = s_i(L); the kernel adds g d_i(f) into f in one pass over
+f, and forms neither d_i(f) nor L f.
 """
 
 from __future__ import annotations

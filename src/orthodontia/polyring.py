@@ -7,7 +7,9 @@ after construction.  The one mutable type is ``Remainder``, the kernel's
 accumulator: a basis expansion peels it, the pipe-dream walk adds into it.
 ``_axpy`` is the one loop that adds a polynomial's terms into a term dict:
 ``*`` and ``Remainder.add_product`` call it once per term of the shorter
-factor; the operators f + g d_i(f) form d_i(f) once and no product.
+factor.  The operators f + g d_i(f) and d_i itself make one pass over f that
+adds each term's share of g d_i(f), merged once per exponent pair (a, b) of
+x_i and x_{i+1}; neither d_i(f) nor a product is formed.
 
 A packed key is one int.  From the most significant end it holds the total
 degree (unbounded), then one EXP_BITS-wide field per variable: x_1..x_n,
@@ -123,11 +125,10 @@ def _axpy(terms: dict[int, int], g: dict[int, int], c: int, shift: int = 0) -> N
             del terms[k]
 
 
-def _add_product(lay: _Layout, terms: dict[int, int], a: dict[int, int], b: dict[int, int],
-                 what: str) -> dict[int, int]:
+def _add_product(lay: _Layout, terms: dict[int, int], a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """terms += a b, in place, with one _axpy per term of the shorter factor; returns terms.
 
-    A result exponent at EXP_LIMIT raises ExponentRangeError("<what> reaches EXP_LIMIT").
+    A result exponent at EXP_LIMIT raises ExponentRangeError("a product exponent reaches EXP_LIMIT").
     """
     if len(a) > len(b):
         a, b = b, a
@@ -138,7 +139,7 @@ def _add_product(lay: _Layout, terms: dict[int, int], a: dict[int, int], b: dict
     ds = lay.deg_shift
     top = (max(a, default=0) >> ds) + (max(b, default=0) >> ds)
     if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
-        raise ExponentRangeError(f"{what} reaches {EXP_LIMIT}")
+        raise ExponentRangeError(f"a product exponent reaches {EXP_LIMIT}")
     return terms
 
 
@@ -177,7 +178,7 @@ class Remainder:
         """Replace r by r + f g; an exponent at EXP_LIMIT raises as ``*`` does and spoils r."""
         _same_ambient(self._lay, f._lay)
         _same_ambient(self._lay, g._lay)
-        _add_product(self._lay, self.terms, f.terms, g.terms, "a product exponent")
+        _add_product(self._lay, self.terms, f.terms, g.terms)
 
     def polynomial(self) -> "Polynomial":
         """The remainder as a polynomial over the same dict, not a copy; r is not used after."""
@@ -253,8 +254,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         _same_ambient(self._lay, other._lay)
-        return _from_keys(self._lay, _add_product(self._lay, {}, self.terms, other.terms,
-                                                  "a product exponent"))
+        return _from_keys(self._lay, _add_product(self._lay, {}, self.terms, other.terms))
 
     def scale(self, c: int) -> "Polynomial":
         if c == 0:
@@ -262,55 +262,64 @@ class Polynomial:
         return _from_keys(self._lay, {mon: c * k for mon, k in self.terms.items()})
 
     def add_times_divided_difference(self, g: "Polynomial", i: int) -> "Polynomial":
-        """f + g d_i(f), with d_i(f) formed once and no other product formed.
+        """f + g d_i(f), in one pass over the terms of f; d_i(f) is never formed.
 
         Every operator f -> d_i(L f) with d_i(L) = 1 has this form, with
         g = s_i(L), by the Leibniz rule d_i(L f) = d_i(L) f + s_i(L) d_i(f).
         Only an exponent of the result at EXP_LIMIT raises ExponentRangeError.
         """
         _same_ambient(self._lay, g._lay)
-        out = _add_product(self._lay, dict(self.terms), g.terms,
-                           self._divided_difference(i).terms, "an exponent of the result")
-        # Cancelled terms leave dead slots in out; the recursions
+        # Cancelled terms leave dead slots in the dict; the recursions
         # memoize their results, so hand back a compact copy.
-        return _from_keys(self._lay, dict(out))
+        return _from_keys(self._lay, dict(self._add_divided_difference(dict(self.terms), g.terms, i)))
 
     def _divided_difference(self, i: int) -> "Polynomial":
-        """d_i on packed keys.
+        """d_i, the same loop started from zero with g = 1; no exponent grows."""
+        return _from_keys(self._lay, dict(self._add_divided_difference({}, {0: 1}, i)))
 
-        With lo, hi = min(a, b), max(a, b), a term c x_i^a x_{i+1}^b u of
-        self has d_i image the sum of sign(a - b) c x_i^(lo + k) x_{i+1}^(hi - 1 - k) u
-        over k < hi - lo, and successive keys of that sum differ by a fixed
-        step.  No exponent grows, so none can reach EXP_LIMIT.
+    def _add_divided_difference(self, terms: dict[int, int], g: dict[int, int], i: int) -> dict[int, int]:
+        """terms += g d_i(self) on packed keys, in place; returns terms.
+
+        The fields of x_i and x_{i+1} are adjacent, so one shift and mask read
+        the pair (a, b) of a term.  With lo, hi = min(a, b), max(a, b), the
+        term c x_i^a x_{i+1}^b u has d_i image sign(a - b) c times the sum of
+        x_i^(lo + k) x_{i+1}^(hi - 1 - k) u over k < hi - lo; that sum times g
+        depends on (a, b) alone, so it is merged once per pair, as (key offset,
+        coefficient) pairs, and every term of the pair adds c times it.
         """
         if not 1 <= i < self.n:
             raise IndexError(f"d_{i} out of range for n={self.n}")
         lay = self._lay
-        sa, sb = lay.shifts[i - 1], lay.shifts[i]
-        ua, ub = 1 << sa, 1 << sb
-        step, one = ua - ub, lay.deg_one
-        terms: dict[int, int] = {}
+        sb = lay.shifts[i]
+        ua, ub = 1 << sb + EXP_BITS, 1 << sb
+        step, one, pair_mask = ua - ub, lay.deg_one, (1 << 2 * EXP_BITS) - 1
+        images: dict[int, tuple[tuple[int, int], ...]] = {}
         get = terms.get
         for k, c in self.terms.items():
-            a = (k >> sa) & _FIELD_MASK
-            b = (k >> sb) & _FIELD_MASK
-            if a == b:
-                continue
-            if a > b:
-                count = a - b
-                start = k - count * ua + (count - 1) * ub - one
-            else:
-                count = b - a
-                start = k - ub - one
-                c = -c
-            for mon in range(start, start + count * step, step):
-                new = get(mon, 0) + c
+            pair = k >> sb & pair_mask
+            image = images.get(pair)
+            if image is None:
+                a, b = pair >> EXP_BITS, pair & _FIELD_MASK
+                lo, hi, sign = (b, a, 1) if a > b else (a, b, -1)
+                first = (lo - a) * ua + (hi - 1 - b) * ub - one
+                merged: dict[int, int] = {}
+                for shift in range(first, first + (hi - lo) * step, step):
+                    _axpy(merged, g, sign, shift)
+                image = images[pair] = tuple(merged.items())
+            for offset, v in image:
+                mon = k + offset
+                new = get(mon, 0) + c * v
                 if new:
                     terms[mon] = new
                 else:
                     del terms[mon]
-        # as in add_times_divided_difference, hand back a compact copy
-        return _from_keys(lay, dict(terms))
+        # No field exceeds its term's degree, so the guard bits need reading
+        # only when the top degree of g d_i(self) reaches the limit.
+        ds = lay.deg_shift
+        top = (max(self.terms, default=0) >> ds) - 1 + (max(g, default=0) >> ds)
+        if top >= EXP_LIMIT and any(k & lay.guard for k in terms):
+            raise ExponentRangeError(f"an exponent of the result reaches {EXP_LIMIT}")
+        return terms
 
     # -- degree structure --------------------------------------------------
 

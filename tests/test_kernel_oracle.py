@@ -81,6 +81,19 @@ FIVE_TERMS = {((0, 0), (0,)): 1, ((1, 0), (0,)): 3, ((0, 2), (1,)): -1,
               ((1, 1), (1,)): 2, ((0, 0), (3,)): -4}
 
 
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 1), (3, 2)])
+def test_constructors_match_sympy(n, m):
+    xs, ys = gens(n, m)
+    assert kernel_dict(Polynomial.zero(n, m)) == {}
+    assert kernel_dict(Polynomial.one(n, m)) == expected_dict(sympy.Integer(1), n, m)
+    assert kernel_dict(Polynomial.const(-7, n, m)) == expected_dict(sympy.Integer(-7), n, m)
+    assert kernel_dict(Polynomial.const(0, n, m)) == {}
+    for i in range(1, n + 1):
+        assert kernel_dict(Polynomial.var_x(i, n, m)) == expected_dict(xs[i - 1], n, m)
+    for j in range(1, m + 1):
+        assert kernel_dict(Polynomial.var_y(j, n, m)) == expected_dict(ys[j - 1], n, m)
+
+
 @EXAMPLES
 @given(pairs())
 # the shorter factor is looped outside, whichever side it is on
@@ -231,6 +244,83 @@ def test_fused_output_at_the_limit_is_rejected():
     # the same exponent in x_2 stays below the limit: x_2 of g meets d_1 of x_2^e
     top = Polynomial(2, 0, {((0, EXP_LIMIT - 1), ()): 1})
     assert diffops.demazure_lascoux(top, 1).max_exponent() == EXP_LIMIT - 1
+
+
+def sympy_add_times_d(a, b, i, n, m) -> dict:
+    """f + g d_i(f) in a sparse sympy ring, d_i(f) the exact quotient (f - s_i f) / (x_i - x_{i+1})."""
+    xs, ys = gens(n, m)
+    ring, *v = sympy.ring(xs + ys, sympy.ZZ)
+    f, g = (ring.from_dict({xe + ye: c for (xe, ye), c in t.items()}) for t in (a, b))
+    swapped = ring.from_dict({k[:i - 1] + (k[i], k[i - 1]) + k[i + 1:]: c for k, c in f.items()})
+    return {k: int(c) for k, c in (f + g * (f - swapped).exquo(v[i - 1] - v[i])).items()}
+
+
+@st.composite
+def shared_pair_cases(draw):
+    """(n, m, f, g, i), exponents up to 40; several terms of f share one exponent pair (a, b)
+    of x_i and x_{i+1}, so the kernel merges that pair's image once and reuses it."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    i = draw(st.integers(1, n - 1))
+    f = draw(term_dicts(n, m, maxexp=40, maxterms=3))
+    a, b = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    for _ in range(draw(st.integers(2, 4))):
+        xe = [draw(st.integers(0, 40)) for _ in range(n)]
+        xe[i - 1 : i + 1] = a, b
+        f[tuple(xe), tuple(draw(st.integers(0, 40)) for _ in range(m))] = draw(
+            st.integers(1, 9) | st.integers(-9, -1))
+    return n, m, f, draw(term_dicts(n, m, maxexp=40, maxterms=4)), i
+
+
+# x_1^7 x_2^2 three times over, x_1^2 x_2^7 (the same pair swapped) and a symmetric term
+SHARED_PAIR = {((7, 2, 0), (0,)): 3, ((7, 2, 1), (0,)): -2, ((7, 2, 0), (4,)): 1,
+               ((2, 7, 3), (0,)): 5, ((4, 4, 1), (1,)): 6}
+
+
+@EXAMPLES
+@given(shared_pair_cases())
+@example((3, 1, SHARED_PAIR, {((0, 1, 0), (1,)): 2, ((1, 0, 0), (0,)): -1, ((0, 0, 0), (0,)): 1}, 1))
+def test_add_times_divided_difference_matches_sympy(case):
+    n, m, a, b, i = case
+    got = Polynomial(n, m, a).add_times_divided_difference(Polynomial(n, m, b), i)
+    assert kernel_dict(got) == sympy_add_times_d(a, b, i, n, m)
+
+
+@pytest.mark.parametrize("g", ["x_i - x_{i+1}", "zero"])
+@pytest.mark.parametrize("i", [1, 2])
+def test_add_times_divided_difference_edge_cases_match_sympy(g, i):
+    # g = x_i - x_{i+1} gives f + (f - s_i f) = 2 f - s_i f; g = 0 gives f
+    def x(k):
+        return tuple(int(v == k) for v in range(1, 4)), (0,)
+
+    f = Polynomial(3, 1, SHARED_PAIR)
+    b = {} if g == "zero" else {x(i): 1, x(i + 1): -1}
+    got = f.add_times_divided_difference(Polynomial(3, 1, b), i)
+    assert kernel_dict(got) == sympy_add_times_d(SHARED_PAIR, b, i, 3, 1)
+    if g == "zero":
+        assert got == f
+
+
+def test_divided_difference_at_the_limit_matches_its_closed_form():
+    # d_1(x_1^N) = sum over k < N of x_1^k x_2^(N - 1 - k), with N = EXP_LIMIT - 1
+    top = EXP_LIMIT - 1
+    got = diffops.divided_difference(Polynomial(2, 0, {((top, 0), ()): 1}), 1)
+    assert kernel_dict(got) == {(k, top - 1 - k): 1 for k in range(top)}
+
+
+def test_no_operator_forms_the_divided_difference_of_f(monkeypatch):
+    # every operator adds g d_i(f) into f without building d_i(f); only d_i itself calls it
+    def refuse(self, i):
+        raise AssertionError("d_i(f) was formed")
+
+    monkeypatch.setattr(Polynomial, "_divided_difference", refuse)
+    f = Polynomial(3, 1, SHARED_PAIR)
+    for op in sorted(OPERATORS):
+        fn = getattr(neg1 if op == "pi_double_neg1" else diffops, op)
+        if op == "divided_difference":
+            with pytest.raises(AssertionError, match="was formed"):
+                fn(f, 1)
+        else:
+            assert isinstance(fn(f, 1, 1) if op in DOUBLED else fn(f, 1), Polynomial), op
 
 
 @EXAMPLES

@@ -4,18 +4,24 @@ Two routes that shared a wrong helper would still agree, so agreement alone
 does not show that they are independent.  Each route runs here on every w in
 S_1..S_4 under `sys.setprofile`, which records the engine functions it enters.
 Outside `polyring` (the kernel, checked against sympy on its own) and
-`permcomb`, the routes each suite compares must enter disjoint sets of them.
+`permcomb`, the routes each suite compares must enter disjoint sets of them,
+and each `polyring` function a route enters must have a sympy oracle test in
+`test_kernel_oracle.py`.
 The theorem-12 walk and the polynomial it stands for (`tests/neg1.py`),
 expanded by `lascoux_expand`, are compared the same way on the
 %-avoiding diagrams in [3] x [2].
 """
 
+import ast
+import inspect
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
 import neg1
-from orthodontia import diffops, families, lascouxbasis, permcomb, pipedreams
+from orthodontia import diffops, families, lascouxbasis, permcomb, pipedreams, polyring
 from orthodontia.diagrams import rothe
 
 PERMS = [w for n in range(1, 5) for w in permcomb.all_perms(n)]
@@ -46,7 +52,7 @@ ALLOWED = {frozenset({"G chain", "script_G"}): {("orthodontia.diffops", "_one_mi
 
 
 def _entered(run) -> set[tuple[str, str, int]]:
-    """The engine functions run() enters outside SHARED_MODULES, as (module, name, first line).
+    """The engine functions run() enters, as (module, name, first line).
 
     The first line tells apart functions of one module that share a name,
     such as its lambdas and generator expressions.
@@ -57,7 +63,7 @@ def _entered(run) -> set[tuple[str, str, int]]:
         if event != "call":
             return
         module = frame.f_globals.get("__name__", "")
-        if module.startswith("orthodontia.") and module not in SHARED_MODULES:
+        if module.startswith("orthodontia."):
             entered.add((module, frame.f_code.co_name, frame.f_code.co_firstlineno))
 
     sys.setprofile(profile)
@@ -66,6 +72,11 @@ def _entered(run) -> set[tuple[str, str, int]]:
     finally:
         sys.setprofile(None)
     return entered
+
+
+def _engine(entered):
+    """The functions of entered outside SHARED_MODULES."""
+    return {f for f in entered if f[0] not in SHARED_MODULES}
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +88,58 @@ def entered():
 def test_compared_routes_share_no_engine_function(suite, entered):
     routes = SUITE_ROUTES[suite]
     for k, a in enumerate(routes):
-        assert entered[a], a
+        assert _engine(entered[a]), a
         for b in routes[k + 1:]:
-            shared = {(module, name) for module, name, _ in entered[a] & entered[b]}
+            shared = {(module, name) for module, name, _ in _engine(entered[a]) & _engine(entered[b])}
             assert shared <= ALLOWED.get(frozenset({a, b}), set()), (a, b, shared)
+
+
+# each polyring function a route may enter, and the test of test_kernel_oracle.py that
+# checks it against sympy
+KERNEL_ORACLES = {
+    **dict.fromkeys(["_Layout.__init__", "_layout", "_encode", "_from_keys", "_same_ambient",
+                     "_axpy", "_add_product", "Polynomial.__init__", "Polynomial.__add__",
+                     "Polynomial._plus", "Polynomial.__sub__", "Polynomial.__mul__"],
+                    "test_ring_operations_match_sympy"),
+    **dict.fromkeys(["Polynomial.zero", "Polynomial.const", "Polynomial.one", "Polynomial.var_x",
+                     "Polynomial.var_y"], "test_constructors_match_sympy"),
+    **dict.fromkeys(["Polynomial.add_times_divided_difference", "Polynomial._add_divided_difference"],
+                    "test_add_times_divided_difference_matches_sympy"),
+    "Polynomial._divided_difference": "test_divided_difference_and_isobaric_match_sympy",
+    **dict.fromkeys(["Remainder.__init__", "Remainder.add_product", "Remainder.polynomial"],
+                    "test_remainder_add_product_matches_sympy"),
+}
+
+
+def _kernel_owners() -> dict[tuple[str, int], str]:
+    """(name, first line) of each code object of polyring -> the function or method it is part of."""
+    owners = {}
+
+    def walk(code, owner):
+        owners[code.co_name, code.co_firstlineno] = owner
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                walk(const, owner)
+
+    for name, obj in vars(polyring).items():
+        own = isinstance(obj, type) and obj.__module__ == polyring.__name__
+        for attr, fn in vars(obj).items() if own else [("", obj)]:
+            fn = inspect.unwrap(getattr(fn, "__func__", fn))  # staticmethods, functools.cache
+            if inspect.isfunction(fn) and fn.__module__ == polyring.__name__:
+                walk(fn.__code__, f"{name}.{attr}" if attr else name)
+    return owners
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_kernel_function_a_route_enters_has_an_oracle_test(route, entered):
+    owners = _kernel_owners()
+    kernel = {owners[name, line] for module, name, line in entered[route]
+              if module == polyring.__name__}
+    assert "_axpy" in kernel, kernel
+    assert kernel <= set(KERNEL_ORACLES), sorted(kernel - set(KERNEL_ORACLES))
+    oracle = ast.parse((Path(__file__).parent / "test_kernel_oracle.py").read_text())
+    tests = {node.name for node in oracle.body if isinstance(node, ast.FunctionDef)}
+    assert {KERNEL_ORACLES[name] for name in kernel} <= tests
 
 
 # the %-avoiding diagrams in [3] x [2], on which the theorem-12 walk meets its reference
@@ -113,12 +172,12 @@ def _fresh_memos():
 def test_theorem12_walk_shares_only_the_expander_with_its_reference():
     assert len(CONJ14) == 54
     _fresh_memos()
-    walk = _entered(lambda: [lascouxbasis.theorem12_check(D, require_inclusion=False)
-                             for D in CONJ14])
+    walk = _engine(_entered(lambda: [lascouxbasis.theorem12_check(D, require_inclusion=False)
+                                     for D in CONJ14]))
     # the reference expands the polynomial that the walk stands for
     _fresh_memos()
-    reference = _entered(lambda: [lascouxbasis.lascoux_expand(neg1.script_S_neg1(D).flip(D.ncols))
-                                  for D in CONJ14])
+    reference = _engine(_entered(lambda: [
+        lascouxbasis.lascoux_expand(neg1.script_S_neg1(D).flip(D.ncols)) for D in CONJ14]))
     assert WALK_OWN <= {(module, fn) for module, fn, _ in walk}
     assert not WALK_OWN & {(module, fn) for module, fn, _ in reference}
     shared = {(module, fn) for module, fn, _ in walk & reference}
