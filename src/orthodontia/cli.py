@@ -330,14 +330,16 @@ def cmd_check(what, D, no_require_inclusion, as_json):
 
     lascouxbasis = _lascouxbasis()
     e = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
-    record = lascouxbasis.scan_record({"diagram": diagrams.format_diagram(D)}, e)
+    verdict, head, tail = lascouxbasis._rendered(e)
+    line = head + json.dumps({"diagram": diagrams.format_diagram(D)}) + tail
     if as_json:
-        click.echo(json.dumps(record, sort_keys=True))
+        click.echo(line)
     else:
+        record = json.loads(line)
         click.echo(f"verdict: {record['verdict']} (d0={record['d0']})")
         for t in record["expansion"]:
             click.echo(f"  L_{','.join(map(str, t['alpha']))}: {t['c']}")
-    if record["verdict"] != "positive":
+    if verdict != "positive":
         sys.exit(EXIT_MATH_FAILURE)
 
 

@@ -4,7 +4,9 @@ A diagram is a subset of [n] x [m] stored column by column; column order
 matters and empty columns are kept in place so that recorded column
 indices stay stable throughout the algorithm.  Inside, the %-avoidance test
 and the algorithm run on bit masks (bit i of a column for row i, bit j of
-K_a or M_k for column j); the API speaks in frozensets.
+K_a or M_k for column j); the Diagram API speaks in frozensets.  A scan
+lists, formats and keys diagrams as column masks alone (`avoiding_masks`,
+`format_masks`), and `from_masks` builds the Diagram where one is needed.
 """
 
 from __future__ import annotations
@@ -40,13 +42,6 @@ class Diagram:
                 yield (i, j)
 
 
-def from_cells(nrows: int, ncols: int, cells) -> Diagram:
-    cols: list[set[int]] = [set() for _ in range(ncols)]
-    for i, j in cells:
-        cols[j - 1].add(i)
-    return Diagram(nrows, tuple(frozenset(c) for c in cols))
-
-
 def rothe(w: Permutation) -> Diagram:
     """Rothe diagram D(w) = {(i,j): i < w^-1(j) and j < w(i)}."""
     permcomb.check_perm(w)
@@ -61,6 +56,11 @@ def rothe(w: Permutation) -> Diagram:
 def _masks(D: Diagram) -> list[int]:
     """D's columns as masks, bit i for row i."""
     return [sum(map((1).__lshift__, col)) for col in D.columns]
+
+
+def from_masks(n: int, cols) -> Diagram:
+    """The diagram in [n] x [len(cols)] whose columns have these masks, bit i for row i."""
+    return Diagram(n, tuple(map(_bits, cols)))
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -159,12 +159,23 @@ def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence
                                steps=tuple((i, j, _bits(M)) for i, j, M in steps))
 
 
-def all_diagrams(n: int, m: int):
-    """All 2^(n*m) diagrams in [n] x [m]: bit (j-1)*n + i-1 of the index holds cell (i, j)."""
-    column = [_bits(b << 1) for b in range(1 << n)]
-    full = (1 << n) - 1
-    for mask in range(1 << n * m):
-        yield Diagram(n, tuple(column[mask >> j * n & full] for j in range(m)))
+def avoiding_masks(n: int, m: int) -> list[tuple[int, ...]]:
+    """The column masks of the %-avoiding diagrams in [n] x [m], in the order of their index,
+    the number whose bit (j-1)*n + i-1 holds cell (i, j)."""
+    masks = range(0, 2 << n, 2)
+    # right[c]: the masks that may stand right of c; %-avoidance is a condition on column pairs
+    right = {c: {d for d in masks if _avoiding([c, d])} for c in masks} if m > 1 else {}
+    found = [()]
+    # the index reads column m as its highest digit, so the columns are chosen from the right
+    for k in range(m):
+        found = [(c, *cols) for cols in found for c in masks if not k or right[c].issuperset(cols)]
+    return found
+
+
+def format_masks(n: int, cols) -> str:
+    """format_diagram of from_masks(n, cols)."""
+    rows = range(1, n + 1)
+    return f"n={n}" + "".join([";" + ",".join([str(i) for i in rows if c >> i & 1]) for c in cols])
 
 
 def format_diagram(D: Diagram) -> str:
@@ -174,7 +185,7 @@ def format_diagram(D: Diagram) -> str:
     columns, the last one empty, 'n=2;' has one empty column and 'n=2'
     has none.
     """
-    return f"n={D.nrows}" + "".join(";" + ",".join(map(str, sorted(col))) for col in D.columns)
+    return format_masks(D.nrows, _masks(D))
 
 
 def parse_diagram(text: str) -> Diagram:

@@ -419,7 +419,7 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
 
     lines.append("## Lowest-degree relation between the two evaluators")
     pairs, skipped = [], 0
-    for D in lascouxbasis.conj14_items(3, 3):
+    for D in (diagrams.from_masks(3, cols) for cols in diagrams.avoiding_masks(3, 3)):
         try:
             pairs.append((D, families.script_S(D), families.script_G(D)))
         except ValueError:

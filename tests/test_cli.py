@@ -20,6 +20,9 @@ from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder,
 from orthodontia.cli import EXIT_CRASH, EXIT_MATH_FAILURE, FAMILIES, SCANS, SUITES, main
 from orthodontia.polyring import EXP_LIMIT, JSON_BATCH, Polynomial
 
+from diagram_sets import conj14_diagrams
+from scanline import reference_record
+
 # bench/workloads.py holds the digest rule of the frozen stdout digests and reads their goldens
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -547,13 +550,13 @@ def test_scan_json_writes_records_as_they_arrive_and_the_summary_last(
     k = 4  # the failing item
     item, calls, seen = lascouxbasis.conj14_item, [], []
 
-    def fails_at_k(D):
-        calls.append(D)
+    def fails_at_k(args):
+        calls.append(args)
         if len(calls) == k:
             sys.stdout.flush()
             seen.append(sys.stdout.buffer.getvalue().decode())
             raise error("injected")
-        return item(D)
+        return item(args)
 
     monkeypatch.setattr(lascouxbasis, "conj14_item", fails_at_k)
     r = runner.invoke(main, argv)
@@ -568,7 +571,7 @@ def test_scan_reports_every_violation_of_a_memo_miss_or_hit(runner, monkeypatch)
     # with d0 one too high, every coefficient breaks the sign rule, so every record is a violation
     d0 = lascouxbasis.baseline_degree
     monkeypatch.setattr(lascouxbasis, "baseline_degree", lambda coeffs: d0(coeffs) + 1)
-    items = [{"diagram": diagrams.format_diagram(D)} for D in lascouxbasis.conj14_items(3, 3)]
+    items = [{"diagram": diagrams.format_masks(*item)} for item in lascouxbasis.conj14_items(3, 3)]
     argv = ["scan", "conj14", "--n", "3", "--m", "3"]
     r = runner.invoke(main, argv + ["--json"])
     assert r.exit_code == EXIT_MATH_FAILURE, r.output
@@ -590,23 +593,23 @@ def test_scan_reports_every_violation_of_a_memo_miss_or_hit(runner, monkeypatch)
 
 def test_scan_renders_each_theorem12_record_once_per_memo_key(runner, monkeypatch):
     calls = []
-    record = lascouxbasis.scan_record
+    rendered = lascouxbasis._rendered
 
-    def counted(item, coeffs):
-        calls.append(item)
-        return record(item, coeffs)
+    def counted(coeffs):
+        calls.append(coeffs)
+        return rendered(coeffs)
 
-    monkeypatch.setattr(lascouxbasis, "scan_record", counted)
+    monkeypatch.setattr(lascouxbasis, "_rendered", counted)
     r = runner.invoke(main, ["scan", "conj14", "--n", "4", "--m", "3", "--json"])
     assert r.exit_code == 0, r.output
     # 1888 diagrams share 797 theorem-12 memo keys, and each entry holds one render
     assert len(calls) == len(lascouxbasis._theorem12) == 797
-    items = lascouxbasis.conj14_items(4, 3)
+    diagrams_ = conj14_diagrams(4, 3)
     lines = r.stdout.splitlines()[:-1]
-    assert len(lines) == len(items) == 1888
-    for line, D in zip(lines, items):
-        want = record({"diagram": diagrams.format_diagram(D)},
-                      lascouxbasis.theorem12_check(D, require_inclusion=False))
+    assert len(lines) == len(diagrams_) == 1888
+    for line, D in zip(lines, diagrams_):
+        want = reference_record({"diagram": diagrams.format_diagram(D)},
+                                lascouxbasis.theorem12_check(D, require_inclusion=False))
         assert line == json.dumps(want, sort_keys=True)
 
 

@@ -12,6 +12,8 @@ from orthodontia import diagrams, permcomb
 from orthodontia.cli import main
 from orthodontia.diagrams import Diagram
 
+from diagram_sets import all_diagrams, from_cells
+
 
 def size(D):
     return sum(len(col) for col in D.columns)
@@ -37,7 +39,7 @@ def test_diagram_validation():
 
 
 def test_from_cells():
-    D = diagrams.from_cells(3, 2, [(1, 1), (3, 2)])
+    D = from_cells(3, 2, [(1, 1), (3, 2)])
     assert D.columns == (frozenset({1}), frozenset({3}))
 
 
@@ -58,9 +60,9 @@ def test_rothe_dominant_gives_partition_columns():
 
 def test_percent_avoiding():
     # forbidden pattern: cell (i2,j1) and (i1,j2) with the complements absent
-    bad = diagrams.from_cells(2, 2, [(2, 1), (1, 2)])
+    bad = from_cells(2, 2, [(2, 1), (1, 2)])
     assert not diagrams.is_percent_avoiding(bad)
-    good = diagrams.from_cells(2, 2, [(1, 1), (2, 1), (1, 2)])
+    good = from_cells(2, 2, [(1, 1), (2, 1), (1, 2)])
     assert diagrams.is_percent_avoiding(good)
     # Rothe diagrams are always %-avoiding
     for w in permcomb.all_perms(4):
@@ -85,7 +87,7 @@ def test_percent_avoiding_matches_its_definition(n, m):
 
 
 def test_inclusion_ordered_implies_percent_avoiding():
-    for D in diagrams.all_diagrams(3, 3):
+    for D in all_diagrams(3, 3):
         if diagrams.columns_ordered_by_inclusion(D):
             assert diagrams.is_percent_avoiding(D)
 
@@ -94,7 +96,7 @@ def test_skyline_columns_ordered_by_inclusion():
     # the skyline diagram of (1, 3, 2): column j holds the rows i with alpha_i >= j
     assert diagrams.columns_ordered_by_inclusion(diagrams.parse_diagram("n=3;1,2,3;2,3;2"))
     assert not diagrams.columns_ordered_by_inclusion(
-        diagrams.from_cells(2, 2, [(1, 1), (2, 2)])
+        from_cells(2, 2, [(1, 1), (2, 2)])
     )
 
 
@@ -119,21 +121,21 @@ def test_orthodontic_sequence_empty_diagram():
 
 
 def test_orthodontic_sequence_standard_columns_only():
-    D = diagrams.from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
+    D = from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
     seq = diagrams.orthodontic_sequence(D)
     assert seq.steps == ()
     assert seq.K == (frozenset({1}), frozenset({2}), frozenset())
 
 
 def test_orthodontic_sequence_rejects_non_percent_avoiding():
-    bad = diagrams.from_cells(2, 2, [(2, 1), (1, 2)])
+    bad = from_cells(2, 2, [(2, 1), (1, 2)])
     with pytest.raises(ValueError):
         diagrams.orthodontic_sequence(bad)
 
 
 def test_orthodontia_step_count_invariant():
     # every orthodontic step closes one gap cell; steps never exceed n*cols
-    for D in diagrams.all_diagrams(3, 2):
+    for D in all_diagrams(3, 2):
         if not diagrams.is_percent_avoiding(D):
             continue
         seq = diagrams.orthodontic_sequence(D)
@@ -146,10 +148,10 @@ def test_orthodontia_step_count_invariant():
 def _sequence_cases():
     """Every %-avoiding diagram in [3] x [3] and [4] x [3], then every other one in [3] x [3] forced."""
     for n, m in ((3, 3), (4, 3)):
-        for D in diagrams.all_diagrams(n, m):
+        for D in all_diagrams(n, m):
             if diagrams.is_percent_avoiding(D):
                 yield D, []
-    for D in diagrams.all_diagrams(3, 3):
+    for D in all_diagrams(3, 3):
         if not diagrams.is_percent_avoiding(D):
             yield D, ["--force"]
 
@@ -167,7 +169,21 @@ def test_orthodontic_sequences_match_their_frozen_digest():
 
 
 def test_all_diagrams_count():
-    assert sum(1 for _ in diagrams.all_diagrams(2, 2)) == 16
+    assert sum(1 for _ in all_diagrams(2, 2)) == 16
+
+
+def test_avoiding_masks_are_the_percent_avoiding_diagrams_in_order():
+    for n, m in ((n, m) for n in range(10) for m in range(10) if n * m <= 9):
+        want = [D for D in all_diagrams(n, m) if diagrams.is_percent_avoiding(D)]
+        found = diagrams.avoiding_masks(n, m)
+        assert [diagrams.from_masks(n, cols) for cols in found] == want, (n, m)
+        assert [diagrams.format_masks(n, cols) for cols in found] == [
+            diagrams.format_diagram(D) for D in want], (n, m)
+
+
+def test_avoiding_masks_counts():
+    assert len(diagrams.avoiding_masks(4, 3)) == 1888
+    assert len(diagrams.avoiding_masks(4, 4)) == 16927
 
 
 def test_format_parse_roundtrip():

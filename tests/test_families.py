@@ -10,6 +10,7 @@ import pytest
 from orthodontia import diagrams, diffops, families, permcomb
 from orthodontia.polyring import ExponentRangeError, Polynomial
 
+from diagram_sets import all_diagrams, from_cells
 from neg1 import script_S_neg1
 
 
@@ -231,7 +232,7 @@ def test_script_S_is_lowest_part_of_script_G():
 
 
 def test_script_S_neg1_agrees_where_both_defined():
-    for D in diagrams.all_diagrams(3, 2):
+    for D in all_diagrams(3, 2):
         if not diagrams.is_percent_avoiding(D):
             continue
         try:
@@ -243,7 +244,7 @@ def test_script_S_neg1_agrees_where_both_defined():
 
 def test_script_S_rejects_out_of_range_column_index():
     # single column {2}: the recorded j index is 0
-    D = diagrams.from_cells(2, 1, [(2, 1)])
+    D = from_cells(2, 1, [(2, 1)])
     for evaluate in (families.script_S, families.script_G,
                      lambda D: families.script_G(D, barred_inner_omega=False)):
         with pytest.raises(ValueError, match=re.escape("fall outside [1,1]")):

@@ -7,7 +7,8 @@ of ``scan conj15 --n 3 --m 2``, every ``conj14_item`` record of ``scan conj14
 --n 3 --m 3`` and every ``thm12_vexillary_item`` record for w in S_1..S_5
 (the line the scan prints: the worker's head, its item encoded with sorted
 keys, then its tail), and of the stdout of ``pipedreams --w <w> --emit-json`` and
-``pipedreams --w <w> --count`` for every w in S_1..S_5, of ``report
+``pipedreams --w <w> --count`` for every w in S_1..S_5, of ``check thm12``,
+text and ``--json``, on a few diagrams, of ``report
 ambiguities`` at five (--nmax-omega, --nmax-endpoint) pairs and of ``verify
 <suite> --nmax 4`` for every suite, and of the stdout of ``scan
 thm12-vexillary --nmax 6 --json`` with its version blanked, the deepest
@@ -38,6 +39,10 @@ GOLDENS = Path(__file__).with_name("kernel_goldens.json")
 PERM_FAMILIES = ("double_grothendieck", "double_schubert", "grothendieck", "schubert")
 COMP_FAMILIES = ("lascoux", "key_via_pi")
 REPORT_BOUNDS = ((2, 3), (3, 3), (4, 4), (4, 5), (5, 6))  # (--nmax-omega, --nmax-endpoint)
+# check thm12 inputs: no rows, one empty column, columns out of inclusion order, empty columns
+# between full ones, and the deepest alternating signs of the scans' walks
+CHECK_THM12 = ("n=0", "n=2;", "n=3;1;1,2;", "n=3;2,3;3;3", "n=4;3;1,3;;1,2,3,4",
+               "n=4;2,4;4;1,2,4;", "n=5;1,3;;2,3,5;3,5")
 SCAN_THM12_S6 = ["scan", "thm12-vexillary", "--nmax", "6", "--json"]
 
 
@@ -65,9 +70,9 @@ def digests() -> dict[str, str]:
     for alpha, i in lascouxbasis.conj15_items(3, 2):
         out[f"conj15_item {','.join(map(str, alpha))} {i}"] = sha(
             scan_line(lascouxbasis.conj15_item((alpha, i))))
-    for D in lascouxbasis.conj14_items(3, 3):
-        out[f"conj14_item {diagrams.format_diagram(D)}"] = sha(
-            scan_line(lascouxbasis.conj14_item(D)))
+    for item in lascouxbasis.conj14_items(3, 3):
+        out[f"conj14_item {diagrams.format_masks(*item)}"] = sha(
+            scan_line(lascouxbasis.conj14_item(item)))
     for w in (w for n in range(1, 6) for w in lascouxbasis.thm12_vexillary_items(n)):
         out[f"thm12_vexillary_item {permcomb.format_perm(w)}"] = sha(
             scan_line(lascouxbasis.thm12_vexillary_item(w)))
@@ -75,6 +80,10 @@ def digests() -> dict[str, str]:
         for flag in ("--emit-json", "--count"):
             out[f"pipedreams {permcomb.format_perm(w)} {flag}"] = sha(
                 stdout_of(["pipedreams", "--w", permcomb.format_perm(w), flag]))
+    for text in CHECK_THM12:
+        for flags in ([], ["--json"]):
+            argv = ["check", "thm12", "--diagram", text, "--no-require-inclusion", *flags]
+            out[" ".join(argv)] = sha(stdout_of(argv))
     for omega, endpoint in REPORT_BOUNDS:
         out[f"report ambiguities {omega} {endpoint}"] = sha(stdout_of(
             ["report", "ambiguities", "--nmax-omega", str(omega), "--nmax-endpoint", str(endpoint)]))

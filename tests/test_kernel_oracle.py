@@ -133,6 +133,35 @@ def test_remainder_add_product_where_terms_cancel():
     assert kernel_dict(r.polynomial()) == expected_dict(expect, 1, 1) == {(0, 2): -1}
 
 
+def canonical(n: int, m: int, terms: dict) -> tuple:
+    """The ambient and the sorted list of nonzero terms of a term dict."""
+    return n, m, sorted((k, c) for k, c in terms.items() if c)
+
+
+@EXAMPLES
+@given(pairs(), st.data())
+@example((1, 0, {}, {}), None)  # two zero polynomials
+@example((2, 1, FIVE_TERMS, {}), None)
+def test_equality_holds_exactly_when_the_term_lists_and_ambients_agree(case, data):
+    n, m, a, b = case
+    if data is not None:
+        # b itself, a, or a with its coefficients redrawn: as many terms as a, maybe equal
+        recoefficient = {k: data.draw(st.sampled_from([c, -c, 2 * c])) for k, c in a.items()}
+        b = data.draw(st.sampled_from([b, a, recoefficient]))
+    # g over one more y variable, which no term uses, has b's terms in another ambient
+    mg = m + 1 if data is not None and data.draw(st.booleans()) else m
+    b = {(xe, ye + (0,) * (mg - m)): c for (xe, ye), c in b.items()}
+    # g is b with extra added and taken off again: its dict holds dead slots where the terms of
+    # extra were deleted
+    extra = Polynomial(n, mg, {((3,) * n, (3,) * mg): 1, ((0,) * n, (2,) * mg): -4})
+    g = Polynomial(n, mg, b) + extra - extra
+    f = Polynomial(n, m, a)
+    want = canonical(n, m, a) == canonical(n, mg, b)
+    assert (f == g) == (g == f) == want
+    assert (f != g) == (not want)
+    assert (g - g == Polynomial.zero(n, mg)) and (f == f)
+
+
 @pytest.mark.parametrize("shorter_first", [True, False])
 def test_remainder_add_product_at_the_limit_is_rejected_as_mul_is(shorter_first):
     # x_1^(EXP_LIMIT - 1) times x_1 + y_1: the term x_1^EXP_LIMIT is out of range
@@ -147,14 +176,18 @@ def test_remainder_add_product_at_the_limit_is_rejected_as_mul_is(shorter_first)
     assert str(by_add_product.value) == str(by_mul.value) == message
 
 
-def swapped(expr, i, n):
-    xs, _ = gens(n, 0)
-    return expr.subs({xs[i - 1]: xs[i], xs[i]: xs[i - 1]}, simultaneous=True)
+def ring_d(f, i):
+    """d_i(f) for f in a sparse sympy ring whose gens start x_1..x_n: the exact quotient
+    (f - s_i f) / (x_i - x_{i+1}), which raises unless it divides."""
+    swapped = f.ring.from_dict({k[:i - 1] + (k[i], k[i - 1]) + k[i + 1:]: c for k, c in f.items()})
+    return (f - swapped).exquo(f.ring.gens[i - 1] - f.ring.gens[i])
 
 
-def sympy_d(expr, i, n):
-    xs, _ = gens(n, 0)
-    return sympy.cancel((expr - swapped(expr, i, n)) / (xs[i - 1] - xs[i]))
+def sympy_d(expr, i, n, m) -> dict:
+    """{exponent tuple: coefficient}, x before y, of d_i(expr), taken in a sparse sympy ring."""
+    xs, ys = gens(n, m)
+    ring, *_ = sympy.ring(xs + ys, sympy.ZZ)
+    return {k: int(c) for k, c in ring_d(ring.from_expr(expr), i).items()}
 
 
 @EXAMPLES
@@ -164,10 +197,8 @@ def test_divided_difference_and_isobaric_match_sympy(case, data):
     i = data.draw(st.integers(1, n - 1))
     f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
     xs, _ = gens(n, m)
-    assert kernel_dict(diffops.divided_difference(f, i)) == expected_dict(sympy_d(sf, i, n), n, m)
-    assert kernel_dict(diffops.isobaric(f, i)) == expected_dict(
-        sympy_d((1 - xs[i]) * sf, i, n), n, m
-    )
+    assert kernel_dict(diffops.divided_difference(f, i)) == sympy_d(sf, i, n, m)
+    assert kernel_dict(diffops.isobaric(f, i)) == sympy_d((1 - xs[i]) * sf, i, n, m)
 
 
 @EXAMPLES
@@ -181,8 +212,8 @@ def test_pibar_double_matches_sympy(case, data):
     f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
     xs, ys = gens(n, m)
     factor = xs[i - 1] + ys[j - 1] - xs[i - 1] * ys[j - 1]
-    expect = sympy_d((1 - xs[i]) * factor * sf, i, n)
-    assert kernel_dict(diffops.pibar_double(f, i, j)) == expected_dict(expect, n, m)
+    expect = sympy_d((1 - xs[i]) * factor * sf, i, n, m)
+    assert kernel_dict(diffops.pibar_double(f, i, j)) == expect
 
 
 # d_i(L f) for the operators not covered above, with L in sympy; a, b, y stand
@@ -204,10 +235,10 @@ DOUBLED = {"pi_double", "pibar_double"}
 def operator_matches_sympy(op, n, m, a, i, j):
     f, sf = Polynomial(n, m, a), to_sympy(a, n, m)
     xs, ys = gens(n, m)
-    expect = sympy_d(OPERATORS[op](xs[i - 1], xs[i], ys[j - 1] if j else None) * sf, i, n)
+    expect = sympy_d(OPERATORS[op](xs[i - 1], xs[i], ys[j - 1] if j else None) * sf, i, n, m)
     fn = getattr(neg1 if op == "pi_double_neg1" else diffops, op)
     got = fn(f, i, j) if op in DOUBLED else fn(f, i)
-    return kernel_dict(got) == expected_dict(expect, n, m)
+    return kernel_dict(got) == expect
 
 
 @pytest.mark.parametrize("op", sorted(UNFUSED))
@@ -249,10 +280,9 @@ def test_fused_output_at_the_limit_is_rejected():
 def sympy_add_times_d(a, b, i, n, m) -> dict:
     """f + g d_i(f) in a sparse sympy ring, d_i(f) the exact quotient (f - s_i f) / (x_i - x_{i+1})."""
     xs, ys = gens(n, m)
-    ring, *v = sympy.ring(xs + ys, sympy.ZZ)
+    ring, *_ = sympy.ring(xs + ys, sympy.ZZ)
     f, g = (ring.from_dict({xe + ye: c for (xe, ye), c in t.items()}) for t in (a, b))
-    swapped = ring.from_dict({k[:i - 1] + (k[i], k[i - 1]) + k[i + 1:]: c for k, c in f.items()})
-    return {k: int(c) for k, c in (f + g * (f - swapped).exquo(v[i - 1] - v[i])).items()}
+    return {k: int(c) for k, c in (f + g * ring_d(f, i)).items()}
 
 
 @st.composite

@@ -1,18 +1,20 @@
 """Tests for Lascoux-basis expansion and the positivity pipelines."""
 
+import json
 import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthodontia import diagrams, diffops, families, lascouxbasis, permcomb
-from orthodontia.lascouxbasis import (
-    baseline_degree, graded_positive, lascoux_expand, reconstruct, scan_record,
-)
+from orthodontia.lascouxbasis import baseline_degree, lascoux_expand, reconstruct
 from orthodontia.polyring import Polynomial
 
+from diagram_sets import conj14_diagrams, from_cells
 from neg1 import script_S_neg1
-from scanline import scan_record_of
+from scanline import graded_positive, reference_record, scan_record_of
 
 
 def test_expand_single_lascoux():
@@ -56,8 +58,28 @@ def test_expand_linear_combination_roundtrip():
 
 def test_expansion_json_shape():
     e = lascoux_expand(families.lascoux((1, 0)) + families.lascoux((0, 1)).scale(-2))
-    items = scan_record({}, e)["expansion"]
+    items = scan_record_of(({}, *lascouxbasis._rendered(e)))["expansion"]
     assert items == [{"alpha": [0, 1], "c": -2}, {"alpha": [1, 0], "c": 1}]
+
+
+# coefficients: small, large, and the two of magnitude 2^130
+COEFFICIENTS = st.integers(-3, 3) | st.integers(-2**130, 2**130) | st.sampled_from([2**130, -2**130])
+EXPANSIONS = st.integers(0, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(0, 6)] * n), COEFFICIENTS, max_size=8))
+ITEMS = st.none() | st.fixed_dictionaries({"diagram": st.text(max_size=8)}) | st.fixed_dictionaries(
+    {"alpha": st.lists(st.integers(0, 9), max_size=4), "i": st.integers(1, 4)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPANSIONS, ITEMS)
+@example({}, None)
+@example({(): 1}, {"diagram": "n=0"})
+@example({(0, 1): -2**130, (1, 0): 2**130, (1, 1): 2**130}, {"w": "21"})
+def test_rendered_record_is_json_dumps_of_the_record(coeffs, item):
+    verdict, head, tail = lascouxbasis._rendered(coeffs)
+    want = reference_record(item, coeffs)
+    assert head + json.dumps(item, sort_keys=True) + tail == json.dumps(want, sort_keys=True)
+    assert verdict == want["verdict"]
 
 
 def test_graded_positive_sign_rule():
@@ -72,7 +94,7 @@ def test_graded_positive_sign_rule():
 
 
 def test_theorem12_check_small_diagram():
-    D = diagrams.from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
+    D = from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
     e = lascouxbasis.theorem12_check(D)
     assert graded_positive(e)
     # the flipped specialization reconstructs from the expansion
@@ -81,7 +103,7 @@ def test_theorem12_check_small_diagram():
 
 def test_theorem12_check_requires_inclusion_order():
     lascouxbasis._theorem12.clear()
-    D = diagrams.from_cells(2, 2, [(1, 1), (2, 2)])
+    D = from_cells(2, 2, [(1, 1), (2, 2)])
     with pytest.raises(ValueError):
         lascouxbasis.theorem12_check(D)
     assert lascouxbasis._theorem12 == {}  # the check precedes the memo
@@ -106,7 +128,7 @@ def test_lascoux_basis_rules_of_the_theorem12_route(n):
                 beta[i - 1], beta[i] = beta[i], beta[i - 1]
             beta = tuple(beta)
             assert diffops.demazure_lascoux(L, i) == families.lascoux(beta), (alpha, i)
-            assert lascouxbasis._pibar(alpha, i) == beta
+            assert lascouxbasis._times_pibar({alpha: 3}, i) == {beta: 3}
         # x_1 ... x_n L_alpha = L_{alpha + 1^n}
         assert top * L == families.lascoux(tuple(a + 1 for a in alpha)), alpha
 
@@ -114,7 +136,7 @@ def test_lascoux_basis_rules_of_the_theorem12_route(n):
 def test_theorem12_memo_matches_fresh_expansion():
     lascouxbasis._theorem12.clear()
     lascouxbasis._phi.clear()
-    items = lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3)
+    items = conj14_diagrams(3, 3) + conj14_diagrams(4, 3)
     for D in items:
         memoized = lascouxbasis.theorem12_check(D, require_inclusion=False)
         fresh = lascoux_expand(script_S_neg1(D).flip(D.ncols))
@@ -131,7 +153,7 @@ def test_theorem12_memo_matches_fresh_expansion():
 
 def test_theorem12_key_is_exact():
     groups = {}
-    for D in lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3):
+    for D in conj14_diagrams(3, 3) + conj14_diagrams(4, 3):
         groups.setdefault(_theorem12_key(D), []).append(D)
     shared = [g for g in groups.values() if len(g) > 1]
     # the key forgets j and the column sets, and some diagrams differ only there
@@ -148,8 +170,9 @@ def test_theorem12_key_is_read_from_the_mask_core():
     lascouxbasis._theorem12.clear()
     lascouxbasis._phi.clear()
     rothe = [diagrams.rothe(w) for n in range(1, 7) for w in permcomb.all_perms(n)]
-    for D in lascouxbasis.conj14_items(3, 3) + lascouxbasis.conj14_items(4, 3) + rothe:
-        assert lascouxbasis._theorem12_key(D) == _theorem12_key(D), diagrams.format_diagram(D)
+    for D in conj14_diagrams(3, 3) + conj14_diagrams(4, 3) + rothe:
+        key = lascouxbasis._theorem12_key(D.nrows, diagrams._masks(D))
+        assert key == _theorem12_key(D), diagrams.format_diagram(D)
 
 
 def test_theorem12_check_refuses_a_non_percent_avoiding_diagram_before_the_memo():
@@ -166,7 +189,7 @@ def test_theorem12_check_refuses_a_non_percent_avoiding_diagram_before_the_memo(
 
 def test_theorem12_check_returns_its_own_coefficients():
     lascouxbasis._theorem12.clear()
-    D = diagrams.from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
+    D = from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
     first = lascouxbasis.theorem12_check(D)
     want = dict(first)
     first.clear()  # a caller's edit reaches neither the memo nor a later call
@@ -180,7 +203,7 @@ def test_each_cli_command_starts_from_an_empty_memo():
 
     lascouxbasis._theorem12.clear()
     lascouxbasis._phi.clear()
-    for D in lascouxbasis.conj14_items(3, 3):
+    for D in conj14_diagrams(3, 3):
         lascouxbasis.theorem12_check(D, require_inclusion=False)
     assert len(lascouxbasis._theorem12) == 118
     assert len(lascouxbasis._phi) == 77
@@ -199,7 +222,7 @@ def test_conj15_item_record():
     assert rec["verdict"] == "positive"
     assert rec["d0"] >= 1
     want = lascoux_expand(diffops.phi(families.lascoux((1, 0)), 1))
-    assert rec == scan_record({"alpha": [1, 0], "i": 1}, want)
+    assert rec == reference_record({"alpha": [1, 0], "i": 1}, want)
 
 
 def test_conj15_items_enumeration():
@@ -208,9 +231,11 @@ def test_conj15_items_enumeration():
 
 
 def test_conj14_items_are_percent_avoiding():
-    items = lascouxbasis.conj14_items(2, 2)
+    items = conj14_diagrams(2, 2)
     assert all(diagrams.is_percent_avoiding(D) for D in items)
     assert len(items) == 15  # 16 diagrams minus the one %-pattern
+    # an item is (n, the column masks), which a pool pickles as a few small ints
+    assert lascouxbasis.conj14_items(2, 2)[:3] == [(2, (0, 0)), (2, (2, 0)), (2, (4, 0))]
 
 
 def test_thm12_vexillary_items():

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import neg1
+from diagram_sets import conj14_diagrams
 from orthodontia import diffops, families, lascouxbasis, permcomb, pipedreams, polyring
 from orthodontia.diagrams import rothe
 
@@ -101,6 +102,7 @@ KERNEL_ORACLES = {
                      "_axpy", "_add_product", "Polynomial.__init__", "Polynomial.__add__",
                      "Polynomial._plus", "Polynomial.__sub__", "Polynomial.__mul__"],
                     "test_ring_operations_match_sympy"),
+    "Polynomial.__eq__": "test_equality_holds_exactly_when_the_term_lists_and_ambients_agree",
     **dict.fromkeys(["Polynomial.zero", "Polynomial.const", "Polynomial.one", "Polynomial.var_x",
                      "Polynomial.var_y"], "test_constructors_match_sympy"),
     **dict.fromkeys(["Polynomial.add_times_divided_difference", "Polynomial._add_divided_difference"],
@@ -142,11 +144,13 @@ def test_every_kernel_function_a_route_enters_has_an_oracle_test(route, entered)
     assert {KERNEL_ORACLES[name] for name in kernel} <= tests
 
 
-# the %-avoiding diagrams in [3] x [2], on which the theorem-12 walk meets its reference
+# the %-avoiding diagrams in [3] x [2], on which the theorem-12 walk meets its reference: the
+# scan's (n, column masks) items, and the same diagrams as Diagrams
 CONJ14 = lascouxbasis.conj14_items(3, 2)
+CONJ14_DIAGRAMS = conj14_diagrams(3, 2)
 # the walk's own functions, which the reference must not enter
 WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
-    "_theorem12_key", "_times_phi", "_pibar", "_phi_expansion", "theorem12_check")} | {
+    "_theorem12_key", "_times_phi", "_times_pibar", "_phi_expansion", "theorem12_check")} | {
     ("orthodontia.diffops", "phi"), ("orthodontia.diffops", "_phi_factor")}
 # what the two may share, a comprehension keyed by its module: the mask core of the orthodontic
 # sequence of D, which both read (the walk builds no OrthodonticSequence, so it shares neither
@@ -155,7 +159,7 @@ WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
 THM12_SHARED = {
     *(("orthodontia.diagrams", name) for name in (
         "_orthodontia", "_masks", "_avoiding", "ncols", "<genexpr>", "<listcomp>")),
-    *(("orthodontia.lascouxbasis", name) for name in ("lascoux_expand", "_accumulate", "<dictcomp>")),
+    *(("orthodontia.lascouxbasis", name) for name in ("lascoux_expand", "<dictcomp>")),
     *(("orthodontia.families", name) for name in ("lascoux", "_chain", "_first_ascent", "<genexpr>")),
     ("orthodontia.diffops", "demazure_lascoux"), ("orthodontia.diffops", "_one_minus_x"),
 }
@@ -170,14 +174,16 @@ def _fresh_memos():
 
 
 def test_theorem12_walk_shares_only_the_expander_with_its_reference():
-    assert len(CONJ14) == 54
+    assert len(CONJ14) == len(CONJ14_DIAGRAMS) == 54
     _fresh_memos()
-    walk = _engine(_entered(lambda: [lascouxbasis.theorem12_check(D, require_inclusion=False)
-                                     for D in CONJ14]))
+    # the walk as the scan runs it, from the masks, then as check thm12 does, from a Diagram
+    walk = _engine(_entered(lambda: (
+        [lascouxbasis.conj14_item(item) for item in CONJ14],
+        [lascouxbasis.theorem12_check(D, require_inclusion=False) for D in CONJ14_DIAGRAMS])))
     # the reference expands the polynomial that the walk stands for
     _fresh_memos()
     reference = _engine(_entered(lambda: [
-        lascouxbasis.lascoux_expand(neg1.script_S_neg1(D).flip(D.ncols)) for D in CONJ14]))
+        lascouxbasis.lascoux_expand(neg1.script_S_neg1(D).flip(D.ncols)) for D in CONJ14_DIAGRAMS]))
     assert WALK_OWN <= {(module, fn) for module, fn, _ in walk}
     assert not WALK_OWN & {(module, fn) for module, fn, _ in reference}
     shared = {(module, fn) for module, fn, _ in walk & reference}
