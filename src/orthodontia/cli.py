@@ -182,13 +182,14 @@ def cmd_orthodontia(D, force, as_json):
 
     seq = diagrams.orthodontic_sequence(D, force=force)
     i, j, M = ([step[k] for step in seq.steps] for k in range(3))
+    K, M = list(map(diagrams.bits, seq.K)), list(map(diagrams.bits, M))
     if as_json:
-        click.echo(json.dumps({"K": [sorted(k) for k in seq.K], "i": i, "j": j, "M": [sorted(m) for m in M]}))
+        click.echo(json.dumps({"K": K, "i": i, "j": j, "M": M}))
         return
-    click.echo("K = " + ", ".join(f"K_{a}={sorted(k) or '{}'}" for a, k in enumerate(seq.K, 1)))
+    click.echo("K = " + ", ".join(f"K_{a}={k or '{}'}" for a, k in enumerate(K, 1)))
     click.echo(f"i = {i}")
     click.echo(f"j = {j}")
-    click.echo("M = " + ", ".join(f"M_{k}={sorted(m) or '{}'}" for k, m in enumerate(M, 1)))
+    click.echo("M = " + ", ".join(f"M_{k}={m or '{}'}" for k, m in enumerate(M, 1)))
 
 
 @main.command("sortorder")
@@ -197,11 +198,11 @@ def cmd_orthodontia(D, force, as_json):
               default="alpha-plus-one", show_default=True)
 def cmd_sortorder(perm, os_endpoint):
     """Primary column data, sigma(w), w_sort, and sort-order predecessors."""
-    from . import sortorder
+    from . import diagrams, sortorder
 
     pcd = sortorder.primary_column_data(perm)
     click.echo(
-        f"primary column data: h={pcd.h}, C={sorted(pcd.C) or '{}'}, "
+        f"primary column data: h={pcd.h}, C={diagrams.bits(pcd.C) or '{}'}, "
         f"alpha={pcd.alpha}, i1={pcd.i1}, beta={pcd.beta}"
     )
     click.echo(f"sigma(w) = {permcomb.format_perm(pcd.sigma)}")

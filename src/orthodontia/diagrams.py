@@ -1,12 +1,12 @@
-"""Diagrams as column lists and the double orthodontia algorithm.
+"""Diagrams as column bit masks and the double orthodontia algorithm.
 
-A diagram is a subset of [n] x [m] stored column by column; column order
-matters and empty columns are kept in place so that recorded column
-indices stay stable throughout the algorithm.  Inside, the %-avoidance test
-and the algorithm run on bit masks (bit i of a column for row i, bit j of
-K_a or M_k for column j); the Diagram API speaks in frozensets.  A scan
-lists, formats and keys diagrams as column masks alone (`avoiding_masks`,
-`format_masks`), and `from_masks` builds the Diagram where one is needed.
+A diagram is a subset of [n] x [m] stored column by column, each column a
+bit mask with bit i for row i; column order matters and empty columns (mask
+0) are kept in place so that recorded column indices stay stable throughout
+the algorithm.  The orthodontic sequence holds masks too, bit j of K_a or
+M_k for column j, and `bits` lists a mask's indices where they are printed
+or multiplied over.  A scan lists and formats diagrams as tuples of column
+masks alone (`avoiding_masks`, `format_masks`).
 """
 
 from __future__ import annotations
@@ -21,15 +21,17 @@ from .permcomb import Permutation
 @dataclass(frozen=True)
 class Diagram:
     nrows: int
-    columns: tuple[frozenset[int], ...]
+    columns: tuple[int, ...]  # column masks, bit i for row i
 
     def __post_init__(self):
         if self.nrows < 0:
             raise ValueError(f"diagram row count nrows must be >= 0, got {self.nrows}")
         for col in self.columns:
-            for i in col:
-                if not 1 <= i <= self.nrows:
-                    raise ValueError(f"row index {i} outside [1,{self.nrows}]")
+            if col < 0:
+                raise ValueError(f"column mask {col} is negative")
+            if col & 1 or col >> self.nrows + 1:
+                raise ValueError(f"row index {0 if col & 1 else col.bit_length() - 1} "
+                                 f"outside [1,{self.nrows}]")
 
     @property
     def ncols(self) -> int:
@@ -38,8 +40,13 @@ class Diagram:
     def cells(self):
         """All (row, col) pairs, column-major."""
         for j, col in enumerate(self.columns, start=1):
-            for i in sorted(col):
+            for i in bits(col):
                 yield (i, j)
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of the bits set in mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def rothe(w: Permutation) -> Diagram:
@@ -47,25 +54,8 @@ def rothe(w: Permutation) -> Diagram:
     permcomb.check_perm(w)
     n = len(w)
     winv = permcomb.inverse(w)
-    cols = []
-    for j in range(1, n + 1):
-        cols.append(frozenset(i for i in range(1, winv[j - 1]) if j < w[i - 1]))
-    return Diagram(n, tuple(cols))
-
-
-def _masks(D: Diagram) -> list[int]:
-    """D's columns as masks, bit i for row i."""
-    return [sum(map((1).__lshift__, col)) for col in D.columns]
-
-
-def from_masks(n: int, cols) -> Diagram:
-    """The diagram in [n] x [len(cols)] whose columns have these masks, bit i for row i."""
-    return Diagram(n, tuple(map(_bits, cols)))
-
-
-def _bits(mask: int) -> frozenset[int]:
-    """The indices of the bits set in mask."""
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return Diagram(n, tuple(sum(1 << i for i in range(1, winv[j - 1]) if j < w[i - 1])
+                            for j in range(1, n + 1)))
 
 
 def _avoiding(cols: list[int]) -> bool:
@@ -77,24 +67,21 @@ def _avoiding(cols: list[int]) -> bool:
     return True
 
 
-def is_percent_avoiding(D: Diagram) -> bool:
-    """No rows i1 < i2 and columns j1 < j2 restrict to the forbidden pattern."""
-    return _avoiding(_masks(D))
-
-
 def columns_ordered_by_inclusion(D: Diagram) -> bool:
-    for c1, c2 in combinations(D.columns, 2):
-        if not (c1 <= c2 or c2 <= c1):
-            return False
-    return True
+    return all(c1 | c2 in (c1, c2) for c1, c2 in combinations(D.columns, 2))
 
 
-def smallest_missing_tooth(col: frozenset[int]) -> int:
-    """Smallest i with i not in col and i+1 in col."""
-    for i in sorted(col):
-        if i - 1 >= 1 and i - 1 not in col:
-            return i - 1
-    raise ValueError(f"column {sorted(col)} has no missing tooth")
+def is_standard(col: int) -> bool:
+    """Is the column the standard interval {1..|col|} (the empty column among them)?"""
+    return not col & (col + 2)
+
+
+def smallest_missing_tooth(col: int) -> int:
+    """Smallest i >= 1 with i not in col and i+1 in col."""
+    teeth = col >> 1 & ~col & ~1
+    if not teeth:
+        raise ValueError(f"column {bits(col)} has no missing tooth")
+    return (teeth & -teeth).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -103,12 +90,13 @@ class OrthodonticSequence:
 
     K has one entry per row index 1..n; steps holds one triple per
     orthodontic step, k = 1..l in the order the algorithm records them.
-    All recorded column indices refer to the original column positions of
-    the input diagram.
+    Each K_a and M_k is a mask of columns, bit j for column j, and all
+    recorded column indices refer to the original column positions of the
+    input diagram.
     """
 
-    K: tuple[frozenset[int], ...]
-    steps: tuple[tuple[int, int, frozenset[int]], ...]
+    K: tuple[int, ...]
+    steps: tuple[tuple[int, int, int], ...]
 
 
 def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int], list[tuple]]:
@@ -125,7 +113,7 @@ def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int
                          "(`orthodontia orthodontia --force` runs the algorithm anyway)")
     K = [0] * n
     for j, c in enumerate(cols):
-        if c and not c & (c + 2):  # the standard interval {1..|c|}
+        if c and is_standard(c):
             K[c.bit_count() - 1] |= 2 << j
             cols[j] = 0
 
@@ -136,8 +124,7 @@ def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int
         while col := cols[leftmost - 1]:
             if len(steps) == cap:
                 raise RuntimeError("orthodontia did not terminate (non-%-avoiding input?)")
-            teeth = col >> 1 & ~col & ~1  # the missing teeth: i >= 1 not in col, i + 1 in col
-            i1 = (teeth & -teeth).bit_length() - 1
+            i1 = smallest_missing_tooth(col)
             target = (2 << i1) - 2  # the standard interval {1..i1}
             j1 = leftmost - i1 + (col & target).bit_count()
             M1 = 0
@@ -154,9 +141,8 @@ def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int
 
 def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence:
     """The double orthodontic sequence of D, which is %-avoiding unless force; see `_orthodontia`."""
-    K, steps = _orthodontia(D.nrows, _masks(D), force)
-    return OrthodonticSequence(K=tuple(map(_bits, K)),
-                               steps=tuple((i, j, _bits(M)) for i, j, M in steps))
+    K, steps = _orthodontia(D.nrows, list(D.columns), force)
+    return OrthodonticSequence(K=tuple(K), steps=tuple(steps))
 
 
 def avoiding_masks(n: int, m: int) -> list[tuple[int, ...]]:
@@ -173,7 +159,7 @@ def avoiding_masks(n: int, m: int) -> list[tuple[int, ...]]:
 
 
 def format_masks(n: int, cols) -> str:
-    """format_diagram of from_masks(n, cols)."""
+    """format_diagram of Diagram(n, cols)."""
     rows = range(1, n + 1)
     return f"n={n}" + "".join([";" + ",".join([str(i) for i in rows if c >> i & 1]) for c in cols])
 
@@ -185,7 +171,7 @@ def format_diagram(D: Diagram) -> str:
     columns, the last one empty, 'n=2;' has one empty column and 'n=2'
     has none.
     """
-    return format_masks(D.nrows, _masks(D))
+    return format_masks(D.nrows, D.columns)
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -195,10 +181,13 @@ def parse_diagram(text: str) -> Diagram:
     head, sep, rest = text.partition(";")
     try:
         nrows = int(head[2:])
-        cols = [
-            frozenset(int(t) for t in chunk.split(",")) if chunk.strip() else frozenset()
-            for chunk in (rest.split(";") if sep else ())
-        ]
+        rows = [[int(t) for t in chunk.split(",")] if chunk.strip() else []
+                for chunk in (rest.split(";") if sep else ())]
     except ValueError:
         raise ValueError(f"not an integer row count or row index in diagram text {text!r}") from None
-    return Diagram(nrows, tuple(cols))
+    # each row index is checked before it is shifted: 1 << i refuses i < 0 and takes i / 8 bytes;
+    # a repeated index names one cell, so each mask sums a set
+    for i in (i for col in rows for i in col):
+        if not 1 <= i <= nrows:
+            raise ValueError(f"row index {i} outside [1,{nrows}]")
+    return Diagram(nrows, tuple(sum({1 << i for i in col}) for col in rows))

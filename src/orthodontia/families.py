@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from . import diffops, permcomb
-from .diagrams import Diagram, orthodontic_sequence
+from .diagrams import Diagram, bits, orthodontic_sequence
 from .permcomb import Composition, Permutation
 from .polyring import Polynomial
 
@@ -154,11 +154,11 @@ def _evaluate_diagram(D: Diagram, inner_barred: bool, outer_barred: bool, step) 
     t = Polynomial.one(n, m)
     for i, j, M in reversed(seq.steps):
         if M:
-            t = diffops.omega(i, M, inner_barred, n, m) * t
+            t = diffops.omega(i, bits(M), inner_barred, n, m) * t
         t = step(t, i, j)
     for a, K in enumerate(seq.K, 1):
         if K:
-            t = diffops.omega(a, K, outer_barred, n, m) * t
+            t = diffops.omega(a, bits(K), outer_barred, n, m) * t
     return t
 
 

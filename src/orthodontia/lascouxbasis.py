@@ -144,7 +144,7 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composit
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion "
                          "(`orthodontia check thm12 --no-require-inclusion` skips this check)")
-    return dict(_theorem12[_theorem12_key(D.nrows, diagrams._masks(D))][0])
+    return dict(_theorem12[_theorem12_key(D.nrows, list(D.columns))][0])
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
@@ -191,7 +191,7 @@ def conj14_items(n: int, m: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def thm12_vexillary_item(w) -> tuple:
-    key = _theorem12_key(len(w), diagrams._masks(diagrams.rothe(w)))
+    key = _theorem12_key(len(w), list(diagrams.rothe(w).columns))
     return ({"w": permcomb.format_perm(w)}, *_theorem12[key][1:])
 
 

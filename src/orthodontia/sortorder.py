@@ -3,6 +3,8 @@
 The machinery used to induct on permutations: the first non-standard
 column of the Rothe diagram, with the dominant sigma(w) and w_sort read off
 the same D(w), and the two cover relations of the orthodontic sort order.
+The column C and the window are masks, as in `diagrams`: bit i for row i
+of C, bit j for column j of the window.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ class PrimaryColumnData:
     h-beta+1..h; sigma = sigma(w) is that bijection renumbered to S_beta, and
     sort = w_sort is w with the values on those rows in increasing order."""
     h: int
-    C: frozenset[int]
+    C: int
     alpha: int
     i1: int
     beta: int
@@ -28,8 +30,9 @@ class PrimaryColumnData:
     sort: Permutation
 
     @property
-    def window(self) -> frozenset[int]:
-        return frozenset(range(self.h - self.beta + 1, self.h + 1))
+    def window(self) -> int:
+        """The columns h-beta+1..h."""
+        return (2 << self.h) - (2 << self.h - self.beta)
 
     @property
     def is_sorted(self) -> bool:
@@ -47,14 +50,12 @@ def primary_column_data(w: Permutation) -> PrimaryColumnData:
     n = len(w)
     D = diagrams.rothe(w)
     for h, C in enumerate(D.columns):
-        if C != frozenset(range(1, len(C) + 1)):
-            alpha = 0
-            while alpha + 1 in C:
-                alpha += 1
+        if not diagrams.is_standard(C):
+            alpha = (C ^ C + 2).bit_length() - 2  # rows 1..alpha lie in C, alpha + 1 does not
             i1 = diagrams.smallest_missing_tooth(C)
             break
     else:
-        h, C, alpha, i1 = n, frozenset(), 0, n
+        h, C, alpha, i1 = n, 0, 0, n
     beta, rows = i1 - alpha, w[alpha:i1]
     sigma = permcomb.check_perm(tuple(v - (h - beta) for v in rows))
     return PrimaryColumnData(h, C, alpha, i1, beta, sigma, (*w[:alpha], *sorted(rows), *w[i1:]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import diagrams, diffops, families, lascouxbasis, permcomb, pipedreams, sortorder
-from .diagrams import OrthodonticSequence, rothe
+from .diagrams import Diagram, OrthodonticSequence, rothe
 from .permcomb import Permutation, all_perms, format_perm
 from .polyring import Polynomial
 from .sortorder import PrimaryColumnData
@@ -120,7 +120,7 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
         n = len(w)
         pcd = sortorder.primary_column_data(w)
         # window column -> the size of the matching column of D(sigma(w))
-        sizes = dict(zip(sorted(pcd.window), map(len, rothe(pcd.sigma).columns)))
+        sizes = dict(zip(diagrams.bits(pcd.window), map(int.bit_count, rothe(pcd.sigma).columns)))
         D, Ds = rothe(w), rothe(pcd.sort)
         Dw, Dws = set(D.cells()), set(Ds.cells())
         expected_diff = {(pcd.alpha + a, c) for c, k in sizes.items() for a in range(1, k + 1)}
@@ -128,8 +128,8 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
         seq_s = diagrams.orthodontic_sequence(Ds)
         # K_j of w is K_j of w_sort plus the window columns whose sigma(w) column has
         # j - alpha cells (none past i1: D(sigma) has beta - 1 rows), less the window at alpha
-        k_ok = all(K == (Kp - pcd.window if j == pcd.alpha else Kp)
-                   | {c for c, size in sizes.items() if size == j - pcd.alpha}
+        k_ok = all(K == (Kp & ~pcd.window if j == pcd.alpha else Kp)
+                   | sum(1 << c for c, size in sizes.items() if size == j - pcd.alpha)
                    for j, (K, Kp) in enumerate(zip(seq_w.K, seq_s.K), 1))
         # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
         # holds exactly when prod divides G_w with quotient G_{w_sort}.  With
@@ -157,12 +157,12 @@ def sorted_structure_parts(w: Permutation, pcd: PrimaryColumnData,
     bad = []
     if len(seq.steps) < pcd.beta:
         return [f"fewer than beta={pcd.beta} orthodontic steps at w={format_perm(w)}"]
-    for k, ((i, j, _), column) in enumerate(zip(seq.steps, sorted(pcd.window)), 1):
+    for k, ((i, j, _), column) in enumerate(zip(seq.steps, diagrams.bits(pcd.window)), 1):
         if i != pcd.i1 - k + 1:
             bad.append(f"part 1 fails at w={format_perm(w)}, k={k}")
         if j != column:
             bad.append(f"part 2 fails at w={format_perm(w)}, k={k}")
-    if pcd.alpha > 0 and not pcd.window <= seq.K[pcd.alpha - 1]:
+    if pcd.alpha > 0 and pcd.window & ~seq.K[pcd.alpha - 1]:
         bad.append(f"part 3 fails at w={format_perm(w)}")
     for k in range(pcd.alpha + 1, pcd.i1 + 1):
         if seq.K[k - 1]:
@@ -182,7 +182,7 @@ def sorted_cover_check(w: Permutation, pcd: PrimaryColumnData, seq: OrthodonticS
         return False
     expect = list(seq.K)  # S moves from K_alpha to K_{alpha+1}, joined by M_beta
     if pcd.alpha > 0:
-        expect[pcd.alpha - 1] -= S
+        expect[pcd.alpha - 1] &= ~S
     expect[pcd.alpha] = S | seq.steps[b - 1][2]
     return list(seq2.K) == expect
 
@@ -280,7 +280,7 @@ def suite_lemma4(nmax: int) -> SuiteResult:
         n = rng.randint(2, nmax)
         m = rng.randint(1, 3)
         i = rng.randint(1, n)
-        M = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m)))
+        M = rng.sample(range(1, m + 1), rng.randint(0, m))
         xm1 = [Polynomial.var_x(j, n, 0) - Polynomial.one(n, 0) for j in range(1, n + 1)]
         below = math.prod(xm1[:i], start=Polynomial.one(n, 0))  # prod_{j <= i} (x_j - 1)
         # omega-spec
@@ -419,7 +419,7 @@ def ambiguity_report(nmax_omega: int, nmax_endpoint: int) -> str:
 
     lines.append("## Lowest-degree relation between the two evaluators")
     pairs, skipped = [], 0
-    for D in (diagrams.from_masks(3, cols) for cols in diagrams.avoiding_masks(3, 3)):
+    for D in (Diagram(3, cols) for cols in diagrams.avoiding_masks(3, 3)):
         try:
             pairs.append((D, families.script_S(D), families.script_G(D)))
         except ValueError:

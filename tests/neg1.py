@@ -40,10 +40,10 @@ def script_S_neg1(D: Diagram) -> Polynomial:
     t = Polynomial.one(n, 0)
     for i, _, M in reversed(seq.steps):
         if M:
-            t = _omega_neg1(i, len(M), n) * t
+            t = _omega_neg1(i, M.bit_count(), n) * t
         t = pi_double_neg1(t, i)
     for a, K in enumerate(seq.K, 1):
         if K:
-            t = _omega_neg1(a, len(K), n) * t
+            t = _omega_neg1(a, K.bit_count(), n) * t
     return t
 

@@ -17,7 +17,7 @@ from orthodontia import (
     sortorder,
     suites,
 )
-from orthodontia.diagrams import rothe
+from orthodontia.diagrams import Diagram, rothe
 from orthodontia.polyring import Polynomial
 
 from diagram_sets import all_diagrams
@@ -108,7 +108,7 @@ def test_criterion_06_conjecture_scans(capsys):
         sources.append(("conj15", args))
     for item in lascouxbasis.conj14_items(3, 3):
         records.append(scan_record_of(lascouxbasis.conj14_item(item)))
-        sources.append(("conj14", diagrams.from_masks(*item)))
+        sources.append(("conj14", Diagram(*item)))
     for w in permcomb.all_perms(4):
         records.append(scan_record_of(lascouxbasis.thm12_vexillary_item(w)))
         sources.append(("rothe", w))
@@ -147,7 +147,7 @@ def test_criterion_08_structural_suites(capsys):
     # forced crosses: every pipe dream of w contains C_w
     for w in permcomb.all_perms(4):
         pcd = sortorder.primary_column_data(w)
-        lam = [len(col) for col in rothe(w).columns]
+        lam = [col.bit_count() for col in rothe(w).columns]
         Cw = {
             (i, j)
             for j in range(1, pcd.h + 1)

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import multiprocessing
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import orthodontia
-from orthodontia import diagrams, families, lascouxbasis, pipedreams, sortorder, suites
+from orthodontia import diagrams, families, lascouxbasis, permcomb, pipedreams, sortorder, suites
 from orthodontia.cli import EXIT_CRASH, EXIT_MATH_FAILURE, FAMILIES, SCANS, SUITES, main
 from orthodontia.polyring import EXP_LIMIT, JSON_BATCH, Polynomial
 
@@ -93,10 +94,14 @@ def test_poly_lascoux_0_n_closed_form(runner, n):
         (["poly", "lascoux", "--alpha", "0,-1"], "must be nonnegative"),
         (["poly", "key", "--alpha", "0,a"], "'0,a'"),
         (["poly", "script-G", "--diagram", "n=2;3"], "row index 3 outside [1,2]"),
+        (["poly", "script-G", "--diagram", "n=2;0"], "row index 0 outside [1,2]"),
+        (["poly", "script-G", "--diagram", "n=2;-1"], "row index -1 outside [1,2]"),
         (["poly", "script-S", "--diagram", "2;1"], "must start with 'n=<int>'"),
         (["poly", "script-G", "--diagram", "n=-1;"], "nrows must be >= 0, got -1"),
         (["pipedreams", "--w", "1x3"], "'1x3'"),
         (["orthodontia", "--diagram", "n=2;3"], "row index 3 outside [1,2]"),
+        (["orthodontia", "--diagram", "n=2;0"], "row index 0 outside [1,2]"),
+        (["orthodontia", "--diagram", "n=2;-1"], "row index -1 outside [1,2]"),
         (["orthodontia", "--diagram", "n=-1;"], "nrows must be >= 0, got -1"),
         (["orthodontia", "--diagram", "n=2;1,y"], "'n=2;1,y'"),
         (["sortorder", "--w", "11"], "not a permutation of [2]"),
@@ -321,6 +326,17 @@ def test_sortorder_stdout(runner, argv, want):
     # the identity, an unsorted w, and a sorted w under both product endpoints
     r = runner.invoke(main, ["sortorder", *argv])
     assert (r.exit_code, r.output) == (0, want)
+
+
+def test_sortorder_stdout_matches_its_frozen_digest(runner):
+    # every w in S_1..S_6 under both product endpoints
+    digest = hashlib.sha256()
+    for text in (permcomb.format_perm(w) for n in range(1, 7) for w in permcomb.all_perms(n)):
+        for endpoint in ("alpha", "alpha-plus-one"):
+            r = runner.invoke(main, ["sortorder", "--w", text, "--os-endpoint", endpoint])
+            assert r.exit_code == 0, text
+            digest.update(f"{text} {endpoint}\n".encode() + r.stdout_bytes)
+    assert digest.hexdigest() == "f06b7133c4c52899e8360e983af07f71c9e94325b8784d1c448d3da71ffb7aa6"
 
 
 def test_verify_command(runner):

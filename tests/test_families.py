@@ -10,7 +10,7 @@ import pytest
 from orthodontia import diagrams, diffops, families, permcomb
 from orthodontia.polyring import ExponentRangeError, Polynomial
 
-from diagram_sets import all_diagrams, from_cells
+from diagram_sets import all_diagrams, from_cells, is_percent_avoiding
 from neg1 import script_S_neg1
 
 
@@ -233,7 +233,7 @@ def test_script_S_is_lowest_part_of_script_G():
 
 def test_script_S_neg1_agrees_where_both_defined():
     for D in all_diagrams(3, 2):
-        if not diagrams.is_percent_avoiding(D):
+        if not is_percent_avoiding(D):
             continue
         try:
             s = families.script_S(D).substitute_y(-1)

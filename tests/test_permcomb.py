@@ -84,7 +84,7 @@ def test_dominant_iff_rothe_columns_standard():
 
     for w in permcomb.all_perms(4):
         cols_standard = all(
-            col == frozenset(range(1, len(col) + 1))
+            set(diagrams.bits(col)) == set(range(1, col.bit_count() + 1))
             for col in diagrams.rothe(w).columns
         )
         assert is_dominant(w) == cols_standard

@@ -154,11 +154,12 @@ WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
     ("orthodontia.diffops", "phi"), ("orthodontia.diffops", "_phi_factor")}
 # what the two may share, a comprehension keyed by its module: the mask core of the orthodontic
 # sequence of D, which both read (the walk builds no OrthodonticSequence, so it shares neither
-# orthodontic_sequence nor its __init__), and the Lascoux expander with the chain that builds
-# each L_beta it peels
+# orthodontic_sequence nor its __init__), with the interval test and the tooth finder it calls,
+# and the Lascoux expander with the chain that builds each L_beta it peels
 THM12_SHARED = {
     *(("orthodontia.diagrams", name) for name in (
-        "_orthodontia", "_masks", "_avoiding", "ncols", "<genexpr>", "<listcomp>")),
+        "_orthodontia", "is_standard", "smallest_missing_tooth", "_avoiding", "ncols", "<genexpr>",
+        "<listcomp>")),
     *(("orthodontia.lascouxbasis", name) for name in ("lascoux_expand", "<dictcomp>")),
     *(("orthodontia.families", name) for name in ("lascoux", "_chain", "_first_ascent", "<genexpr>")),
     ("orthodontia.diffops", "demazure_lascoux"), ("orthodontia.diffops", "_one_minus_x"),

@@ -3,13 +3,14 @@
 import pytest
 
 from orthodontia import permcomb, sortorder
+from orthodontia.diagrams import bits
 
 
 def test_primary_column_data_worked_example():
     w = (6, 8, 3, 4, 2, 7, 5, 1)
     pcd = sortorder.primary_column_data(w)
-    assert (pcd.h, sorted(pcd.C), pcd.alpha, pcd.i1, pcd.beta) == (4, [1, 2, 6], 2, 5, 3)
-    assert pcd.window == {2, 3, 4}
+    assert (pcd.h, bits(pcd.C), pcd.alpha, pcd.i1, pcd.beta) == (4, [1, 2, 6], 2, 5, 3)
+    assert pcd.window == 0b11100
     assert pcd.sigma == (2, 3, 1)
     assert pcd.sort == (6, 8, 2, 3, 4, 7, 5, 1)
     assert not pcd.is_sorted
@@ -17,14 +18,14 @@ def test_primary_column_data_worked_example():
 
 def test_primary_column_data_dominant_degenerate():
     pcd = sortorder.primary_column_data((3, 2, 1))
-    assert (pcd.h, pcd.C, pcd.alpha, pcd.i1, pcd.beta) == (3, frozenset(), 0, 3, 3)
+    assert (pcd.h, pcd.C, pcd.alpha, pcd.i1, pcd.beta) == (3, 0, 0, 3, 3)
 
 
 def test_sigma_of_dominant_is_w_itself():
     # the window is all of [n], so only the identity is sorted among
     # dominant permutations
     pcd = sortorder.primary_column_data((2, 1))
-    assert (pcd.window, pcd.sigma, pcd.sort) == ({1, 2}, (2, 1), (1, 2))
+    assert (pcd.window, pcd.sigma, pcd.sort) == (0b110, (2, 1), (1, 2))
     assert not pcd.is_sorted
     assert sortorder.primary_column_data((1, 2, 3)).is_sorted
 
@@ -40,11 +41,11 @@ def test_sort_of_permutes_window_only():
         pcd = sortorder.primary_column_data(w)
         rows = w[pcd.alpha:pcd.i1]
         # w maps the rows alpha+1..i1 onto the window h-beta+1..h
-        assert set(rows) == pcd.window == set(range(pcd.h - pcd.beta + 1, pcd.h + 1))
+        assert set(rows) == set(bits(pcd.window)) == set(range(pcd.h - pcd.beta + 1, pcd.h + 1))
         # w_sort sorts exactly those rows
         assert pcd.sort == w[:pcd.alpha] + tuple(sorted(rows)) + w[pcd.i1:]
         # sigma(w) is that bijection renumbered to [beta]
-        lowest = min(pcd.window)
+        lowest = min(bits(pcd.window))
         assert pcd.sigma == tuple(v - lowest + 1 for v in rows)
         assert pcd.is_sorted == (pcd.sigma == permcomb.identity(pcd.beta))
 
