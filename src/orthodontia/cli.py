@@ -273,8 +273,7 @@ def _lascouxbasis():
     """The lascouxbasis module, its memos emptied: a command expands as a fresh process would."""
     from . import lascouxbasis
 
-    for memo in lascouxbasis._theorem12, lascouxbasis._phi:
-        memo.clear()
+    lascouxbasis.clear_memos()
     return lascouxbasis
 
 

@@ -6,7 +6,8 @@ bit mask with bit i for row i; column order matters and empty columns (mask
 the algorithm.  The orthodontic sequence holds masks too, bit j of K_a or
 M_k for column j, and `bits` lists a mask's indices where they are printed
 or multiplied over.  A scan lists and formats diagrams as tuples of column
-masks alone (`avoiding_masks`, `format_masks`).
+masks alone (`avoiding_masks`, `format_masks`, which writes each mask's text
+once).
 """
 
 from __future__ import annotations
@@ -158,10 +159,16 @@ def avoiding_masks(n: int, m: int) -> list[tuple[int, ...]]:
     return found
 
 
+# column mask -> its field ';<rows>' in the text format, which depends on the mask alone
+_field: dict[int, str] = {}
+
+
 def format_masks(n: int, cols) -> str:
-    """format_diagram of Diagram(n, cols)."""
-    rows = range(1, n + 1)
-    return f"n={n}" + "".join([";" + ",".join([str(i) for i in rows if c >> i & 1]) for c in cols])
+    """format_diagram of Diagram(n, cols); each mask's field is written once, into `_field`."""
+    for c in cols:
+        if c not in _field:
+            _field[c] = ";" + ",".join(map(str, bits(c)))
+    return f"n={n}" + "".join([_field[c] for c in cols])
 
 
 def format_diagram(D: Diagram) -> str:

@@ -15,17 +15,24 @@ phi_{n-a}^{|K_a|}, times (x_1 ... x_n)^(ncols - c), c the number of
 nonempty columns.  The walk applies those operators to a dict
 alpha -> c_alpha, each one loop adding into a fresh dict: pibar_i moves an
 index (`_times_pibar`), phi_i reads its expansion of L_alpha from the memo
-`_phi` (`_times_phi`), and the last factor, when there is an empty column,
+`_phi` (`_step`), and the last factor, when there is an empty column,
 adds ncols - c to every part (L_{alpha + 1^n} = x_1 ... x_n L_alpha).  The
 walk reads only the key (n, ncols, the rows i_k, the sizes |M_k|, the sizes
 |K_a|), which `_theorem12_key` reads off the column masks with
 ``diagrams._orthodontia``, and `_theorem12` memoizes each expansion on it
-(3527 keys for the %-avoiding diagrams in [4] x [4]).  A scan record is its
-item plus what the key fixes, so each entry also keeps, written once, the
-verdict and the record text before and after its item; a scan worker
-returns (item, verdict, head, tail) and the CLI splices the item in.
-``conj15_item`` reads phi_i(L_alpha) from the same `_phi`.  The CLI
-commands that fill the memos, ``scan`` and ``check``, start them both empty.
+(3527 keys for the %-avoiding diagrams in [4] x [4]).  Below the key lies a
+word: the steps (n - i_k, |M_k|, pibar) from k = l down, then
+(n - a, |K_a|) for each nonempty K_a.  A word's walk is its last step
+applied to the walk of the rest, and `_walks` memoizes the walk of every
+prefix, so a new key steps only past the longest prefix walked before: the
+797 keys of [4] x [3] hold 3211 steps but 796 distinct prefixes.  A scan
+record is its item plus what the key fixes, so each entry also keeps,
+written once, the verdict and the record text before and after its item; a
+scan worker returns (item, verdict, head, tail) and the CLI splices the
+item in.  The writer takes each alpha's text from `_alpha_text`, written
+once per alpha (256 for those 797 records).  ``conj15_item`` reads
+phi_i(L_alpha) from the same `_phi`.  The CLI commands that fill the memos,
+``scan`` and ``check``, start them all empty (`clear_memos`).
 """
 
 from __future__ import annotations
@@ -84,18 +91,6 @@ def _phi_expansion(alpha: Composition, i: int) -> dict[Composition, int]:
     return e
 
 
-def _times_phi(coeffs: dict[Composition, int], i: int, times: int) -> dict[Composition, int]:
-    """The expansion of phi_i^times applied to sum c_alpha L_alpha, zero sums kept."""
-    for _ in range(times):
-        out: dict[Composition, int] = {}
-        get = out.get
-        for alpha, c in coeffs.items():
-            for beta, b in _phi_expansion(alpha, i).items():
-                out[beta] = get(beta, 0) + c * b
-        coeffs = out
-    return coeffs
-
-
 def _times_pibar(coeffs: dict[Composition, int], i: int) -> dict[Composition, int]:
     """The expansion of pibar_i applied to sum c_alpha L_alpha, zero sums kept:
     pibar_i(L_alpha) is L_{alpha s_i} if alpha_i > alpha_{i+1}, else L_alpha."""
@@ -107,6 +102,36 @@ def _times_pibar(coeffs: dict[Composition, int], i: int) -> dict[Composition, in
             alpha = (*alpha[:i - 1], b, a, *alpha[i + 1:])
         out[alpha] = get(alpha, 0) + c
     return out
+
+
+# (n, word) -> the expansion of the word applied to L_{0^n}, zero sums kept; a word is a tuple
+# of steps (i, times, pibar), each phi_i^times, then pibar_i if pibar is set
+_walks: dict[tuple, dict[Composition, int]] = {}
+
+
+def _step(coeffs: dict[Composition, int], step: tuple[int, int, bool]) -> dict[Composition, int]:
+    """One step (i, times, pibar) of a word applied to sum c_alpha L_alpha, zero sums kept."""
+    i, times, pibar = step
+    for _ in range(times):
+        out: dict[Composition, int] = {}
+        get = out.get
+        for alpha, c in coeffs.items():
+            for beta, b in _phi_expansion(alpha, i).items():
+                out[beta] = get(beta, 0) + c * b
+        coeffs = out
+    return _times_pibar(coeffs, i) if pibar else coeffs
+
+
+def _walk(n: int, word: tuple) -> dict[Composition, int]:
+    """The expansion of word applied to L_{0^n}: its last step applied to the walk of the
+    word without it, memoized in `_walks` for every prefix; callers must not edit it."""
+    k = len(word)
+    while k and (n, word[:k]) not in _walks:
+        k -= 1
+    coeffs = _walks[n, word[:k]] if k else {(0,) * n: 1}
+    for k in range(k, len(word)):  # a loop, not a recursion: a word may be long
+        coeffs = _walks[n, word[:k + 1]] = _step(coeffs, word[k])
+    return coeffs
 
 
 # (n, ncols, i, |M_k|, |K_a|) -> (coeffs, *_rendered(coeffs)): the expansion of
@@ -122,17 +147,22 @@ def _theorem12_key(n: int, cols: list[int]) -> tuple:
            tuple(M.bit_count() for _, _, M in steps), tuple(k.bit_count() for k in K))
     if key not in _theorem12:
         n, ncols, rows, M, K = key
-        # the order of families._evaluate_diagram: steps l..1, then the outer omegas
-        coeffs = {(0,) * n: 1}
-        for i, size in zip(reversed(rows), reversed(M)):
-            coeffs = _times_pibar(_times_phi(coeffs, n - i, size), n - i)
-        for a, size in enumerate(K, 1):
-            coeffs = _times_phi(coeffs, n - a, size)
-        coeffs = {alpha: c for alpha, c in coeffs.items() if c}
+        # the order of families._evaluate_diagram: steps l..1, then the nonempty outer omegas
+        word = (*((n - i, size, True) for i, size in zip(reversed(rows), reversed(M))),
+                *((n - a, size, False) for a, size in enumerate(K, 1) if size))
+        coeffs = _walk(n, word)
+        if 0 in coeffs.values():  # else the entry shares the walk's dict
+            coeffs = {alpha: c for alpha, c in coeffs.items() if c}
         if empty := ncols - sum(M) - sum(K):  # x_1 ... x_n per empty column
             coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
         _theorem12[key] = (coeffs, *_rendered(coeffs))
     return key
+
+
+def clear_memos() -> None:
+    """Empty every memo of this module, so that what follows expands as a fresh process would."""
+    for memo in _phi, _walks, _theorem12, _alpha_text:
+        memo.clear()
 
 
 def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composition, int]:
@@ -150,6 +180,10 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composit
 # -- scan items (module-level so they pickle for worker pools) ------------
 
 
+# alpha -> '{"alpha": [...], "c": ', the text that opens alpha's term in every record
+_alpha_text: dict[Composition, str] = {}
+
+
 def _rendered(coeffs: dict[Composition, int]) -> tuple[str, str, str]:
     """(verdict, head, tail): head + the item encoded + tail is json.dumps(record, sort_keys=True)
     of {"item", "verdict", "expansion": [{"alpha", "c"}, ...] in alpha order, "d0"}, written
@@ -158,8 +192,10 @@ def _rendered(coeffs: dict[Composition, int]) -> tuple[str, str, str]:
     d0 = baseline_degree(coeffs)
     positive = all((c > 0) == ((sum(alpha) - d0) % 2 == 0) for alpha, c in terms)
     verdict = "positive" if positive else "violation"
-    # the repr of a list of ints is its JSON
-    expansion = ", ".join([f'{{"alpha": {list(alpha)}, "c": {c}}}' for alpha, c in terms])
+    for alpha in coeffs:
+        if alpha not in _alpha_text:  # the repr of a list of ints is its JSON
+            _alpha_text[alpha] = f'{{"alpha": {list(alpha)}, "c": '
+    expansion = ", ".join([f"{_alpha_text[alpha]}{c}}}" for alpha, c in terms])
     return (verdict, f'{{"d0": {d0}, "expansion": [{expansion}], "item": ',
             f', "verdict": "{verdict}"}}')
 

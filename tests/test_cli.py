@@ -620,6 +620,8 @@ def test_scan_renders_each_theorem12_record_once_per_memo_key(runner, monkeypatc
     assert r.exit_code == 0, r.output
     # 1888 diagrams share 797 theorem-12 memo keys, and each entry holds one render
     assert len(calls) == len(lascouxbasis._theorem12) == 797
+    # their terms open with 256 distinct alpha fragments, each written once
+    assert len(lascouxbasis._alpha_text) == 256
     diagrams_ = conj14_diagrams(4, 3)
     lines = r.stdout.splitlines()[:-1]
     assert len(lines) == len(diagrams_) == 1888
@@ -627,6 +629,30 @@ def test_scan_renders_each_theorem12_record_once_per_memo_key(runner, monkeypatc
         want = reference_record({"diagram": diagrams.format_diagram(D)},
                                 lascouxbasis.theorem12_check(D, require_inclusion=False))
         assert line == json.dumps(want, sort_keys=True)
+
+
+def test_scan_walks_each_theorem12_word_prefix_once(runner, monkeypatch):
+    steps = []
+    step = lascouxbasis._step
+
+    def counted(coeffs, s):
+        steps.append(s)
+        return step(coeffs, s)
+
+    monkeypatch.setattr(lascouxbasis, "_step", counted)
+    r = runner.invoke(main, ["scan", "conj14", "--n", "4", "--m", "3", "--json"])
+    assert r.exit_code == 0, r.output
+    assert workloads.digest(r.stdout_bytes) == workloads.load_goldens()["scan-conj14"]["sha256"]
+    # a key's word: the steps (n - i, |M_k|, pibar) from k = l down, then the nonempty outer
+    # factors (n - a, |K_a|)
+    words = [(n, (*((n - i, size, True) for i, size in zip(rows[::-1], M[::-1])),
+                  *((n - a, size, False) for a, size in enumerate(K, 1) if size)))
+             for n, _, rows, M, K in lascouxbasis._theorem12]
+    prefixes = {(n, word[:k]) for n, word in words for k in range(1, len(word) + 1)}
+    # the 797 words hold 3211 steps, and the walk applies one step per distinct prefix
+    assert len(words) == 797 and sum(len(word) for _, word in words) == 3211
+    assert len(steps) == len(prefixes) == 796
+    assert set(lascouxbasis._walks) == prefixes
 
 
 @pytest.mark.parametrize("argv", [

@@ -228,6 +228,16 @@ def test_avoiding_masks_counts():
     assert len(diagrams.avoiding_masks(4, 4)) == 16927
 
 
+def test_format_masks_writes_each_column_field_once():
+    diagrams._field.clear()
+    items = diagrams.avoiding_masks(4, 3)
+    # the field of column mask c read off its rows, as the text format defines it
+    assert [diagrams.format_masks(4, cols) for cols in items] == [
+        "n=4" + "".join(";" + ",".join(str(i) for i in range(1, 5) if c >> i & 1) for c in cols)
+        for cols in items]
+    assert sorted(diagrams._field) == list(range(0, 32, 2))
+
+
 def test_format_parse_roundtrip():
     for D in [
         diagrams.rothe((3, 1, 5, 4, 2)),

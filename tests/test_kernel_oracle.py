@@ -92,6 +92,10 @@ def test_constructors_match_sympy(n, m):
         assert kernel_dict(Polynomial.var_x(i, n, m)) == expected_dict(xs[i - 1], n, m)
     for j in range(1, m + 1):
         assert kernel_dict(Polynomial.var_y(j, n, m)) == expected_dict(ys[j - 1], n, m)
+    xe, ye = tuple(range(1, n + 1)), tuple(range(m))
+    mono = sympy.Mul(*(v**e for v, e in zip(xs + ys, xe + ye)))
+    assert kernel_dict(Polynomial.monomial(xe, ye, -4)) == expected_dict(-4 * mono, n, m)
+    assert kernel_dict(Polynomial.monomial(xe, ye, 0)) == {}
 
 
 @EXAMPLES
@@ -110,6 +114,8 @@ def test_ring_operations_match_sympy(case):
     assert kernel_dict(f - g) == expected_dict(sf - sg, n, m)
     assert kernel_dict(f.scale(-3)) == expected_dict(-3 * sf, n, m)
     assert kernel_dict(f.scale(0)) == {}
+    assert bool(f * g) == bool(expected_dict(sf * sg, n, m))
+    assert bool(f - f) is False
 
 
 @EXAMPLES
@@ -121,6 +127,44 @@ def test_remainder_add_product_matches_sympy(case, data):
     r.add_product(Polynomial(n, m, a), Polynomial(n, m, b))
     expect = to_sympy(held, n, m) + to_sympy(a, n, m) * to_sympy(b, n, m)
     assert kernel_dict(r.polynomial()) == expected_dict(expect, n, m)
+
+
+@EXAMPLES
+@given(pairs(), st.integers(-3, 3))
+# f - f: the remainder empties
+@example((2, 1, FIVE_TERMS, FIVE_TERMS), 1)
+def test_remainder_subtract_and_lowest_match_sympy(case, c):
+    # the expander's peel: r - c g, then its first term in canonical order
+    n, m, a, b = case
+    r = Remainder(Polynomial(n, m, a))
+    r.subtract(Polynomial(n, m, b), c)
+    diff = to_sympy(a, n, m) - c * to_sympy(b, n, m)
+    expect = expected_dict(diff, n, m)
+    assert bool(r) == bool(expect)
+    if expect:
+        xs, ys = gens(n, m)
+        # sympy's grlex, read from smallest to largest, is the canonical order
+        low, coeff = sympy.Poly(diff, *(xs + ys)).terms(order="grlex")[-1]
+        (xe, ye), got = r.lowest()
+        assert (xe + ye, got) == (low, coeff)
+    else:
+        with pytest.raises(ValueError):
+            r.lowest()
+    assert kernel_dict(r.polynomial()) == expect
+
+
+@EXAMPLES
+@given(pairs())
+@example((2, 1, {}, {}))
+def test_term_readers_match_sympy(case):
+    # to_dict, coefficient and max_exponent read the terms back without the JSON form
+    n, m, a, _ = case
+    f = Polynomial(n, m, a)
+    expect = expected_dict(to_sympy(a, n, m), n, m)
+    assert {xe + ye: c for (xe, ye), c in f.to_dict().items()} == expect
+    for k in [*expect, (9,) * (n + m)]:
+        assert f.coefficient(k[:n], k[n:]) == expect.get(k, 0)
+    assert f.max_exponent() == max((max(k, default=0) for k in expect), default=0)
 
 
 def test_remainder_add_product_where_terms_cancel():
@@ -429,6 +473,7 @@ def test_lowest_degree_part_and_canonical_order_match_sympy(case):
                                                  simultaneous=True)), t)
         low = min(k for (k,) in scaled.as_dict())
         expect = scaled.as_dict()[(low,)]
+        assert f.min_degree() == low
         assert kernel_dict(f.lowest_degree_part()) == expected_dict(expect, n, m)
     if xs + ys and expected_dict(sf, n, m):
         # sympy's grlex, read from smallest to largest, is the canonical order

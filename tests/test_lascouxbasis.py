@@ -102,7 +102,7 @@ def test_theorem12_check_small_diagram():
 
 
 def test_theorem12_check_requires_inclusion_order():
-    lascouxbasis._theorem12.clear()
+    lascouxbasis.clear_memos()
     D = from_cells(2, 2, [(1, 1), (2, 2)])
     with pytest.raises(ValueError):
         lascouxbasis.theorem12_check(D)
@@ -134,8 +134,7 @@ def test_lascoux_basis_rules_of_the_theorem12_route(n):
 
 
 def test_theorem12_memo_matches_fresh_expansion():
-    lascouxbasis._theorem12.clear()
-    lascouxbasis._phi.clear()
+    lascouxbasis.clear_memos()
     items = conj14_diagrams(3, 3) + conj14_diagrams(4, 3)
     for D in items:
         memoized = lascouxbasis.theorem12_check(D, require_inclusion=False)
@@ -149,6 +148,12 @@ def test_theorem12_memo_matches_fresh_expansion():
     # beside each expansion, the text of its key's records, rendered once from it
     assert all(tuple(text) == lascouxbasis._rendered(e)
                for e, *text in lascouxbasis._theorem12.values())
+    # each word prefix's memoized walk is the walk of that prefix taken step by step from L_{0^n}
+    for (n, word), e in lascouxbasis._walks.items():
+        fresh = {(0,) * n: 1}
+        for step in word:
+            fresh = lascouxbasis._step(fresh, step)
+        assert e == fresh, (n, word)
 
 
 def test_theorem12_key_is_exact():
@@ -167,8 +172,7 @@ def test_theorem12_key_is_exact():
 def test_theorem12_key_is_read_from_the_mask_core():
     # the key comes from the column masks, never from an OrthodonticSequence; it must be
     # the one the sequence gives
-    lascouxbasis._theorem12.clear()
-    lascouxbasis._phi.clear()
+    lascouxbasis.clear_memos()
     rothe = [diagrams.rothe(w) for n in range(1, 7) for w in permcomb.all_perms(n)]
     for D in conj14_diagrams(3, 3) + conj14_diagrams(4, 3) + rothe:
         key = lascouxbasis._theorem12_key(D.nrows, list(D.columns))
@@ -180,7 +184,7 @@ def test_theorem12_check_refuses_a_non_percent_avoiding_diagram_before_the_memo(
 
     from orthodontia.cli import main
 
-    lascouxbasis._theorem12.clear()
+    lascouxbasis.clear_memos()
     r = CliRunner().invoke(main, ["check", "thm12", "--no-require-inclusion", "--diagram", "n=2;2;1"])
     assert r.exit_code == 2, r.output
     assert "diagram is not %-avoiding (`orthodontia orthodontia --force`" in r.stderr
@@ -188,7 +192,7 @@ def test_theorem12_check_refuses_a_non_percent_avoiding_diagram_before_the_memo(
 
 
 def test_theorem12_check_returns_its_own_coefficients():
-    lascouxbasis._theorem12.clear()
+    lascouxbasis.clear_memos()
     D = from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
     first = lascouxbasis.theorem12_check(D)
     want = dict(first)
@@ -201,8 +205,7 @@ def test_each_cli_command_starts_from_an_empty_memo():
 
     from orthodontia.cli import main
 
-    lascouxbasis._theorem12.clear()
-    lascouxbasis._phi.clear()
+    lascouxbasis.clear_memos()
     for D in conj14_diagrams(3, 3):
         lascouxbasis.theorem12_check(D, require_inclusion=False)
     assert len(lascouxbasis._theorem12) == 118
@@ -210,6 +213,9 @@ def test_each_cli_command_starts_from_an_empty_memo():
     r = CliRunner().invoke(main, ["check", "thm12", "--diagram", "n=3;2,3;3;3"])
     assert r.exit_code == 0, r.output
     assert len(lascouxbasis._theorem12) == 1
+    # its word's three prefixes, the steps k = 3, 2, 1 as (n - i_k, |M_k|, pibar)
+    word = ((2, 2, True), (1, 1, True), (2, 0, True))
+    assert sorted(lascouxbasis._walks) == [(3, word[:k]) for k in (1, 2, 3)]
     # the phi products of this diagram's word alone (i = 1,2,1, |M| = 0,1,2, every K empty):
     # phi_2 twice from L_000, then phi_1 once on what pibar_2 left
     assert sorted(lascouxbasis._phi) == [((0, 0, 0), 2), ((1, 1, 0), 2), ((1, 1, 1), 2),

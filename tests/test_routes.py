@@ -6,7 +6,8 @@ S_1..S_4 under `sys.setprofile`, which records the engine functions it enters.
 Outside `polyring` (the kernel, checked against sympy on its own) and
 `permcomb`, the routes each suite compares must enter disjoint sets of them,
 and each `polyring` function a route enters must have a sympy oracle test in
-`test_kernel_oracle.py`.
+`test_kernel_oracle.py`.  So must each one that a suite's own checks enter, run
+as `verify` runs it at nmax 3: a suite's verdicts rest on the kernel too.
 The theorem-12 walk and the polynomial it stands for (`tests/neg1.py`),
 expanded by `lascoux_expand`, are compared the same way on the
 %-avoiding diagrams in [3] x [2].
@@ -22,7 +23,8 @@ import pytest
 
 import neg1
 from diagram_sets import conj14_diagrams
-from orthodontia import diffops, families, lascouxbasis, permcomb, pipedreams, polyring
+from orthodontia import diffops, families, lascouxbasis, permcomb, pipedreams, polyring, suites
+from orthodontia.cli import SUITES
 from orthodontia.diagrams import rothe
 
 PERMS = [w for n in range(1, 5) for w in permcomb.all_perms(n)]
@@ -95,21 +97,31 @@ def test_compared_routes_share_no_engine_function(suite, entered):
             assert shared <= ALLOWED.get(frozenset({a, b}), set()), (a, b, shared)
 
 
-# each polyring function a route may enter, and the test of test_kernel_oracle.py that
-# checks it against sympy
+# each polyring function a route or a suite's own checks may enter, and the test of
+# test_kernel_oracle.py that checks it against sympy
 KERNEL_ORACLES = {
     **dict.fromkeys(["_Layout.__init__", "_layout", "_encode", "_from_keys", "_same_ambient",
                      "_axpy", "_add_product", "Polynomial.__init__", "Polynomial.__add__",
                      "Polynomial._plus", "Polynomial.__sub__", "Polynomial.__mul__"],
                     "test_ring_operations_match_sympy"),
     "Polynomial.__eq__": "test_equality_holds_exactly_when_the_term_lists_and_ambients_agree",
+    **dict.fromkeys(["Polynomial.scale", "Polynomial.__bool__"], "test_ring_operations_match_sympy"),
     **dict.fromkeys(["Polynomial.zero", "Polynomial.const", "Polynomial.one", "Polynomial.var_x",
-                     "Polynomial.var_y"], "test_constructors_match_sympy"),
+                     "Polynomial.var_y", "Polynomial.monomial"], "test_constructors_match_sympy"),
     **dict.fromkeys(["Polynomial.add_times_divided_difference", "Polynomial._add_divided_difference"],
                     "test_add_times_divided_difference_matches_sympy"),
     "Polynomial._divided_difference": "test_divided_difference_and_isobaric_match_sympy",
     **dict.fromkeys(["Remainder.__init__", "Remainder.add_product", "Remainder.polynomial"],
                     "test_remainder_add_product_matches_sympy"),
+    **dict.fromkeys(["Remainder.__bool__", "Remainder.subtract", "Remainder.lowest"],
+                    "test_remainder_subtract_and_lowest_match_sympy"),
+    **dict.fromkeys(["_decode", "Polynomial.to_dict", "Polynomial.coefficient",
+                     "Polynomial.max_exponent"], "test_term_readers_match_sympy"),
+    **dict.fromkeys(["Polynomial._remap", "Polynomial.substitute_y", "Polynomial.negate_y"],
+                    "test_y_specializations_match_sympy"),
+    "Polynomial.flip": "test_flip_matches_sympy",
+    **dict.fromkeys(["Polynomial.min_degree", "Polynomial.lowest_degree_part"],
+                    "test_lowest_degree_part_and_canonical_order_match_sympy"),
 }
 
 
@@ -132,16 +144,33 @@ def _kernel_owners() -> dict[tuple[str, int], str]:
     return owners
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_every_kernel_function_a_route_enters_has_an_oracle_test(route, entered):
+def _kernel_with_oracles(entered) -> set[str]:
+    """The polyring functions among entered, each checked to have a sympy oracle test."""
     owners = _kernel_owners()
-    kernel = {owners[name, line] for module, name, line in entered[route]
-              if module == polyring.__name__}
-    assert "_axpy" in kernel, kernel
+    kernel = {owners[name, line] for module, name, line in entered if module == polyring.__name__}
     assert kernel <= set(KERNEL_ORACLES), sorted(kernel - set(KERNEL_ORACLES))
     oracle = ast.parse((Path(__file__).parent / "test_kernel_oracle.py").read_text())
     tests = {node.name for node in oracle.body if isinstance(node, ast.FunctionDef)}
     assert {KERNEL_ORACLES[name] for name in kernel} <= tests
+    return kernel
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_kernel_function_a_route_enters_has_an_oracle_test(route, entered):
+    assert "_axpy" in _kernel_with_oracles(entered[route]), route
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_kernel_function_a_suite_enters_has_an_oracle_test(suite):
+    # a suite's own checks enter the kernel beyond its routes: each comparison is
+    # Polynomial.__eq__, cor-double-schub compares through lowest_degree_part and negate_y, and
+    # the trial suites build, specialize and peel polynomials of their own
+    _fresh_memos()
+    results = []
+    kernel = _kernel_with_oracles(_entered(lambda: results.append(getattr(suites, SUITES[suite])(3))))
+    assert results[0].checked and results[0].passed, suite
+    # every suite compares polynomials but thm-os2, which compares orthodontic sequences
+    assert ("Polynomial.__eq__" in kernel) == (suite != "thm-os2"), sorted(kernel)
 
 
 # the %-avoiding diagrams in [3] x [2], on which the theorem-12 walk meets its reference: the
@@ -150,7 +179,7 @@ CONJ14 = lascouxbasis.conj14_items(3, 2)
 CONJ14_DIAGRAMS = conj14_diagrams(3, 2)
 # the walk's own functions, which the reference must not enter
 WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
-    "_theorem12_key", "_times_phi", "_times_pibar", "_phi_expansion", "theorem12_check")} | {
+    "_theorem12_key", "_walk", "_step", "_times_pibar", "_phi_expansion", "theorem12_check")} | {
     ("orthodontia.diffops", "phi"), ("orthodontia.diffops", "_phi_factor")}
 # what the two may share, a comprehension keyed by its module: the mask core of the orthodontic
 # sequence of D, which both read (the walk builds no OrthodonticSequence, so it shares neither
@@ -168,8 +197,8 @@ THM12_SHARED = {
 
 def _fresh_memos():
     """Empty every memo either route fills, so each route enters what a cold run enters."""
-    for memo in lascouxbasis._theorem12, lascouxbasis._phi, families._lascoux:
-        memo.clear()
+    lascouxbasis.clear_memos()
+    families._lascoux.clear()
     diffops._phi_factor.cache_clear()
     neg1._omega_neg1.cache_clear()
 
