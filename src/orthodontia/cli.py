@@ -180,9 +180,9 @@ def cmd_orthodontia(D, force, as_json):
     """Print the double orthodontic sequence (K, i, j, M) of a diagram."""
     from . import diagrams
 
-    seq = diagrams.orthodontic_sequence(D, force=force)
-    i, j, M = ([step[k] for step in seq.steps] for k in range(3))
-    K, M = list(map(diagrams.bits, seq.K)), list(map(diagrams.bits, M))
+    K, steps = diagrams.orthodontic_sequence(D.nrows, D.columns, force=force)
+    i, j, M = ([step[k] for step in steps] for k in range(3))
+    K, M = list(map(diagrams.bits, K)), list(map(diagrams.bits, M))
     if as_json:
         click.echo(json.dumps({"K": K, "i": i, "j": j, "M": M}))
         return
@@ -326,12 +326,11 @@ def cmd_scan(target, workers, as_json, **options):
 @click.option("--json", "as_json", is_flag=True)
 def cmd_check(what, D, no_require_inclusion, as_json):
     """Run the graded-positivity pipeline on one diagram."""
-    from . import diagrams
-
     lascouxbasis = _lascouxbasis()
-    e = lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
-    verdict, head, tail = lascouxbasis._rendered(e)
-    line = head + json.dumps({"diagram": diagrams.format_diagram(D)}) + tail
+    # refuses columns out of inclusion order; the record is the memo entry's text, as a scan reads it
+    lascouxbasis.theorem12_check(D, require_inclusion=not no_require_inclusion)
+    item, verdict, head, tail = lascouxbasis.conj14_item((D.nrows, D.columns))
+    line = head + json.dumps(item) + tail
     if as_json:
         click.echo(line)
     else:

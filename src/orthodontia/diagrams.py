@@ -3,11 +3,12 @@
 A diagram is a subset of [n] x [m] stored column by column, each column a
 bit mask with bit i for row i; column order matters and empty columns (mask
 0) are kept in place so that recorded column indices stay stable throughout
-the algorithm.  The orthodontic sequence holds masks too, bit j of K_a or
-M_k for column j, and `bits` lists a mask's indices where they are printed
-or multiplied over.  A scan lists and formats diagrams as tuples of column
-masks alone (`avoiding_masks`, `format_masks`, which writes each mask's text
-once).
+the algorithm.  `orthodontic_sequence(n, cols)` is the algorithm itself: it
+takes a row count and column masks and returns (K, steps), with masks too,
+bit j of K_a or M_k for column j; `bits` lists a mask's indices where they
+are printed or multiplied over.  A scan lists and formats diagrams as
+tuples of column masks alone (`avoiding_masks`, `format_masks`, which
+writes each mask's text once).
 """
 
 from __future__ import annotations
@@ -85,30 +86,21 @@ def smallest_missing_tooth(col: int) -> int:
     return (teeth & -teeth).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class OrthodonticSequence:
-    """The data driving the orthodontia evaluators: K and the steps (i_k, j_k, M_k).
+def orthodontic_sequence(n: int, cols, force: bool = False) -> tuple[tuple[int, ...], tuple]:
+    """The double orthodontic sequence (K, steps) of the %-avoiding diagram in [n] x [len(cols)]
+    with these column masks, which are copied, not consumed.
 
-    K has one entry per row index 1..n; steps holds one triple per
-    orthodontic step, k = 1..l in the order the algorithm records them.
+    K has one entry per row index 1..n; steps holds one triple (i_k, j_k, M_k)
+    per orthodontic step, k = 1..l in the order the algorithm records them.
     Each K_a and M_k is a mask of columns, bit j for column j, and all
-    recorded column indices refer to the original column positions of the
-    input diagram.
+    recorded column indices refer to the original column positions.  Strips
+    standard-interval columns into K, then repeats: close the smallest
+    missing tooth of the leftmost nonempty column (recording the row i_k and
+    adjusted column index j_k), strip newly standard columns into M_k.
+    Guaranteed to terminate for %-avoiding input; pass force=True to run on
+    other diagrams at your own risk.
     """
-
-    K: tuple[int, ...]
-    steps: tuple[tuple[int, int, int], ...]
-
-
-def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int], list[tuple]]:
-    """Run the double orthodontia algorithm on a %-avoiding diagram's column masks, consuming them.
-
-    Strips standard-interval columns into K, then repeats: close the
-    smallest missing tooth of the leftmost nonempty column (recording the
-    row i_k and adjusted column index j_k), strip newly standard columns
-    into M_k, each K_a and M_k a mask of columns.  Guaranteed to terminate
-    for %-avoiding input; pass force=True to run on other diagrams at your own risk.
-    """
+    cols = list(cols)
     if not force and not _avoiding(cols):
         raise ValueError("diagram is not %-avoiding "
                          "(`orthodontia orthodontia --force` runs the algorithm anyway)")
@@ -137,13 +129,7 @@ def _orthodontia(n: int, cols: list[int], force: bool = False) -> tuple[list[int
                         c = 0
                     cols[j] = c
             steps.append((i1, j1, M1))
-    return K, steps
-
-
-def orthodontic_sequence(D: Diagram, force: bool = False) -> OrthodonticSequence:
-    """The double orthodontic sequence of D, which is %-avoiding unless force; see `_orthodontia`."""
-    K, steps = _orthodontia(D.nrows, list(D.columns), force)
-    return OrthodonticSequence(K=tuple(K), steps=tuple(steps))
+    return tuple(K), tuple(steps)
 
 
 def avoiding_masks(n: int, m: int) -> list[tuple[int, ...]]:

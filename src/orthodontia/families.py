@@ -10,8 +10,8 @@ S_n (`double_grothendieck_sweep`, `double_schubert_sweep`) walks the tree
 of those chains depth first from w0, with no memo, holding only the values
 on its current path.  Only the Lascoux polynomials, which every expansion
 peels, are memoized module-wide.  `_evaluate_diagram` is the one evaluator
-of the orthodontic sequence; its y = -1 specialization is walked in the
-Lascoux basis by `lascouxbasis.theorem12_check`.
+of the (K, steps) of `diagrams.orthodontic_sequence`; the theorem-12 word
+of `lascouxbasis` walks its y = -1 specialization in the same step order.
 """
 
 from __future__ import annotations
@@ -145,20 +145,20 @@ def _evaluate_diagram(D: Diagram, inner_barred: bool, outer_barred: bool, step) 
     is 1, so it is skipped.
     """
     n, m = D.nrows, D.ncols
-    seq = orthodontic_sequence(D)
-    bad = [j for _, j, _ in seq.steps if not 1 <= j <= m]
+    K, steps = orthodontic_sequence(n, D.columns)
+    bad = [j for _, j, _ in steps if not 1 <= j <= m]
     if bad:
         raise ValueError(f"orthodontic column indices {bad} fall outside [1,{m}]; the "
                          "unspecialized evaluator is undefined here (`orthodontia check thm12` "
                          "checks its y -> -1 specialization)")
     t = Polynomial.one(n, m)
-    for i, j, M in reversed(seq.steps):
+    for i, j, M in reversed(steps):
         if M:
             t = diffops.omega(i, bits(M), inner_barred, n, m) * t
         t = step(t, i, j)
-    for a, K in enumerate(seq.K, 1):
-        if K:
-            t = diffops.omega(a, bits(K), outer_barred, n, m) * t
+    for a, Ka in enumerate(K, 1):
+        if Ka:
+            t = diffops.omega(a, bits(Ka), outer_barred, n, m) * t
     return t
 
 

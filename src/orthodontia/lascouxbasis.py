@@ -17,19 +17,18 @@ alpha -> c_alpha, each one loop adding into a fresh dict: pibar_i moves an
 index (`_times_pibar`), phi_i reads its expansion of L_alpha from the memo
 `_phi` (`_step`), and the last factor, when there is an empty column,
 adds ncols - c to every part (L_{alpha + 1^n} = x_1 ... x_n L_alpha).  The
-walk reads only the key (n, ncols, the rows i_k, the sizes |M_k|, the sizes
-|K_a|), which `_theorem12_key` reads off the column masks with
-``diagrams._orthodontia``, and `_theorem12` memoizes each expansion on it
-(3527 keys for the %-avoiding diagrams in [4] x [4]).  Below the key lies a
-word: the steps (n - i_k, |M_k|, pibar) from k = l down, then
-(n - a, |K_a|) for each nonempty K_a.  A word's walk is its last step
+walk reads only a word: the steps (n - i_k, |M_k|, pibar) from k = l down,
+then (n - a, |K_a|) for each nonempty K_a, which `_theorem12_key` reads off
+``diagrams.orthodontic_sequence`` of the column masks, and `_theorem12`
+memoizes each expansion on the key (n, ncols, word) (3527 keys for the
+%-avoiding diagrams in [4] x [4]).  A word's walk is its last step
 applied to the walk of the rest, and `_walks` memoizes the walk of every
 prefix, so a new key steps only past the longest prefix walked before: the
 797 keys of [4] x [3] hold 3211 steps but 796 distinct prefixes.  A scan
 record is its item plus what the key fixes, so each entry also keeps,
 written once, the verdict and the record text before and after its item; a
 scan worker returns (item, verdict, head, tail) and the CLI splices the
-item in.  The writer takes each alpha's text from `_alpha_text`, written
+item in, ``check thm12`` too.  The writer takes each alpha's text from `_alpha_text`, written
 once per alpha (256 for those 797 records).  ``conj15_item`` reads
 phi_i(L_alpha) from the same `_phi`.  The CLI commands that fill the memos,
 ``scan`` and ``check``, start them all empty (`clear_memos`).
@@ -134,26 +133,24 @@ def _walk(n: int, word: tuple) -> dict[Composition, int]:
     return coeffs
 
 
-# (n, ncols, i, |M_k|, |K_a|) -> (coeffs, *_rendered(coeffs)): the expansion of
+# (n, ncols, word) -> (coeffs, *_rendered(coeffs)): the expansion of
 # flip(script_S(D)|_{y -> -1}, ncols), then the text that its scan records share
 _theorem12: dict[tuple, tuple[dict[Composition, int], str, str, str]] = {}
 
 
-def _theorem12_key(n: int, cols: list[int]) -> tuple:
-    """The key in `_theorem12` of the diagram in [n] x [len(cols)] with these column masks,
-    which the orthodontia core consumes; filled on a miss, and its entry must not be edited."""
-    K, steps = diagrams._orthodontia(n, cols)
-    key = (n, len(cols), tuple(i for i, _, _ in steps),
-           tuple(M.bit_count() for _, _, M in steps), tuple(k.bit_count() for k in K))
+def _theorem12_key(n: int, cols) -> tuple:
+    """The key (n, ncols, word) in `_theorem12` of the diagram in [n] x [len(cols)] with these
+    column masks; filled on a miss, and its entry must not be edited."""
+    K, steps = diagrams.orthodontic_sequence(n, cols)
+    # the order of families._evaluate_diagram: steps l..1, then the nonempty outer omegas
+    word = (*((n - i, M.bit_count(), True) for i, _, M in reversed(steps)),
+            *((n - a, k.bit_count(), False) for a, k in enumerate(K, 1) if k))
+    key = (n, len(cols), word)
     if key not in _theorem12:
-        n, ncols, rows, M, K = key
-        # the order of families._evaluate_diagram: steps l..1, then the nonempty outer omegas
-        word = (*((n - i, size, True) for i, size in zip(reversed(rows), reversed(M))),
-                *((n - a, size, False) for a, size in enumerate(K, 1) if size))
         coeffs = _walk(n, word)
         if 0 in coeffs.values():  # else the entry shares the walk's dict
             coeffs = {alpha: c for alpha, c in coeffs.items() if c}
-        if empty := ncols - sum(M) - sum(K):  # x_1 ... x_n per empty column
+        if empty := len(cols) - sum(size for _, size, _ in word):  # x_1 ... x_n per empty column
             coeffs = {tuple(p + empty for p in alpha): c for alpha, c in coeffs.items()}
         _theorem12[key] = (coeffs, *_rendered(coeffs))
     return key
@@ -174,7 +171,7 @@ def theorem12_check(D: Diagram, require_inclusion: bool = True) -> dict[Composit
     if require_inclusion and not diagrams.columns_ordered_by_inclusion(D):
         raise ValueError("columns are not ordered by inclusion "
                          "(`orthodontia check thm12 --no-require-inclusion` skips this check)")
-    return dict(_theorem12[_theorem12_key(D.nrows, list(D.columns))][0])
+    return dict(_theorem12[_theorem12_key(D.nrows, D.columns)][0])
 
 
 # -- scan items (module-level so they pickle for worker pools) ------------
@@ -217,7 +214,7 @@ def conj15_items(n: int, maxentry: int) -> list[tuple[Composition, int]]:
 
 def conj14_item(args: tuple[int, tuple[int, ...]]) -> tuple:
     n, cols = args
-    key = _theorem12_key(n, list(cols))
+    key = _theorem12_key(n, cols)
     return ({"diagram": diagrams.format_masks(n, cols)}, *_theorem12[key][1:])
 
 
@@ -227,7 +224,7 @@ def conj14_items(n: int, m: int) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def thm12_vexillary_item(w) -> tuple:
-    key = _theorem12_key(len(w), list(diagrams.rothe(w).columns))
+    key = _theorem12_key(len(w), diagrams.rothe(w).columns)
     return ({"w": permcomb.format_perm(w)}, *_theorem12[key][1:])
 
 

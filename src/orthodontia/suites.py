@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import diagrams, diffops, families, lascouxbasis, permcomb, pipedreams, sortorder
-from .diagrams import Diagram, OrthodonticSequence, rothe
+from .diagrams import Diagram, rothe
 from .permcomb import Permutation, all_perms, format_perm
 from .polyring import Polynomial
 from .sortorder import PrimaryColumnData
@@ -124,13 +124,13 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
         D, Ds = rothe(w), rothe(pcd.sort)
         Dw, Dws = set(D.cells()), set(Ds.cells())
         expected_diff = {(pcd.alpha + a, c) for c, k in sizes.items() for a in range(1, k + 1)}
-        seq_w = diagrams.orthodontic_sequence(D)
-        seq_s = diagrams.orthodontic_sequence(Ds)
+        K_w, steps_w = diagrams.orthodontic_sequence(n, D.columns)
+        K_s, steps_s = diagrams.orthodontic_sequence(n, Ds.columns)
         # K_j of w is K_j of w_sort plus the window columns whose sigma(w) column has
         # j - alpha cells (none past i1: D(sigma) has beta - 1 rows), less the window at alpha
         k_ok = all(K == (Kp & ~pcd.window if j == pcd.alpha else Kp)
                    | sum(1 << c for c, size in sizes.items() if size == j - pcd.alpha)
-                   for j, (K, Kp) in enumerate(zip(seq_w.K, seq_s.K), 1))
+                   for j, (K, Kp) in enumerate(zip(K_w, K_s), 1))
         # G_w = prod * G_{w_sort}: Z[x, y] is an integral domain, so this
         # holds exactly when prod divides G_w with quotient G_{w_sort}.  With
         # no crossed cell prod is 1, and the product is G_{w_sort} itself.
@@ -139,7 +139,7 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
             crossed = (diffops._xy_factor(a, b, n, n, barred=True) for a, b in sorted(Dw - Dws))
             factored = math.prod(crossed, start=Polynomial.one(n, n)) * factored
         return (Dws <= Dw and Dw - Dws == expected_diff,
-                seq_w.steps == seq_s.steps,
+                steps_w == steps_s,
                 k_ok,
                 g == factored)
 
@@ -152,39 +152,40 @@ def suite_prop_os1(nmax: int) -> SuiteResult:
 
 
 def sorted_structure_parts(w: Permutation, pcd: PrimaryColumnData,
-                           seq: OrthodonticSequence) -> list[str]:
-    """Structural claims about the orthodontic sequence seq of a sorted w with data pcd."""
+                           K: tuple, steps: tuple) -> list[str]:
+    """Structural claims about the orthodontic sequence (K, steps) of a sorted w with data pcd."""
     bad = []
-    if len(seq.steps) < pcd.beta:
+    if len(steps) < pcd.beta:
         return [f"fewer than beta={pcd.beta} orthodontic steps at w={format_perm(w)}"]
-    for k, ((i, j, _), column) in enumerate(zip(seq.steps, diagrams.bits(pcd.window)), 1):
+    for k, ((i, j, _), column) in enumerate(zip(steps, diagrams.bits(pcd.window)), 1):
         if i != pcd.i1 - k + 1:
             bad.append(f"part 1 fails at w={format_perm(w)}, k={k}")
         if j != column:
             bad.append(f"part 2 fails at w={format_perm(w)}, k={k}")
-    if pcd.alpha > 0 and pcd.window & ~seq.K[pcd.alpha - 1]:
+    if pcd.alpha > 0 and pcd.window & ~K[pcd.alpha - 1]:
         bad.append(f"part 3 fails at w={format_perm(w)}")
     for k in range(pcd.alpha + 1, pcd.i1 + 1):
-        if seq.K[k - 1]:
+        if K[k - 1]:
             bad.append(f"part 4 fails at w={format_perm(w)}, k={k}")
-    for k, (_, _, M) in enumerate(seq.steps[:pcd.beta - 1], 1):
+    for k, (_, _, M) in enumerate(steps[:pcd.beta - 1], 1):
         if M:
             bad.append(f"part 5 fails at w={format_perm(w)}, k={k}")
     return bad
 
 
-def sorted_cover_check(w: Permutation, pcd: PrimaryColumnData, seq: OrthodonticSequence,
+def sorted_cover_check(w: Permutation, pcd: PrimaryColumnData, K: tuple, steps: tuple,
                        endpoint: str) -> bool:
-    """Does w' = w s_{i1} ... s_(endpoint) carry the sequence predicted from seq?"""
-    seq2 = diagrams.orthodontic_sequence(rothe(sortorder.os_covers(w, pcd, endpoint=endpoint)))
+    """Does w' = w s_{i1} ... s_(endpoint) carry the sequence predicted from (K, steps)?"""
+    K2, steps2 = diagrams.orthodontic_sequence(
+        len(w), rothe(sortorder.os_covers(w, pcd, endpoint=endpoint)).columns)
     b, S = pcd.beta, pcd.window
-    if seq2.steps != seq.steps[b:]:
+    if steps2 != steps[b:]:
         return False
-    expect = list(seq.K)  # S moves from K_alpha to K_{alpha+1}, joined by M_beta
+    expect = list(K)  # S moves from K_alpha to K_{alpha+1}, joined by M_beta
     if pcd.alpha > 0:
         expect[pcd.alpha - 1] &= ~S
-    expect[pcd.alpha] = S | seq.steps[b - 1][2]
-    return list(seq2.K) == expect
+    expect[pcd.alpha] = S | steps[b - 1][2]
+    return list(K2) == expect
 
 
 def _thm_os2(nmax: int, endpoints: tuple[str, ...]) -> dict[str, SuiteResult]:
@@ -194,11 +195,11 @@ def _thm_os2(nmax: int, endpoints: tuple[str, ...]) -> dict[str, SuiteResult]:
         pcd = sortorder.primary_column_data(w)
         if w == permcomb.identity(len(w)) or not pcd.is_sorted:
             continue
-        seq = diagrams.orthodontic_sequence(rothe(w))
-        bad = sorted_structure_parts(w, pcd, seq)
+        K, steps = diagrams.orthodontic_sequence(len(w), rothe(w).columns)
+        bad = sorted_structure_parts(w, pcd, K, steps)
         for e, res in results.items():
             res.check(not bad, "; ".join(bad), w)
-            res.check(sorted_cover_check(w, pcd, seq, e),
+            res.check(sorted_cover_check(w, pcd, K, steps, e),
                       f"part 6 ({e}) fails at w={format_perm(w)}", w)
     return results
 

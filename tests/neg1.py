@@ -36,14 +36,15 @@ def _omega_neg1(i: int, k: int, n: int) -> Polynomial:
 
 def script_S_neg1(D: Diagram) -> Polynomial:
     """script_S(D) at y = -1, ambient (nrows, 0): steps l..1, then the outer omegas."""
-    seq, n = orthodontic_sequence(D), D.nrows
+    n = D.nrows
+    K, steps = orthodontic_sequence(n, D.columns)
     t = Polynomial.one(n, 0)
-    for i, _, M in reversed(seq.steps):
+    for i, _, M in reversed(steps):
         if M:
             t = _omega_neg1(i, M.bit_count(), n) * t
         t = pi_double_neg1(t, i)
-    for a, K in enumerate(seq.K, 1):
-        if K:
-            t = _omega_neg1(a, K.bit_count(), n) * t
+    for a, Ka in enumerate(K, 1):
+        if Ka:
+            t = _omega_neg1(a, Ka.bit_count(), n) * t
     return t
 

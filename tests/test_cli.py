@@ -643,16 +643,30 @@ def test_scan_walks_each_theorem12_word_prefix_once(runner, monkeypatch):
     r = runner.invoke(main, ["scan", "conj14", "--n", "4", "--m", "3", "--json"])
     assert r.exit_code == 0, r.output
     assert workloads.digest(r.stdout_bytes) == workloads.load_goldens()["scan-conj14"]["sha256"]
-    # a key's word: the steps (n - i, |M_k|, pibar) from k = l down, then the nonempty outer
-    # factors (n - a, |K_a|)
-    words = [(n, (*((n - i, size, True) for i, size in zip(rows[::-1], M[::-1])),
-                  *((n - a, size, False) for a, size in enumerate(K, 1) if size)))
-             for n, _, rows, M, K in lascouxbasis._theorem12]
+    # a key (n, ncols, word) holds its word: the steps (n - i, |M_k|, pibar) from k = l down,
+    # then the nonempty outer factors (n - a, |K_a|)
+    words = [(n, word) for n, _, word in lascouxbasis._theorem12]
     prefixes = {(n, word[:k]) for n, word in words for k in range(1, len(word) + 1)}
     # the 797 words hold 3211 steps, and the walk applies one step per distinct prefix
     assert len(words) == 797 and sum(len(word) for _, word in words) == 3211
     assert len(steps) == len(prefixes) == 796
     assert set(lascouxbasis._walks) == prefixes
+
+
+def test_scan_keys_each_theorem12_entry_by_the_word_it_walks(runner):
+    r = runner.invoke(main, ["scan", "conj14", "--n", "4", "--m", "3", "--json"])
+    assert r.exit_code == 0, r.output
+    # each key is (n, ncols, word), and the walk of every nonempty word is memoized under
+    # (n, word); the one empty word, of the empty diagram, is L_{0^n} and walks no step
+    keys = list(lascouxbasis._theorem12)
+    assert len(keys) == 797 and {key[:2] for key in keys} == {(4, 3)}
+    assert [key for key in keys if not key[2]] == [(4, 3, ())]
+    assert all((n, word) in lascouxbasis._walks for n, _, word in keys if word)
+    # the sequence copies the column masks it is given, so a caller's list is left as it was
+    for n, cols in lascouxbasis.conj14_items(4, 3):
+        masks = list(cols)
+        diagrams.orthodontic_sequence(n, masks)
+        assert masks == list(cols), cols
 
 
 @pytest.mark.parametrize("argv", [

@@ -146,28 +146,28 @@ def test_smallest_missing_tooth_and_standard_interval_match_their_set_definition
 
 
 def test_orthodontic_sequence_31542():
-    seq = diagrams.orthodontic_sequence(diagrams.rothe((3, 1, 5, 4, 2)))
-    assert seq.K == (0b10,) + (0,) * 4
-    assert seq.steps == ((2, 1, 0), (3, 1, 0b100), (1, 3, 0b10000))
+    K, steps = diagrams.orthodontic_sequence(5, diagrams.rothe((3, 1, 5, 4, 2)).columns)
+    assert K == (0b10,) + (0,) * 4
+    assert steps == ((2, 1, 0), (3, 1, 0b100), (1, 3, 0b10000))
 
 
 def test_orthodontic_sequence_empty_diagram():
-    seq = diagrams.orthodontic_sequence(Diagram(3, (0,) * 3))
-    assert seq.steps == ()
-    assert seq.K == (0,) * 3
+    K, steps = diagrams.orthodontic_sequence(3, (0,) * 3)
+    assert steps == ()
+    assert K == (0,) * 3
 
 
 def test_orthodontic_sequence_standard_columns_only():
     D = from_cells(3, 2, [(1, 1), (1, 2), (2, 2)])
-    seq = diagrams.orthodontic_sequence(D)
-    assert seq.steps == ()
-    assert seq.K == (0b10, 0b100, 0)
+    K, steps = diagrams.orthodontic_sequence(D.nrows, D.columns)
+    assert steps == ()
+    assert K == (0b10, 0b100, 0)
 
 
 def test_orthodontic_sequence_rejects_non_percent_avoiding():
     bad = from_cells(2, 2, [(2, 1), (1, 2)])
     with pytest.raises(ValueError):
-        diagrams.orthodontic_sequence(bad)
+        diagrams.orthodontic_sequence(bad.nrows, bad.columns)
 
 
 def test_orthodontia_step_count_invariant():
@@ -175,9 +175,9 @@ def test_orthodontia_step_count_invariant():
     for D in all_diagrams(3, 2):
         if not is_percent_avoiding(D):
             continue
-        seq = diagrams.orthodontic_sequence(D)
-        assert len(seq.steps) <= 3 * 2
-        for i, _, M in seq.steps:
+        _, steps = diagrams.orthodontic_sequence(D.nrows, D.columns)
+        assert len(steps) <= 3 * 2
+        for i, _, M in steps:
             assert 1 <= i < D.nrows
             assert M & ~((2 << D.ncols) - 2) == 0
 

@@ -111,9 +111,12 @@ def test_theorem12_check_requires_inclusion_order():
 
 
 def _theorem12_key(D):
-    seq = diagrams.orthodontic_sequence(D)
-    return (D.nrows, D.ncols, tuple(i for i, _, _ in seq.steps),
-            tuple(M.bit_count() for _, _, M in seq.steps), tuple(K.bit_count() for K in seq.K))
+    """(n, ncols, word), the word the steps (n - i_k, |M_k|, pibar) from k = l down, then
+    (n - a, |K_a|) for each nonempty K_a."""
+    n = D.nrows
+    K, steps = diagrams.orthodontic_sequence(n, D.columns)
+    return (n, D.ncols, (*((n - i, M.bit_count(), True) for i, _, M in steps[::-1]),
+                         *((n - a, k.bit_count(), False) for a, k in enumerate(K, 1) if k)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -162,21 +165,23 @@ def test_theorem12_key_is_exact():
         groups.setdefault(_theorem12_key(D), []).append(D)
     shared = [g for g in groups.values() if len(g) > 1]
     # the key forgets j and the column sets, and some diagrams differ only there
-    assert any(len({tuple(j for _, j, _ in diagrams.orthodontic_sequence(D).steps) for D in g}) > 1
-               for g in shared)
+    assert any(len({tuple(j for _, j, _ in diagrams.orthodontic_sequence(D.nrows, D.columns)[1])
+                    for D in g}) > 1 for g in shared)
     for g in shared:
         first = script_S_neg1(g[0])
         assert all(script_S_neg1(D) == first for D in g[1:])
 
 
 def test_theorem12_key_is_read_from_the_mask_core():
-    # the key comes from the column masks, never from an OrthodonticSequence; it must be
-    # the one the sequence gives
+    # the key comes from the column masks, which the sequence copies and leaves as they were;
+    # it must be the one the sequence of the diagram gives
     lascouxbasis.clear_memos()
     rothe = [diagrams.rothe(w) for n in range(1, 7) for w in permcomb.all_perms(n)]
     for D in conj14_diagrams(3, 3) + conj14_diagrams(4, 3) + rothe:
-        key = lascouxbasis._theorem12_key(D.nrows, list(D.columns))
+        cols = list(D.columns)
+        key = lascouxbasis._theorem12_key(D.nrows, cols)
         assert key == _theorem12_key(D), diagrams.format_diagram(D)
+        assert cols == list(D.columns), diagrams.format_diagram(D)
 
 
 def test_theorem12_check_refuses_a_non_percent_avoiding_diagram_before_the_memo():

@@ -181,14 +181,13 @@ CONJ14_DIAGRAMS = conj14_diagrams(3, 2)
 WALK_OWN = {("orthodontia.lascouxbasis", name) for name in (
     "_theorem12_key", "_walk", "_step", "_times_pibar", "_phi_expansion", "theorem12_check")} | {
     ("orthodontia.diffops", "phi"), ("orthodontia.diffops", "_phi_factor")}
-# what the two may share, a comprehension keyed by its module: the mask core of the orthodontic
-# sequence of D, which both read (the walk builds no OrthodonticSequence, so it shares neither
-# orthodontic_sequence nor its __init__), with the interval test and the tooth finder it calls,
-# and the Lascoux expander with the chain that builds each L_beta it peels
+# what the two may share, a comprehension keyed by its module: the orthodontic sequence of D,
+# which both read, with the interval test and the tooth finder it calls, and the Lascoux
+# expander with the chain that builds each L_beta it peels
 THM12_SHARED = {
     *(("orthodontia.diagrams", name) for name in (
-        "_orthodontia", "is_standard", "smallest_missing_tooth", "_avoiding", "ncols", "<genexpr>",
-        "<listcomp>")),
+        "orthodontic_sequence", "is_standard", "smallest_missing_tooth", "_avoiding", "ncols",
+        "<genexpr>", "<listcomp>")),
     *(("orthodontia.lascouxbasis", name) for name in ("lascoux_expand", "<dictcomp>")),
     *(("orthodontia.families", name) for name in ("lascoux", "_chain", "_first_ascent", "<genexpr>")),
     ("orthodontia.diffops", "demazure_lascoux"), ("orthodontia.diffops", "_one_minus_x"),

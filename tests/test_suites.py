@@ -79,9 +79,9 @@ def test_ambiguity_report_reads_each_sorted_sequence_once(monkeypatch):
     read = Counter()
     sequence = diagrams.orthodontic_sequence
 
-    def counted(D):
-        read[D] += 1
-        return sequence(D)
+    def counted(n, cols):
+        read[n, tuple(cols)] += 1
+        return sequence(n, cols)
 
     monkeypatch.setattr(diagrams, "orthodontic_sequence", counted)
     suites.ambiguity_report(2, 5)
@@ -89,9 +89,9 @@ def test_ambiguity_report_reads_each_sorted_sequence_once(monkeypatch):
     for w in suites._perms(5):
         pcd = sortorder.primary_column_data(w)
         if w != permcomb.identity(len(w)) and pcd.is_sorted:
-            want[diagrams.rothe(w)] += 1
+            want[len(w), diagrams.rothe(w).columns] += 1
             for endpoint in ("alpha-plus-one", "alpha"):
-                want[diagrams.rothe(sortorder.os_covers(w, pcd, endpoint))] += 1
+                want[len(w), diagrams.rothe(sortorder.os_covers(w, pcd, endpoint)).columns] += 1
     assert read == want
 
 
